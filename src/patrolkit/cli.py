@@ -24,7 +24,6 @@ from .iware import IWareEnsemble, IwareError, train_iware
 from .learners import LearnerError
 from .metrics import FieldTestTable, MetricsError, ScoredSet, auc, chi_squared_field_test, ll_score, obs_per_cell, pr_metrics
 from .planner import (
-    AdapterUnavailableError,
     PlanInfeasibleError,
     PlannerError,
     PlanProblem,
@@ -297,9 +296,6 @@ def main(argv: list[str] | None = None) -> int:
     except PlanInfeasibleError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except AdapterUnavailableError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except _INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -1,9 +1,16 @@
 """Game-theoretic patrol planning on the time-unrolled park graph."""
 
-from .external import AdapterUnavailableError, find_solver, solve_external, write_lp_file
+from .external import solve_external, write_lp_file
 from .graph import PlanInfeasibleError, PlannerError, TimeUnrolledGraph, build_graph
-from .milp import MilpModel, PlanProblem, assemble_milp, branch_and_bound, objective_of_coverage
-from .simplex import LpResult, solve_lp
+from .milp import (
+    LpResult,
+    MilpModel,
+    PlanProblem,
+    assemble_milp,
+    branch_and_bound,
+    objective_of_coverage,
+    solve_lp,
+)
 from .solve import (
     PatrolPlan,
     decompose_routes,
@@ -14,7 +21,6 @@ from .solve import (
 )
 
 __all__ = [
-    "AdapterUnavailableError",
     "LpResult",
     "MilpModel",
     "PatrolPlan",
@@ -26,7 +32,6 @@ __all__ = [
     "branch_and_bound",
     "build_graph",
     "decompose_routes",
-    "find_solver",
     "improvement_ratio",
     "objective_of_coverage",
     "solve",

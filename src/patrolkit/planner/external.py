@@ -1,57 +1,48 @@
-"""External MILP solver adapter over the LP text-file interface.
+"""The full SOS2 model outside the internal branch and bound.
 
-Exports the assembled model in CPLEX LP format, invokes an installed
-solver binary (cbc, glpsol, or highs; discoverable on PATH or forced via
-the PATROLKIT_LP_SOLVER environment variable as "name:/path/to/binary"),
-parses the solution file, and rebuilds a plan from the variable values.
-The adapter raises AdapterUnavailableError when no solver is installed.
+``write_lp_file`` exports the assembled model in CPLEX LP format for any
+LP-file solver; ``solve_external`` hands the same model to scipy's HiGHS
+MIP in process and rebuilds a plan from the variable values.
 """
 
 from __future__ import annotations
 
-import os
-import shutil
-import subprocess
-import tempfile
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .graph import PlanInfeasibleError, PlannerError
 from .milp import MilpModel, PlanProblem, assemble_milp
 from .solve import PatrolPlan, _plan_from_solution
 
-SUPPORTED_SOLVERS = ("cbc", "glpsol", "highs")
 
-
-class AdapterUnavailableError(PlannerError):
-    """No external LP solver binary could be found."""
-
-
-def _terms(coeffs: np.ndarray, names: list[str]) -> str:
-    parts = []
-    for j in np.flatnonzero(coeffs):
-        v = coeffs[j]
-        sign = "-" if v < 0 else "+"
-        parts.append(f"{sign} {abs(v):.17g} {names[j]}")
+def _terms(cols: np.ndarray, coeffs: np.ndarray, names: list[str]) -> str:
+    parts = [f"{'-' if v < 0 else '+'} {abs(v):.17g} {names[j]}" for j, v in zip(cols, coeffs)]
     if not parts:
         return "0 " + names[0]
     out = " ".join(parts)
     return out[2:] if out.startswith("+ ") else out
 
 
+def _row_terms(A, names: list[str]) -> list[str]:
+    A = A.tocsr()
+    return [_terms(A.indices[a:b], A.data[a:b], names) for a, b in zip(A.indptr, A.indptr[1:])]
+
+
 def write_lp_file(model: MilpModel, path) -> None:
     """CPLEX LP format. Flows are f_t_u_v, breakpoint weights lam_cell_bp,
     selectors z_cell_seg (declared binary). The objective constant from
-    coverage-free cells is not representable in the format and is restored
-    when the solution is read back."""
+    coverage-free cells is not representable in the format and is left
+    out; plan objectives are recomputed from coverage over every park cell."""
     names = model.var_names
-    lines = ["\\ patrol plan model", "Maximize", f" obj: {_terms(model.obj, names)}"]
+    nz = np.flatnonzero(model.obj)
+    lines = ["\\ patrol plan model", "Maximize", f" obj: {_terms(nz, model.obj[nz], names)}"]
     lines.append("Subject To")
-    for i in range(model.A_eq.shape[0]):
-        lines.append(f" eq{i}: {_terms(model.A_eq[i], names)} = {model.b_eq[i]:.17g}")
-    for i in range(model.A_ub.shape[0]):
-        lines.append(f" ub{i}: {_terms(model.A_ub[i], names)} <= {model.b_ub[i]:.17g}")
+    for i, terms in enumerate(_row_terms(model.A_eq, names)):
+        lines.append(f" eq{i}: {terms} = {model.b_eq[i]:.17g}")
+    for i, terms in enumerate(_row_terms(model.A_ub, names)):
+        lines.append(f" ub{i}: {terms} <= {model.b_ub[i]:.17g}")
     lines.append("Bounds")
     for j in range(model.n_vars):
         lines.append(f" 0 <= {names[j]} <= 1")
@@ -62,133 +53,18 @@ def write_lp_file(model: MilpModel, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def find_solver(solver: str | None = None) -> tuple[str, str]:
-    """(name, binary path) of an available solver; raises if none."""
-    env = os.environ.get("PATROLKIT_LP_SOLVER")
-    if solver is None and env:
-        name, _, binary = env.partition(":")
-        if binary:
-            return name, binary
-        solver = name
-    candidates = [solver] if solver else list(SUPPORTED_SOLVERS)
-    for name in candidates:
-        binary = shutil.which(name)
-        if binary:
-            return name, binary
-    raise AdapterUnavailableError(
-        f"no external LP solver found (looked for {', '.join(candidates)}); "
-        "install one or use the internal branch-and-bound")
-
-
-def parse_cbc_solution(text: str) -> tuple[bool, dict[str, float]]:
-    """Parse `cbc ... solve solution <file>` output."""
-    lines = text.strip().splitlines()
-    if not lines:
-        raise PlannerError("empty cbc solution file")
-    status = lines[0].lower()
-    feasible = status.startswith("optimal")
-    values = {}
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) >= 3:
-            values[parts[1]] = float(parts[2])
-    return feasible, values
-
-
-def parse_glpsol_solution(text: str) -> tuple[bool, dict[str, float]]:
-    """Parse `glpsol --lp ... -o <file>` output."""
-    feasible = "INTEGER OPTIMAL" in text or "OPTIMAL" in text
-    values: dict[str, float] = {}
-    in_columns = False
-    pending: str | None = None
-    for line in text.splitlines():
-        if line.strip().startswith("No. Column name"):
-            in_columns = True
-            continue
-        if in_columns:
-            if line.strip().startswith("Karush") or line.strip().startswith("No. Row"):
-                break
-            parts = line.split()
-            if not parts:
-                continue
-            if pending is not None:
-                # long names wrap; the activity is the first numeric token
-                for tok in parts:
-                    try:
-                        values[pending] = float(tok)
-                        break
-                    except ValueError:
-                        continue
-                pending = None
-                continue
-            if parts[0].isdigit() and len(parts) >= 2:
-                name = parts[1]
-                nums = []
-                for tok in parts[2:]:
-                    try:
-                        nums.append(float(tok))
-                    except ValueError:
-                        continue
-                if nums:
-                    values[name] = nums[0]
-                else:
-                    pending = name
-    return feasible, values
-
-
-def parse_highs_solution(text: str) -> tuple[bool, dict[str, float]]:
-    """Parse a HiGHS --solution_file output."""
-    feasible = "Infeasible" not in text
-    values: dict[str, float] = {}
-    in_columns = False
-    for line in text.splitlines():
-        s = line.strip()
-        if s.startswith("# Columns"):
-            in_columns = True
-            continue
-        if in_columns:
-            if s.startswith("#"):
-                break
-            parts = s.split()
-            if len(parts) == 2:
-                values[parts[0]] = float(parts[1])
-    return feasible, values
-
-
-_PARSERS = {
-    "cbc": parse_cbc_solution,
-    "glpsol": parse_glpsol_solution,
-    "highs": parse_highs_solution,
-}
-
-
-def solve_external(problem: PlanProblem, solver: str | None = None,
-                   keep_files: str | None = None) -> PatrolPlan:
-    """Solve via an installed LP-file solver. Raises AdapterUnavailableError
-    when none is installed."""
-    name, binary = find_solver(solver)
+def solve_external(problem: PlanProblem) -> PatrolPlan:
+    """Solve the full model with scipy's HiGHS MIP. With no relative gap
+    HiGHS stops at its absolute gap, 1e-6, the planner's default mip_gap."""
     model = assemble_milp(problem)
-    workdir = Path(keep_files) if keep_files else Path(tempfile.mkdtemp(prefix="patrolkit_lp_"))
-    workdir.mkdir(parents=True, exist_ok=True)
-    lp_path = workdir / "model.lp"
-    sol_path = workdir / "solution.txt"
-    write_lp_file(model, lp_path)
-    if name == "cbc":
-        cmd = [binary, str(lp_path), "solve", "solution", str(sol_path)]
-    elif name == "glpsol":
-        cmd = [binary, "--lp", str(lp_path), "-o", str(sol_path)]
-    elif name == "highs":
-        cmd = [binary, str(lp_path), "--solution_file", str(sol_path)]
-    else:
-        raise AdapterUnavailableError(f"unsupported solver {name!r}")
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    if not sol_path.exists():
-        raise PlannerError(
-            f"{name} produced no solution file (exit {proc.returncode}): {proc.stderr[-500:]}")
-    feasible, values = _PARSERS[name](sol_path.read_text())
-    if not feasible:
-        raise PlanInfeasibleError(f"{name} reports the model infeasible")
-    x = np.zeros(model.n_vars)
-    for j, var in enumerate(model.var_names):
-        x[j] = values.get(var, 0.0)
-    return _plan_from_solution(model, x, f"external:{name}")
+    integrality = np.zeros(model.n_vars)
+    integrality[model.z_cols] = 1
+    res = milp(-model.obj, integrality=integrality, bounds=Bounds(0, 1),
+               constraints=[LinearConstraint(model.A_eq, model.b_eq, model.b_eq),
+                            LinearConstraint(model.A_ub, -np.inf, model.b_ub)],
+               options={"mip_rel_gap": 0.0})
+    if res.status == 2:
+        raise PlanInfeasibleError("HiGHS reports the model infeasible")
+    if not res.success:
+        raise PlannerError(f"HiGHS MIP failed: {res.message}")
+    return _plan_from_solution(model, res.x, "external:highs")

@@ -58,21 +58,21 @@ class TimeUnrolledGraph:
         """Park cells that appear in at least one surviving node."""
         return sorted({c for c, _ in self.nodes})
 
-    def in_edges(self, node: int) -> list[int]:
-        return self._in[node]
-
     def out_edges(self, node: int) -> list[int]:
         return self._out[node]
 
     def __post_init__(self):
         index = {nt: i for i, nt in enumerate(self.nodes)}
         object.__setattr__(self, "node_index", index)
-        inn = [[] for _ in self.nodes]
+        # edge arrays: tail and head node, and the cell the edge enters
+        ends = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
+        node_cell = np.asarray([c for c, _ in self.nodes], dtype=np.intp)
+        object.__setattr__(self, "edge_tail", ends[:, 0])
+        object.__setattr__(self, "edge_head", ends[:, 1])
+        object.__setattr__(self, "edge_cell", node_cell[ends[:, 1]])
         out = [[] for _ in self.nodes]
-        for e, (u, v) in enumerate(self.edges):
+        for e, (u, _) in enumerate(self.edges):
             out[u].append(e)
-            inn[v].append(e)
-        object.__setattr__(self, "_in", inn)
         object.__setattr__(self, "_out", out)
 
     # -- path machinery ----------------------------------------------------
@@ -119,8 +119,7 @@ class TimeUnrolledGraph:
         """Coverage c_v = K * (inflow over all time layers + initial post
         presence)."""
         cov = np.zeros(self.grid.n_cells)
-        for e, (_, v) in enumerate(self.edges):
-            cov[self.nodes[v][0]] += flow[e]
+        np.add.at(cov, self.edge_cell, flow)  # sums in edge order: same bits as a loop
         cov[self.post] += 1.0
         return K * cov
 

@@ -13,10 +13,10 @@ as zeroing the selectors outside it, but splitting a window halves the
 search space where branching a single selector barely tightens it. Inside
 a width-one window the weights are forced onto two adjacent breakpoints,
 so integrality never needs a separate check. The node relaxations drop
-the selector columns entirely and are solved by the dense simplex; every
-relaxation's flow is itself a feasible plan, which supplies incumbents. A
-tiny deterministic perturbation (1e-9 times the edge index) breaks ties
-among optimal flows so repeated solves return the same plan.
+the selector columns entirely and are solved by HiGHS (scipy's linprog);
+every relaxation's flow is itself a feasible plan, which supplies
+incumbents. A tiny deterministic perturbation (1e-9 times the edge index)
+breaks ties among optimal flows so repeated solves return the same plan.
 """
 
 from __future__ import annotations
@@ -24,10 +24,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from ..riskmap import PwlRiskModel
 from .graph import PlanInfeasibleError, PlannerError, TimeUnrolledGraph
-from .simplex import INFEASIBLE, OPTIMAL, solve_lp
+
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
+UNBOUNDED = "unbounded"
+ITERATION_LIMIT = "iteration_limit"
+FAILED = "failed"
+_LINPROG_STATUS = {1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
+NODE_LIMIT = 100000
 
 
 @dataclass(frozen=True)
@@ -37,7 +46,6 @@ class PlanProblem:
     K: int = 1
     beta: float = 0.0
     mip_gap: float = 1e-6
-    feas_tol: float = 1e-9
     perturbation: float = 1e-9
 
     def __post_init__(self):
@@ -48,13 +56,20 @@ class PlanProblem:
 
 
 @dataclass
+class LpResult:
+    status: str
+    x: np.ndarray | None
+    objective: float
+
+
+@dataclass
 class MilpModel:
     """LP data for one plan problem.
 
     The core system (flows + breakpoint weights) is what the internal
     branch and bound solves; the full system additionally carries the
     binary selector columns and their linking rows for the LP-file export
-    and for external solvers.
+    and the HiGHS MIP route. Constraint matrices are sparse (CSC).
     """
 
     problem: PlanProblem
@@ -66,18 +81,16 @@ class MilpModel:
     n_bp: int
     # core system: columns [flows | lambdas], rows eq-only
     core_obj: np.ndarray
-    core_A_eq: np.ndarray
+    core_A_eq: sparse.csc_array
     core_b_eq: np.ndarray
-    # full system with binary selectors, for export and external solvers
+    # full system with binary selectors, for export and the HiGHS MIP route
     obj: np.ndarray
-    A_eq: np.ndarray
+    A_eq: sparse.csc_array
     b_eq: np.ndarray
-    A_ub: np.ndarray
+    A_ub: sparse.csc_array
     b_ub: np.ndarray
     z_cols: np.ndarray
     var_names: list[str] = field(repr=False, default_factory=list)
-    lam_of: dict = field(repr=False, default_factory=dict)
-    z_of: dict = field(repr=False, default_factory=dict)
 
     @property
     def n_vars(self) -> int:
@@ -93,12 +106,6 @@ class MilpModel:
 
     def flow_values(self, x: np.ndarray) -> np.ndarray:
         return x[: self.n_flow]
-
-    def true_objective(self, x: np.ndarray) -> float:
-        """Unperturbed objective at a solution vector."""
-        g = self.problem.graph
-        cov = g.coverage_from_flow(self.flow_values(x), self.problem.K)
-        return objective_of_coverage(self.pwl, g.grid, cov, self.problem.beta)
 
     def flow_incumbent_value(self, x: np.ndarray) -> float:
         """LP-comparable objective of the flow part of a solution.
@@ -117,11 +124,6 @@ class MilpModel:
         return total
 
 
-def utility_at(pwl: PwlRiskModel, cell: int, effort, beta: float):
-    u = pwl.utility_values(beta)[cell]
-    return np.interp(effort, pwl.breakpoints, u)
-
-
 def objective_of_coverage(pwl: PwlRiskModel, grid, coverage: np.ndarray, beta: float) -> float:
     """Sum of per-cell PWL utilities over all park cells."""
     util = pwl.utility_values(beta)
@@ -129,6 +131,13 @@ def objective_of_coverage(pwl: PwlRiskModel, grid, coverage: np.ndarray, beta: f
     for cid in grid.masked_ids():
         total += float(np.interp(coverage[cid], pwl.breakpoints, util[cid]))
     return total
+
+
+def _csc(rows, cols, vals, shape) -> sparse.csc_array:
+    """Sparse matrix from triplet blocks, without stored zeros."""
+    r, c, v = (np.concatenate(blocks) for blocks in (rows, cols, vals))
+    nz = v != 0
+    return sparse.csc_array((v[nz], (r[nz], c[nz])), shape=shape)
 
 
 def assemble_milp(problem: PlanProblem) -> MilpModel:
@@ -145,121 +154,91 @@ def assemble_milp(problem: PlanProblem) -> MilpModel:
     br = pwl.breakpoints
     n_bp = br.size
     n_seg = n_bp - 1
+    n_cells = len(cells)
     n_flow = g.num_edges
-    n_lam = len(cells) * n_bp
-    n_core = n_flow + n_lam
+    n_core = n_flow + n_cells * n_bp
+    n_vars = n_core + n_cells * n_seg
 
     names = [f"f_{g.nodes[u][1]}_{g.nodes[u][0]}_{g.nodes[v][0]}" for u, v in g.edges]
-    lam_of = {}
-    for pos, cid in enumerate(cells):
-        for j in range(n_bp):
-            lam_of[(cid, j)] = n_flow + pos * n_bp + j
-            names.append(f"lam_{cid}_{j}")
-    z_of = {}
-    for pos, cid in enumerate(cells):
-        for s in range(1, n_seg + 1):
-            z_of[(cid, s)] = n_core + pos * n_seg + (s - 1)
-            names.append(f"z_{cid}_{s}")
-    n_vars = n_core + len(cells) * n_seg
+    names += [f"lam_{cid}_{j}" for cid in cells for j in range(n_bp)]
+    names += [f"z_{cid}_{s}" for cid in cells for s in range(1, n_seg + 1)]
 
-    core_obj = np.zeros(n_core)
-    for e in range(n_flow):
-        core_obj[e] = -problem.perturbation * e
-    for pos, cid in enumerate(cells):
-        core_obj[n_flow + pos * n_bp: n_flow + (pos + 1) * n_bp] = util[cid]
-
-    obj_const = 0.0
+    core_obj = np.concatenate([-problem.perturbation * np.arange(n_flow), util[cells].ravel()])
     in_graph = set(cells)
-    for cid in g.grid.masked_ids():
-        if int(cid) not in in_graph:
-            obj_const += float(util[cid, 0])
+    obj_const = sum((float(util[cid, 0]) for cid in g.grid.masked_ids()
+                     if int(cid) not in in_graph), 0.0)
 
-    eq_rows, eq_rhs = [], []
-    if g.horizon > 1:
-        for i in range(g.num_nodes):
-            row = np.zeros(n_core)
-            if i == g.source:
-                for e in g.out_edges(i):
-                    row[e] = 1.0
-                rhs = 1.0
-            elif i == g.sink:
-                for e in g.in_edges(i):
-                    row[e] = 1.0
-                rhs = 1.0
-            else:
-                for e in g.in_edges(i):
-                    row[e] = 1.0
-                for e in g.out_edges(i):
-                    row[e] -= 1.0
-                rhs = 0.0
-            eq_rows.append(row)
-            eq_rhs.append(rhs)
+    # column and row indices: lam[pos, j] is breakpoint j of cell pos,
+    # z[pos, s - 1] the selector of its segment s
+    edge = np.arange(n_flow)
+    lam = n_flow + np.arange(n_cells * n_bp).reshape(n_cells, n_bp)
+    z = n_core + np.arange(n_cells * n_seg).reshape(n_cells, n_seg)
+    cell_row = np.repeat(np.arange(n_cells), n_bp)
+    pos_of = np.full(g.grid.n_cells, -1)
+    pos_of[cells] = np.arange(n_cells)
 
+    # conservation: inflow minus outflow at every node; the source row
+    # counts its outflow and the sink row its inflow, both equal to one
+    # (a one-step patrol has no edges and no conservation rows)
+    n_nodes = g.num_nodes if g.horizon > 1 else 0
+    rows = [g.edge_head, g.edge_tail]
+    cols = [edge, edge]
+    vals = [np.ones(n_flow), np.where(g.edge_tail == g.source, 1.0, -1.0)]
+    node_rhs = np.zeros(n_nodes)
+    if n_nodes:
+        node_rhs[[g.source, g.sink]] = 1.0
+    # coverage linking: sum_j br_j lam_j - K * inflow = K at the post, else 0
     K = float(problem.K)
-    inflow_edges: dict[int, list[int]] = {cid: [] for cid in cells}
-    for e, (_, v) in enumerate(g.edges):
-        inflow_edges[g.nodes[v][0]].append(e)
-    for pos, cid in enumerate(cells):
-        row = np.zeros(n_core)
-        row[n_flow + pos * n_bp: n_flow + (pos + 1) * n_bp] = br
-        for e in inflow_edges[cid]:
-            row[e] -= K
-        eq_rows.append(row)
-        eq_rhs.append(K if cid == g.post else 0.0)
-    for pos in range(len(cells)):
-        row = np.zeros(n_core)
-        row[n_flow + pos * n_bp: n_flow + (pos + 1) * n_bp] = 1.0
-        eq_rows.append(row)
-        eq_rhs.append(1.0)
-    core_A_eq = np.asarray(eq_rows) if eq_rows else np.zeros((0, n_core))
-    core_b_eq = np.asarray(eq_rhs)
+    rows += [n_nodes + pos_of[g.edge_cell], n_nodes + cell_row]
+    cols += [edge, lam.ravel()]
+    vals += [np.full(n_flow, -K), np.tile(br, n_cells)]
+    link_rhs = np.where(np.asarray(cells) == g.post, K, 0.0)
+    # convex-combination weights sum to one
+    rows.append(n_nodes + n_cells + cell_row)
+    cols.append(lam.ravel())
+    vals.append(np.ones(n_cells * n_bp))
+    n_rows = n_nodes + 2 * n_cells
+    core_A_eq = _csc(rows, cols, vals, (n_rows, n_core))
+    core_b_eq = np.concatenate([node_rhs, link_rhs, np.ones(n_cells)])
 
-    # full system: core rows padded with zero selector columns, plus the
+    # full system: the core rows with zero selector columns, plus the
     # selector conventions (sum to one; weights only next to a chosen segment)
-    obj = np.concatenate([core_obj, np.zeros(n_vars - n_core)])
-    full_eq = [np.concatenate([r, np.zeros(n_vars - n_core)]) for r in eq_rows]
-    full_rhs = list(eq_rhs)
-    for pos, cid in enumerate(cells):
-        row = np.zeros(n_vars)
-        for s in range(1, n_seg + 1):
-            row[z_of[(cid, s)]] = 1.0
-        full_eq.append(row)
-        full_rhs.append(1.0)
-    ub_rows, ub_rhs = [], []
-    for pos, cid in enumerate(cells):
-        for j in range(n_bp):
-            row = np.zeros(n_vars)
-            row[lam_of[(cid, j)]] = 1.0
-            if j >= 1:
-                row[z_of[(cid, j)]] = -1.0
-            if j + 1 <= n_seg:
-                row[z_of[(cid, j + 1)]] = -1.0
-            ub_rows.append(row)
-            ub_rhs.append(0.0)
+    A_eq = _csc(rows + [n_rows + np.repeat(np.arange(n_cells), n_seg)], cols + [z.ravel()],
+                vals + [np.ones(n_cells * n_seg)], (n_rows + n_cells, n_vars))
+    ub_row = np.arange(n_cells * n_bp).reshape(n_cells, n_bp)
+    A_ub = _csc([ub_row.ravel(), ub_row[:, 1:].ravel(), ub_row[:, :-1].ravel()],
+                [lam.ravel(), z.ravel(), z.ravel()],
+                [np.ones(n_cells * n_bp), -np.ones(z.size), -np.ones(z.size)],
+                (n_cells * n_bp, n_vars))
 
     return MilpModel(
         problem=problem, pwl=pwl, cells=cells, util=util, obj_const=obj_const,
         n_flow=n_flow, n_bp=n_bp,
         core_obj=core_obj, core_A_eq=core_A_eq, core_b_eq=core_b_eq,
-        obj=obj, A_eq=np.asarray(full_eq), b_eq=np.asarray(full_rhs),
-        A_ub=np.asarray(ub_rows) if ub_rows else np.zeros((0, n_vars)),
-        b_ub=np.asarray(ub_rhs),
-        z_cols=np.asarray(sorted(z_of.values()), dtype=np.int64),
-        var_names=names, lam_of=lam_of, z_of=z_of,
+        obj=np.concatenate([core_obj, np.zeros(n_vars - n_core)]),
+        A_eq=A_eq, b_eq=np.concatenate([core_b_eq, np.ones(n_cells)]),
+        A_ub=A_ub, b_ub=np.zeros(n_cells * n_bp),
+        z_cols=z.ravel().astype(np.int64), var_names=names,
     )
+
+
+def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LpResult:
+    """max c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0, by HiGHS."""
+    c = np.asarray(c, dtype=float)
+    res = linprog(-c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=(0, None), method="highs")
+    if res.status == 0:
+        return LpResult(OPTIMAL, res.x, float(c @ res.x))
+    status = _LINPROG_STATUS.get(res.status, FAILED)
+    return LpResult(status, None, np.inf if status == UNBOUNDED else -np.inf)
 
 
 def _solve_window_lp(model: MilpModel, windows: np.ndarray):
     """LP relaxation with each cell's weights confined to its breakpoint
     window. Returns (status, x_core, objective)."""
-    keep = np.ones(model.n_core, dtype=bool)
-    for pos in range(len(model.cells)):
-        lo, hi = windows[pos]
-        sl = model.lam_slice(pos)
-        col = np.zeros(model.n_bp, dtype=bool)
-        col[lo:hi + 1] = True
-        keep[sl] = col
-    cols = np.flatnonzero(keep)
+    j = np.arange(model.n_bp)
+    inside = (j >= windows[:, :1]) & (j <= windows[:, 1:])
+    cols = np.concatenate([np.arange(model.n_flow), model.n_flow + np.flatnonzero(inside)])
     res = solve_lp(model.core_obj[cols], None, None,
                    model.core_A_eq[:, cols], model.core_b_eq)
     if res.status != OPTIMAL:
@@ -269,7 +248,7 @@ def _solve_window_lp(model: MilpModel, windows: np.ndarray):
     return OPTIMAL, x, res.objective
 
 
-def branch_and_bound(model: MilpModel, node_limit: int = 100000):
+def branch_and_bound(model: MilpModel):
     """Maximize over SOS2-feasible weight assignments.
 
     Returns (x_core, perturbed_objective). Depth-first over breakpoint
@@ -289,7 +268,7 @@ def branch_and_bound(model: MilpModel, node_limit: int = 100000):
     while stack:
         windows = stack.pop()
         nodes += 1
-        if nodes > node_limit:
+        if nodes > NODE_LIMIT:
             raise PlannerError("branch-and-bound node limit exceeded")
         status, x, ub = _solve_window_lp(model, windows)
         if status != OPTIMAL:

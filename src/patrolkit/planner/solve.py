@@ -8,7 +8,8 @@ Three solution routes:
   path); it refuses nonconvex instances, where mixtures can strictly beat
   every pure path.
 * ``bnb`` (default) solves the MILP with the internal branch and bound.
-* ``external`` exports an LP file and shells out to an installed solver.
+* ``external`` solves the full SOS2 model (the one ``write_lp_file``
+  exports) in process with scipy's HiGHS MIP.
 
 ``auto`` picks enumeration when it is both exact and small enough
 (at most ``path_limit`` paths), otherwise branch and bound.
@@ -43,17 +44,19 @@ class PatrolPlan:
     def validate(self, feas_tol: float = 1e-9) -> None:
         g = self.graph
         if g.horizon > 1:
-            for i in range(g.num_nodes):
-                inflow = sum(self.flow[e] for e in g.in_edges(i))
-                outflow = sum(self.flow[e] for e in g.out_edges(i))
+            inflow = np.bincount(g.edge_head, weights=self.flow, minlength=g.num_nodes)
+            outflow = np.bincount(g.edge_tail, weights=self.flow, minlength=g.num_nodes)
+            excess = inflow - outflow
+            excess[g.source] = outflow[g.source] - 1.0
+            excess[g.sink] = inflow[g.sink] - 1.0
+            bad = np.flatnonzero(np.abs(excess) > feas_tol)
+            if bad.size:
+                i = int(bad[0])
                 if i == g.source:
-                    if abs(outflow - 1.0) > feas_tol:
-                        raise PlannerError("source must emit unit flow")
-                elif i == g.sink:
-                    if abs(inflow - 1.0) > feas_tol:
-                        raise PlannerError("sink must absorb unit flow")
-                elif abs(inflow - outflow) > feas_tol:
-                    raise PlannerError(f"flow conservation violated at node {i}")
+                    raise PlannerError("source must emit unit flow")
+                if i == g.sink:
+                    raise PlannerError("sink must absorb unit flow")
+                raise PlannerError(f"flow conservation violated at node {i}")
         total = float(self.coverage.sum())
         if abs(total - g.horizon * self.K) > 1e-6:
             raise PlannerError(f"total coverage {total} != T*K = {g.horizon * self.K}")
@@ -129,8 +132,7 @@ def solve_by_enumeration(problem: PlanProblem, path_limit: int = PATH_LIMIT) -> 
     )
 
 
-def solve(problem: PlanProblem, method: str = "auto", path_limit: int = PATH_LIMIT,
-          external_solver: str | None = None) -> PatrolPlan:
+def solve(problem: PlanProblem, method: str = "auto", path_limit: int = PATH_LIMIT) -> PatrolPlan:
     """Solve one plan problem. ``method``: auto | enumerate | bnb | external."""
     if method == "auto":
         if utilities_convex(problem) and problem.graph.count_paths() <= path_limit:
@@ -146,7 +148,7 @@ def solve(problem: PlanProblem, method: str = "auto", path_limit: int = PATH_LIM
     if method == "external":
         from .external import solve_external
 
-        return solve_external(problem, solver=external_solver)
+        return solve_external(problem)
     raise PlannerError(f"unknown solve method {method!r}")
 
 

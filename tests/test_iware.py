@@ -96,9 +96,11 @@ class TestFilterDataset:
     @given(st.lists(st.tuples(st.floats(0, 5), st.booleans()), min_size=1, max_size=20),
            st.floats(0, 5))
     def test_positives_always_preserved(self, rows, theta):
-        rows = [(e if y else e, int(y)) for e, y in rows]
-        # at least one row must survive the filter for the call to be legal
-        if not any(y or e > theta for e, y in rows):
+        rows = [(e, int(y)) for e, y in rows]
+        # at least one row must survive the filter for the call to be legal;
+        # assemble_dataset coerces zero-effort positives to 0, so a positive
+        # survives only with positive effort
+        if not any((y and e > 0) or e > theta for e, y in rows):
             rows.append((theta + 1.0, 0))
         ds = dataset_from_rows(rows)
         kept = filter_dataset(ds, theta)

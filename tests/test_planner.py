@@ -1,9 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from patrolkit.planner import (
-    AdapterUnavailableError,
     PlannerError,
     PlanProblem,
     assemble_milp,
@@ -17,13 +18,6 @@ from patrolkit.planner import (
     solve_lp,
     utilities_convex,
     write_lp_file,
-)
-from patrolkit.planner.external import (
-    find_solver,
-    parse_cbc_solution,
-    parse_glpsol_solution,
-    parse_highs_solution,
-    solve_external,
 )
 from patrolkit.planner.solve import decompose_flow
 from patrolkit.riskmap import PwlRiskModel
@@ -133,6 +127,16 @@ class TestGraph:
         grid = flat_grid(3, 3, posts=(4,))
         g = build_graph(grid, 4, 5)
         assert g.count_paths() == len(list(g.enumerate_paths(10**6)))
+
+    def test_coverage_from_flow_matches_edge_loop(self):
+        grid = flat_grid(3, 3, posts=(4,))
+        g = build_graph(grid, 4, 5)
+        flow = np.random.default_rng(0).random(g.num_edges)
+        ref = np.zeros(grid.n_cells)
+        for e, (_, v) in enumerate(g.edges):
+            ref[g.nodes[v][0]] += flow[e]
+        ref[g.post] += 1.0
+        assert np.array_equal(g.coverage_from_flow(flow, 3), 3 * ref)
 
     def test_coverage_sums_to_horizon(self):
         grid = flat_grid(3, 2, posts=(1,))
@@ -248,6 +252,30 @@ class TestAssembleMilp:
         assert m.pwl.c_max == 8.0
 
 
+class TestValidate:
+    def test_rejects_broken_flow_and_coverage(self):
+        plan = solve(line_problem(), method="bnb")
+        plan.validate()
+        g = plan.graph
+        edge = {(g.nodes[u], g.nodes[v]): e for e, (u, v) in enumerate(g.edges)}
+        stay, out = ((0, 1), (0, 2)), ((0, 1), (1, 2))
+        back, home = ((0, 2), (0, 3)), ((1, 2), (0, 3))
+        near = 0.5 - 0.9e-9  # every interior node within tolerance, the sink not
+        cases = [
+            ({out: 0.5, home: 0.5}, "source must emit"),
+            ({out: 1.0}, "conservation violated at node 2"),
+            ({stay: 0.5, out: 0.5, back: near, home: near}, "sink must absorb"),
+        ]
+        for weights, message in cases:
+            flow = np.zeros(g.num_edges)
+            for uv, w in weights.items():
+                flow[edge[uv]] = w
+            with pytest.raises(PlannerError, match=message):
+                replace(plan, flow=flow).validate()
+        with pytest.raises(PlannerError, match="total coverage"):
+            replace(plan, coverage=plan.coverage * 1.5).validate()
+
+
 class TestDecompose:
     def test_integral_flow_single_path(self):
         plan = solve(line_problem(), method="enumerate")
@@ -338,49 +366,14 @@ class TestLpInterface:
         _, internal = branch_and_bound(model)
         assert abs(-res.fun - internal) <= 1e-6
 
-    def test_adapter_reports_unavailable(self, monkeypatch):
-        monkeypatch.setenv("PATH", "/nonexistent")
-        monkeypatch.delenv("PATROLKIT_LP_SOLVER", raising=False)
-        with pytest.raises(AdapterUnavailableError):
-            find_solver()
-        with pytest.raises(AdapterUnavailableError):
-            solve_external(line_problem())
-
-    def test_external_agreement_if_installed(self):
-        try:
-            find_solver()
-        except AdapterUnavailableError:
-            pytest.skip("no external LP solver installed")
-        p = random_nonconvex_problem(1)
-        ext = solve_external(p)
-        internal = solve(p, method="bnb")
-        assert abs(ext.objective - internal.objective) <= 1e-6
-
-    def test_parse_cbc_format(self):
-        text = ("Optimal - objective value 1.25\n"
-                "      0 f_1_0_1               1                       0\n"
-                "      1 lam_2_0               0.5                     0\n")
-        ok, vals = parse_cbc_solution(text)
-        assert ok and vals == {"f_1_0_1": 1.0, "lam_2_0": 0.5}
-
-    def test_parse_glpsol_format(self):
-        text = (
-            "Problem:    model\n"
-            "Status:     INTEGER OPTIMAL\n"
-            "   No. Column name       Activity     Lower bound   Upper bound\n"
-            "------ ------------    ------------- ------------- -------------\n"
-            "     1 f_1_0_1                     1             0             1\n"
-            "     2 lam_2_0                   0.5             0             1\n"
-            "\n"
-            "Karush-Kuhn-Tucker optimality conditions:\n")
-        ok, vals = parse_glpsol_solution(text)
-        assert ok and vals["f_1_0_1"] == 1.0 and vals["lam_2_0"] == 0.5
-
-    def test_parse_highs_format(self):
-        text = ("Model status\nOptimal\n\n# Primal solution values\nFeasible\n"
-                "# Columns 2\nf_1_0_1 1\nlam_2_0 0.5\n# Rows 1\neq0 1\n")
-        ok, vals = parse_highs_solution(text)
-        assert ok and vals == {"f_1_0_1": 1.0, "lam_2_0": 0.5}
+    def test_external_agrees_with_bnb(self):
+        for seed in range(8):
+            p = random_nonconvex_problem(seed)
+            ext = solve(p, method="external")
+            internal = solve(p, method="bnb")
+            ext.validate()
+            assert ext.solver == "external:highs"
+            assert abs(ext.objective - internal.objective) <= 1e-6
 
 
 def _parse_lp(text, var_names):
@@ -431,11 +424,14 @@ def _parse_lp(text, var_names):
             np.asarray(b_ub), binaries)
 
 
-class TestSimplex:
+class TestSolveLp:
+    """solve_lp maximizes and maps HiGHS statuses onto the planner's."""
+
     def test_agrees_with_scipy_on_random_lps(self):
         from scipy.optimize import linprog
 
         rng = np.random.default_rng(0)
+        seen = set()
         for _ in range(60):
             nv = int(rng.integers(2, 8))
             c = rng.normal(size=nv)
@@ -450,11 +446,13 @@ class TestSimplex:
                           bounds=(0, None), method="highs")
             mine = solve_lp(c, A_ub, b_ub, A_eq if len(A_eq) else None,
                             b_eq if len(b_eq) else None)
+            seen.add(mine.status)
             if ref.status == 2:
                 assert mine.status == "infeasible"
             elif ref.status == 0:
                 assert mine.status == "optimal"
                 assert abs(mine.objective + ref.fun) <= 1e-7 * (1 + abs(ref.fun))
+        assert {"optimal", "infeasible"} <= seen
 
     def test_degenerate_lp_terminates(self):
         c = np.array([1.0, 1.0, 1.0])
