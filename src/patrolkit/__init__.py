@@ -36,10 +36,7 @@ from .learners import (
     GpKernelConfig,
     LearnerError,
     TrainMatrix,
-    jackknife_variance,
     jackknife_variance_batch,
-    predict_bagged,
-    predict_gp,
     train_bagged,
     train_gp,
     train_tree,

@@ -121,14 +121,8 @@ def _holdout_metrics(ens, ds, test_windows, threshold: float) -> dict:
     ids = ds.grid.masked_ids()
     per_window = {}
     for t in test_windows:
-        X = ds.design_matrix[t, ids, :]
         yte = ds.labels[t, ids].astype(bool)
-        eff = ds.effort[t, ids]
-        P, V = ens.member_outputs(X)
-        scores = np.empty(ids.size)
-        for i in range(ids.size):
-            g, _ = ens.combine_at_effort(P[i:i + 1], V[i:i + 1], float(eff[i]))
-            scores[i] = g[0]
+        scores, _ = ens.predict_rows(ds.design_matrix[t, ids, :], ds.effort[t, ids])
         entry: dict = {"rows": int(ids.size), "positives": int(yte.sum())}
         if 0 < yte.sum() < yte.size:
             s = ScoredSet(scores, yte)

@@ -10,7 +10,9 @@ A single weight vector on the probability simplex is fit by minimizing
 cross-validated log loss of the convex combination of learner outputs.
 At prediction time the original qualification rule is kept: for a query
 at hypothetical effort c only learners with threshold <= c participate,
-with their weights renormalized.
+with their weights renormalized. ``IWareEnsemble.combine_at_effort`` is
+the one place that applies it, to a batch of rows at one effort or at one
+effort per row.
 """
 
 from __future__ import annotations
@@ -33,6 +35,16 @@ from .learners import (
 PROB_CLAMP = 1e-6
 
 LEARNER_KINDS = ("trees", "gp")
+
+# learner options train_iware accepts, with their defaults
+LEARNER_OPTIONS = {
+    # bagged trees
+    "num_trees": 25, "balanced": True, "undersample_ratio": 1.0, "max_depth": 10,
+    "min_leaf": 1, "feature_subsample": "sqrt",
+    # Laplace GP
+    "lengthscale": None, "signal_var": 1.0, "jitter": 1e-6, "optimize_hypers": False,
+    "max_points": 400,
+}
 
 
 class IwareError(ValueError):
@@ -59,9 +71,10 @@ class ThresholdSet:
     def count(self) -> int:
         return len(self.thresholds)
 
-    def qualified(self, effort: float) -> np.ndarray:
-        """Boolean mask of learners whose threshold does not exceed effort."""
-        return np.asarray([t <= effort for t in self.thresholds])
+    def qualified(self, effort) -> np.ndarray:
+        """Boolean mask of learners whose threshold does not exceed effort:
+        shape (I,) for one effort, (n, I) for a vector of n efforts."""
+        return np.asarray(self.thresholds) <= np.asarray(effort, dtype=float)[..., None]
 
 
 @dataclass(frozen=True)
@@ -114,16 +127,28 @@ def select_thresholds(ds: PatrolDataset, I: int) -> ThresholdSet:
     return ThresholdSet(thresholds=tuple(collapsed))
 
 
+def _one_sided(y: np.ndarray, eff: np.ndarray, theta: float) -> np.ndarray:
+    """Rows a learner at threshold theta trains on: all positives, plus
+    negatives whose effort exceeds theta."""
+    return y | (eff > theta)
+
+
+def _subset(rows, keep: np.ndarray) -> TrainMatrix:
+    X, y, _, row_ids = rows
+    return TrainMatrix(rows=X[keep], labels=y[keep], row_ids=row_ids[keep])
+
+
 def filter_dataset(ds: PatrolDataset, theta: float) -> TrainMatrix:
     """Training subset at one threshold: all positives, plus negatives whose
     effort exceeds theta."""
     if theta < 0:
         raise IwareError("threshold must be nonnegative")
-    X, y, eff, row_ids = _dataset_rows(ds)
-    keep = y | (eff > theta)
+    rows = _dataset_rows(ds)
+    _, y, eff, _ = rows
+    keep = _one_sided(y, eff, theta)
     if not keep.any():
         raise IwareError(f"no rows survive filtering at threshold {theta}")
-    return TrainMatrix(rows=X[keep], labels=y[keep], row_ids=row_ids[keep])
+    return _subset(rows, keep)
 
 
 def _clamp_probs(p: np.ndarray) -> np.ndarray:
@@ -174,14 +199,13 @@ def log_loss(probs: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> floa
     return float(-np.mean(y * np.log(mix) + (1.0 - y) * np.log(1.0 - mix)))
 
 
-def optimize_weights(learners: list, ds: PatrolDataset, folds: int = 5) -> np.ndarray:
+def optimize_weights(learners: list, ds: PatrolDataset) -> np.ndarray:
     """Weights for already-trained learners scored on a dataset.
 
     Every learner must be able to score every row. (Out-of-fold retraining
     for unbiased weights happens inside train_iware; this operation is the
     plain optimizer over the given learners' predictions.)
     """
-    del folds  # all rows are scored; equal-size fold means coincide
     X, y, _, _ = _dataset_rows(ds)
     P = np.column_stack([lrn.predict_proba(X)[0] for lrn in learners])
     return optimize_weights_from_probs(P, y)
@@ -222,18 +246,30 @@ class IWareEnsemble:
             povs.append(np.zeros(X.shape[0]) if v is None else np.maximum(v, 0.0))
         return np.column_stack(probs), np.column_stack(povs)
 
-    def combine_at_effort(self, P: np.ndarray, V: np.ndarray, effort: float):
-        """Qualified, renormalized mixture mean and raw mixture variance."""
-        q = self.thresholds.qualified(effort)
-        w = self.weights[q]
-        total = w.sum()
-        w = w / total if total > 0 else np.full(q.sum(), 1.0 / q.sum())
-        p, v = P[:, q], V[:, q]
-        g = p @ w
-        second = (v + p**2) @ w
-        return g, np.maximum(second - g**2, 0.0)
+    def combine_at_effort(self, P: np.ndarray, V: np.ndarray, effort):
+        """Qualified, renormalized mixture mean and raw mixture variance.
 
-    def predict_rows(self, X: np.ndarray, effort: float):
+        ``effort`` is one hypothetical effort for every row of the member
+        outputs (P, V), or a vector with one effort per row. Rows are mixed
+        over the learners whose threshold does not exceed their effort,
+        with those learners' weights renormalized; per-row efforts are
+        grouped by their number of qualified learners.
+        """
+        q = np.broadcast_to(self.thresholds.qualified(effort), P.shape)
+        counts = q.sum(axis=1)
+        g, var = np.empty(P.shape[0]), np.empty(P.shape[0])
+        for c in np.unique(counts):
+            rows = counts == c
+            mask = q[np.argmax(rows)]  # thresholds ascend: equal counts, equal masks
+            w = self.weights[mask]
+            total = w.sum()
+            w = w / total if total > 0 else np.full(c, 1.0 / c)
+            p, v = P[rows][:, mask], V[rows][:, mask]
+            g[rows] = p @ w
+            var[rows] = np.maximum((v + p**2) @ w - g[rows]**2, 0.0)
+        return g, var
+
+    def predict_rows(self, X: np.ndarray, effort):
         P, V = self.member_outputs(X)
         return self.combine_at_effort(P, V, effort)
 
@@ -293,25 +329,26 @@ def squash_uncertainty(var_raw, scale: float) -> np.ndarray | float:
 
 
 def _fit_learner(kind: str, data: TrainMatrix, rng, options: dict):
+    """Fit one learner; ``options`` holds every key of LEARNER_OPTIONS."""
     if kind == "trees":
         return train_bagged(
             data,
-            num_trees=options.get("num_trees", 25),
-            balanced=options.get("balanced", True),
+            num_trees=options["num_trees"],
+            balanced=options["balanced"],
             rng=rng,
-            undersample_ratio=options.get("undersample_ratio", 1.0),
-            max_depth=options.get("max_depth", 10),
-            min_leaf=options.get("min_leaf", 1),
-            feature_subsample=options.get("feature_subsample", "sqrt"),
+            undersample_ratio=options["undersample_ratio"],
+            max_depth=options["max_depth"],
+            min_leaf=options["min_leaf"],
+            feature_subsample=options["feature_subsample"],
         )
     if kind == "gp":
-        cfg = options.get("kernel_config") or GpKernelConfig(
-            lengthscale=options.get("lengthscale"),
-            signal_var=options.get("signal_var", 1.0),
-            jitter=options.get("jitter", 1e-6),
-            optimize_hypers=options.get("optimize_hypers", False),
+        cfg = GpKernelConfig(
+            lengthscale=options["lengthscale"],
+            signal_var=options["signal_var"],
+            jitter=options["jitter"],
+            optimize_hypers=options["optimize_hypers"],
         )
-        return train_gp(data, cfg, max_points=options.get("max_points", 400), rng=rng)
+        return train_gp(data, cfg, max_points=options["max_points"], rng=rng)
     raise IwareError(f"unknown learner kind {kind!r}; choose from {LEARNER_KINDS}")
 
 
@@ -340,55 +377,47 @@ def train_iware(
     optimized on those; learners refit on the full filtered subsets with
     identical hyperparameters. The squashing scale is the median raw
     mixture variance over the training rows at their observed efforts.
+    ``options`` are learner settings, the keys of LEARNER_OPTIONS.
     """
+    unknown = sorted(set(options) - set(LEARNER_OPTIONS))
+    if unknown:
+        raise IwareError(f"unknown learner option(s) {', '.join(unknown)}; "
+                         f"choose from {sorted(LEARNER_OPTIONS)}")
+    options = {**LEARNER_OPTIONS, **options}
     seed_root = rng if isinstance(rng, (int, np.integer)) else int(np.random.default_rng(rng).integers(2**62))
     ths = select_thresholds(ds, I)
-    X, y, eff, row_ids = _dataset_rows(ds)
+    rows = _dataset_rows(ds)
+    X, y, eff, _ = rows
     n = X.shape[0]
-    I_eff = ths.count
 
     if int(y.sum()) < folds:
         folds = max(2, int(y.sum()))
     fold_of = _stratified_folds(y, folds, np.random.default_rng([seed_root, 2]))
 
-    P_oof = np.full((n, I_eff), 0.5)
+    P_oof = np.full((n, ths.count), 0.5)
     for f in range(folds):
-        tr = fold_of != f
-        va = ~tr
+        va = fold_of == f
         for i, theta in enumerate(ths.thresholds):
-            keep = tr & (y | (eff > theta))
-            if not keep.any() or not y[keep].any():
+            keep = ~va & _one_sided(y, eff, theta)
+            if not y[keep].any():
                 continue  # degenerate fold: leave the neutral 0.5 prediction
-            sub = TrainMatrix(rows=X[keep], labels=y[keep], row_ids=row_ids[keep])
-            model = _fit_learner(learner_kind, sub, np.random.default_rng([seed_root, 0, f, i]), options)
+            model = _fit_learner(learner_kind, _subset(rows, keep),
+                                 np.random.default_rng([seed_root, 0, f, i]), options)
             P_oof[va, i] = _clamp_probs(model.predict_proba(X[va])[0])
     weights = optimize_weights_from_probs(P_oof, y)
 
-    learners = []
-    for i, theta in enumerate(ths.thresholds):
-        sub = filter_dataset(ds, theta)
-        learners.append(_fit_learner(learner_kind, sub, np.random.default_rng([seed_root, 1, i]), options))
+    learners = [_fit_learner(learner_kind, _subset(rows, _one_sided(y, eff, theta)),
+                             np.random.default_rng([seed_root, 1, i]), options)
+                for i, theta in enumerate(ths.thresholds)]
 
     ens = IWareEnsemble(thresholds=ths, learners=learners, weights=weights,
                         learner_kind=learner_kind, squash_scale=1.0,
                         n_features=X.shape[1])
     P, V = ens.member_outputs(X)
-    raw = np.empty(n)
-    for theta_mask, effort in _group_by_qualified(ths, eff):
-        _, v = ens.combine_at_effort(P[theta_mask], V[theta_mask], effort)
-        raw[theta_mask] = v
+    _, raw = ens.combine_at_effort(P, V, eff)
     med = float(np.median(raw))
     if med <= 0:
         positive = raw[raw > 0]
         med = float(positive.mean()) if positive.size else 1.0
     ens.squash_scale = med
     return ens
-
-
-def _group_by_qualified(ths: ThresholdSet, efforts: np.ndarray):
-    """Group rows by which learners qualify; yields (row mask, rep effort)."""
-    th = np.asarray(ths.thresholds)
-    counts = np.searchsorted(th, efforts, side="right")  # qualified learner count
-    for c in np.unique(counts):
-        mask = counts == c
-        yield mask, float(th[c - 1]) if c >= 1 else 0.0

@@ -330,32 +330,13 @@ def train_bagged(
                             n_features=data.d)
 
 
-def predict_bagged(model: BaggedClassifier, x: np.ndarray):
-    """(probability, per-tree votes) for one query row."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise LearnerError("predict_bagged takes a single feature vector")
-    votes = model.tree_votes(x[None, :])[:, 0]
-    return float(votes.mean()), votes
-
-
-def jackknife_variance(model: BaggedClassifier, x: np.ndarray) -> float | None:
-    """Infinitesimal-jackknife variance of the bagged prediction at x.
+def jackknife_variance_batch(model: BaggedClassifier, X: np.ndarray,
+                             chunk: int = 64) -> np.ndarray | None:
+    """Infinitesimal-jackknife variance of the bagged prediction per query row.
 
     Sums the squared bootstrap covariance between draw counts and tree
     predictions over training points, then applies the finite-B bias
     correction, flooring at zero. None for a single tree (undefined).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise LearnerError("jackknife_variance takes a single feature vector")
-    out = jackknife_variance_batch(model, x[None, :])
-    return None if out is None else float(out[0])
-
-
-def jackknife_variance_batch(model: BaggedClassifier, X: np.ndarray,
-                             chunk: int = 64) -> np.ndarray | None:
-    """Infinitesimal-jackknife variance for many query rows at once.
 
     The finite-B bias correction uses the empirical variance of the draw
     counts, sum_j Var_b(N_bj) * Var_b(t) / B. Under a plain size-n
@@ -459,6 +440,7 @@ class GpClassifier:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GpClassifier":
+        """Rebuild the prediction state from the stored latent mode."""
         model = cls(
             X=np.asarray(d["X"], dtype=float),
             y_sign=np.asarray(d["y_sign"], dtype=float),
@@ -466,7 +448,10 @@ class GpClassifier:
             signal_var=float(d["signal_var"]),
             jitter=float(d["jitter"]),
         )
-        _finalize_gp(model)
+        f_mode = np.asarray(d.get("f_mode"), dtype=float)
+        if f_mode.shape != model.y_sign.shape or not np.all(np.isfinite(f_mode)):
+            raise LearnerError(f"f_mode must be a finite vector of length {model.y_sign.size}")
+        _finalize_gp(model, f_mode)
         return model
 
 
@@ -487,8 +472,7 @@ def _log_sigmoid(x):
 def _newton_mode(K: np.ndarray, y: np.ndarray, tol: float = 1e-6, max_iter: int = 100):
     """Find the latent posterior mode (logistic likelihood).
 
-    Returns (f_mode, sqrt_w, L_b, lml). Raises on Cholesky failure; the
-    caller escalates jitter.
+    Raises on Cholesky failure; the caller escalates jitter.
     """
     n = K.shape[0]
     t = (y + 1.0) / 2.0
@@ -508,27 +492,27 @@ def _newton_mode(K: np.ndarray, y: np.ndarray, tol: float = 1e-6, max_iter: int 
         f = f_new
         if delta < tol:
             break
+    return f
+
+
+def _mode_state(K: np.ndarray, y: np.ndarray, f: np.ndarray):
+    """Laplace state at the latent mode f: (pi, sqrt_w, L_b, alpha, lml)."""
     pi = _sigmoid_stable(f)
     sw = np.sqrt(pi * (1.0 - pi))
-    B = eye + sw[:, None] * K * sw[None, :]
-    L = np.linalg.cholesky(B)
-    alpha = t - pi
+    L = np.linalg.cholesky(np.eye(K.shape[0]) + sw[:, None] * K * sw[None, :])
+    alpha = (y + 1.0) / 2.0 - pi
     lml = float(-0.5 * alpha @ f + _log_sigmoid(y * f).sum() - np.log(np.diag(L)).sum())
-    return f, sw, L, lml
+    return pi, sw, L, alpha, lml
 
 
-def _finalize_gp(model: GpClassifier) -> None:
-    # Mode finding is deterministic, so loading a serialized model and
-    # training afresh produce identical state.
+def _finalize_gp(model: GpClassifier, f_mode: np.ndarray | None = None) -> None:
+    """Prediction state at the given latent mode, found by Newton when None."""
     K = model.kernel(model.X, model.X) + model.jitter * np.eye(model.X.shape[0])
-    f, sw, L, lml = _newton_mode(K, model.y_sign)
-    pi = _sigmoid_stable(f)
-    model.f_mode = f
-    model._alpha = (model.y_sign + 1.0) / 2.0 - pi
-    model._sqrt_w = sw
-    model._L_b = L
-    model._L_k = np.linalg.cholesky(K)
+    f = _newton_mode(K, model.y_sign) if f_mode is None else f_mode
+    _, sw, L, alpha, lml = _mode_state(K, model.y_sign, f)
+    model.f_mode, model._sqrt_w, model._L_b, model._alpha = f, sw, L, alpha
     model.log_marginal_likelihood = lml
+    model._L_k = np.linalg.cholesky(K)
 
 
 def median_heuristic_lengthscale(X: np.ndarray) -> float:
@@ -590,15 +574,6 @@ def train_gp(
     raise LearnerError(f"kernel matrix not positive definite up to jitter 1e-2: {last_err}")
 
 
-def predict_gp(model: GpClassifier, x: np.ndarray):
-    """(probability, latent variance) for a single query row."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise LearnerError("predict_gp takes a single feature vector")
-    prob, var = model.predict_proba(x[None, :])
-    return float(prob[0]), float(var[0])
-
-
 def gp_lml_and_gradient(model: GpClassifier, lengthscale=None, signal_var=None):
     """Laplace log marginal likelihood and its gradient.
 
@@ -614,9 +589,8 @@ def gp_lml_and_gradient(model: GpClassifier, lengthscale=None, signal_var=None):
     d2 = _sqdist(X, X)
     K_rbf = _rbf(d2, ell, sv)
     K = K_rbf + model.jitter * np.eye(n)
-    f, sw, L, lml = _newton_mode(K, y)
-    pi = _sigmoid_stable(f)
-    alpha = (y + 1.0) / 2.0 - pi
+    f = _newton_mode(K, y)
+    pi, sw, L, alpha, lml = _mode_state(K, y, f)
 
     # R = sqrt(W) B^-1 sqrt(W); posterior covariance diag via C = L \ (sW K)
     R = sw[:, None] * cho_solve((L, True), np.diag(sw))

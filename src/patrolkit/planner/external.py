@@ -55,7 +55,7 @@ def write_lp_file(model: MilpModel, path) -> None:
 
 def solve_external(problem: PlanProblem) -> PatrolPlan:
     """Solve the full model with scipy's HiGHS MIP. With no relative gap
-    HiGHS stops at its absolute gap, 1e-6, the planner's default mip_gap."""
+    HiGHS stops at its absolute gap, 1e-6, the planner's MIP_GAP."""
     model = assemble_milp(problem)
     integrality = np.zeros(model.n_vars)
     integrality[model.z_cols] = 1

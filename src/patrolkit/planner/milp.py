@@ -15,8 +15,10 @@ a width-one window the weights are forced onto two adjacent breakpoints,
 so integrality never needs a separate check. The node relaxations drop
 the selector columns entirely and are solved by HiGHS (scipy's linprog);
 every relaxation's flow is itself a feasible plan, which supplies
-incumbents. A tiny deterministic perturbation (1e-9 times the edge index)
-breaks ties among optimal flows so repeated solves return the same plan.
+incumbents. The objective's tie-break term, PERTURBATION times the edge
+index, lies below HiGHS's optimality tolerance, so it does not pick one
+among flows of equal coverage: repeated solves agree because HiGHS is
+deterministic, and another LP engine may return another route split.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ ITERATION_LIMIT = "iteration_limit"
 FAILED = "failed"
 _LINPROG_STATUS = {1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
 NODE_LIMIT = 100000
+MIP_GAP = 1e-6
+PERTURBATION = 1e-9
 
 
 @dataclass(frozen=True)
@@ -45,8 +49,6 @@ class PlanProblem:
     pwl: PwlRiskModel
     K: int = 1
     beta: float = 0.0
-    mip_gap: float = 1e-6
-    perturbation: float = 1e-9
 
     def __post_init__(self):
         if self.K < 1:
@@ -163,7 +165,7 @@ def assemble_milp(problem: PlanProblem) -> MilpModel:
     names += [f"lam_{cid}_{j}" for cid in cells for j in range(n_bp)]
     names += [f"z_{cid}_{s}" for cid in cells for s in range(1, n_seg + 1)]
 
-    core_obj = np.concatenate([-problem.perturbation * np.arange(n_flow), util[cells].ravel()])
+    core_obj = np.concatenate([-PERTURBATION * np.arange(n_flow), util[cells].ravel()])
     in_graph = set(cells)
     obj_const = sum((float(util[cid, 0]) for cid in g.grid.masked_ids()
                      if int(cid) not in in_graph), 0.0)
@@ -256,7 +258,7 @@ def branch_and_bound(model: MilpModel):
     node is closed once its relaxation value is within the MIP gap of the
     interpolated utility of its own flow.
     """
-    gap = model.problem.mip_gap
+    gap = MIP_GAP
     n_cells = len(model.cells)
     m = model.n_bp - 1
     br = model.pwl.breakpoints

@@ -12,7 +12,7 @@ Three solution routes:
   exports) in process with scipy's HiGHS MIP.
 
 ``auto`` picks enumeration when it is both exact and small enough
-(at most ``path_limit`` paths), otherwise branch and bound.
+(at most ``PATH_LIMIT`` paths), otherwise branch and bound.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class PatrolPlan:
     objective_nominal: float         # beta = 0 utility of the same coverage
     solver: str
 
-    def validate(self, feas_tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         g = self.graph
         if g.horizon > 1:
             inflow = np.bincount(g.edge_head, weights=self.flow, minlength=g.num_nodes)
@@ -49,7 +49,7 @@ class PatrolPlan:
             excess = inflow - outflow
             excess[g.source] = outflow[g.source] - 1.0
             excess[g.sink] = inflow[g.sink] - 1.0
-            bad = np.flatnonzero(np.abs(excess) > feas_tol)
+            bad = np.flatnonzero(np.abs(excess) > 1e-9)
             if bad.size:
                 i = int(bad[0])
                 if i == g.source:
@@ -101,7 +101,7 @@ def _plan_from_solution(model: MilpModel, x: np.ndarray, solver: str) -> PatrolP
     )
 
 
-def solve_by_enumeration(problem: PlanProblem, path_limit: int = PATH_LIMIT) -> PatrolPlan:
+def solve_by_enumeration(problem: PlanProblem) -> PatrolPlan:
     """Exact oracle over pure paths; only valid for convex utilities."""
     if not utilities_convex(problem):
         raise PlannerError(
@@ -110,7 +110,7 @@ def solve_by_enumeration(problem: PlanProblem, path_limit: int = PATH_LIMIT) -> 
     g = problem.graph
     pwl = problem.pwl.extended_to(g.horizon * problem.K)
     best_obj, best_path = -np.inf, None
-    for path in g.enumerate_paths(path_limit):
+    for path in g.enumerate_paths(PATH_LIMIT):
         cov = g.coverage_of_path(path, problem.K)
         obj = objective_of_coverage(pwl, g.grid, cov, problem.beta)
         if obj > best_obj:  # paths arrive in lexicographic order; first max kept
@@ -132,15 +132,15 @@ def solve_by_enumeration(problem: PlanProblem, path_limit: int = PATH_LIMIT) -> 
     )
 
 
-def solve(problem: PlanProblem, method: str = "auto", path_limit: int = PATH_LIMIT) -> PatrolPlan:
+def solve(problem: PlanProblem, method: str = "auto") -> PatrolPlan:
     """Solve one plan problem. ``method``: auto | enumerate | bnb | external."""
     if method == "auto":
-        if utilities_convex(problem) and problem.graph.count_paths() <= path_limit:
+        if utilities_convex(problem) and problem.graph.count_paths() <= PATH_LIMIT:
             method = "enumerate"
         else:
             method = "bnb"
     if method == "enumerate":
-        return solve_by_enumeration(problem, path_limit)
+        return solve_by_enumeration(problem)
     if method == "bnb":
         model = assemble_milp(problem)
         x, _ = branch_and_bound(model)

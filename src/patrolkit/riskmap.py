@@ -146,7 +146,8 @@ def build_pwl(
     """Sample the effort-response functions at m+1 uniform breakpoints.
 
     ``source`` is either a trained ensemble (needs ``ds`` for the
-    previous-effort covariate) or an existing RiskMap to resample.
+    previous-effort covariate), swept at the breakpoints, or an existing
+    RiskMap to resample.
     """
     if m < 1:
         raise IwareError("need at least one segment")
@@ -156,21 +157,14 @@ def build_pwl(
     n = grid.n_cells
     prob = np.full((n, m + 1), np.nan)
     var = np.full((n, m + 1), np.nan)
-    ids = grid.masked_ids()
-    if isinstance(source, RiskMap):
-        levels = np.asarray(source.effort_levels)
-        for cid in ids:
-            prob[cid] = np.interp(br, levels, source.prob[:, cid])
-            var[cid] = np.interp(br, levels, source.var[:, cid])
-    else:
+    if not isinstance(source, RiskMap):
         if ds is None:
             raise IwareError("building a PWL model from an ensemble needs the dataset")
-        X = _query_features(grid, ds)[ids]
-        P, V = source.member_outputs(X)
-        for j, c in enumerate(br):
-            g, v_raw = source.combine_at_effort(P, V, float(c))
-            prob[ids, j] = g
-            var[ids, j] = source.squash(v_raw)
+        source = sweep_riskmap(source, grid, ds, br)
+    levels = np.asarray(source.effort_levels)
+    for cid in grid.masked_ids():
+        prob[cid] = np.interp(br, levels, source.prob[:, cid])
+        var[cid] = np.interp(br, levels, source.var[:, cid])
     return PwlRiskModel(grid=grid, breakpoints=br, prob_values=prob, var_values=var)
 
 

@@ -1,0 +1,55 @@
+"""The benchmark's hooks keep working against the current API.
+
+``bench/tracing.py`` wraps patrolkit functions by name, and ``bench/run.py``
+checks outputs through a handful of public names. Both break silently on
+an API change (a traced run would fail only when the benchmark is run), so
+this test installs the tracer in a fresh process and exercises those names
+on a small park.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import numpy as np
+from tracing import Tracer, install, layer_metrics
+
+tracer = Tracer()
+install(tracer)  # every target must resolve where the tracer looks for it
+
+import patrolkit.cli
+from patrolkit import iware, riskmap, synth
+
+bundle = synth.generate_preset("oneside-noise-small", 0)
+grid, ds = bundle.grid, bundle.dataset
+ens = patrolkit.cli.train_iware(ds, I=2, learner_kind="trees", rng=0, num_trees=3, folds=2)
+
+# the names bench/run.py scores single rows and risk curves with
+cell = int(grid.masked_ids()[0])
+features = np.append(grid.features[cell], ds.effort[-1, cell])
+p, v = iware.predict_effort_conditioned(
+    ens, iware.RiskQuery(features=features, hypothetical_effort=1.0))
+nu = float(iware.squash_uncertainty(v, ens.squash_scale))
+c_max = riskmap.default_c_max(ds)
+pwl = riskmap.build_pwl(ens, grid, 4, c_max, ds=ds)
+assert 0.0 < p < 1.0 and 0.0 <= nu < 1.0
+assert pwl.prob_values.shape == (grid.n_cells, 5)
+
+m = layer_metrics([tracer.spans], 1)
+assert m["iware.cv_s"][0] > 0 and m["iware.refit_s"][0] > 0, m
+assert m["iware.fits_kept_ratio"][0] == 2 / 6, m  # 2 folds x 2 fits, then 2 kept
+assert m["iware.member_outputs_calls"][0] >= 3, m
+print("ok")
+"""
+
+
+def test_tracer_installs_and_bench_names_resolve():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "bench"), str(ROOT / "src")]))
+    out = subprocess.run([sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr[-3000:]
+    assert out.stdout.strip().endswith("ok")

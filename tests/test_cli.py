@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +121,14 @@ class TestPipeline:
         row0 = lines[1].split(",")
         assert float(row0[2]) == pytest.approx(0.75)
         assert row0[3] == "1"
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    code = "import sys, patrolkit.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestDeterminism:

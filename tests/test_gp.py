@@ -7,7 +7,6 @@ from patrolkit.learners import (
     TrainMatrix,
     deserialize_learner,
     gp_lml_and_gradient,
-    predict_gp,
     train_gp,
 )
 
@@ -16,6 +15,12 @@ def matrix(rows, labels):
     rows = np.asarray(rows, dtype=float)
     return TrainMatrix(rows=rows, labels=np.asarray(labels, bool),
                        row_ids=np.arange(len(rows)))
+
+
+def predict_one(model, x):
+    """(probability, latent variance) for one query row, through the batch call."""
+    prob, var = model.predict_proba(np.atleast_2d(x))
+    return float(prob[0]), float(var[0])
 
 
 def brute_posterior_variance(X, xq, lengthscale, signal_var, jitter):
@@ -33,13 +38,13 @@ class TestPredictions:
     def test_symmetric_points_give_half(self):
         m = train_gp(matrix([[-1.0], [1.0]], [0, 1]),
                      GpKernelConfig(lengthscale=1.0), rng=0)
-        p, _ = predict_gp(m, np.zeros(1))
+        p, _ = predict_one(m, np.zeros(1))
         assert p == pytest.approx(0.5)
 
     def test_far_query_reverts_to_prior(self):
         m = train_gp(matrix([[-1.0], [1.0]], [0, 1]),
                      GpKernelConfig(lengthscale=0.7, signal_var=2.5), rng=0)
-        p, v = predict_gp(m, np.array([500.0]))
+        p, v = predict_one(m, np.array([500.0]))
         assert p == pytest.approx(0.5)
         assert v == pytest.approx(2.5)
 
@@ -65,8 +70,8 @@ class TestPredictions:
         y = [0, 0, 0, 1, 1, 1]
         cfg = GpKernelConfig(lengthscale=1.0, signal_var=1.0, jitter=1e-6)
         m = train_gp(matrix(X, y), cfg, rng=0)
-        _, v_dense = predict_gp(m, np.array([0.15]))
-        _, v_sparse = predict_gp(m, np.array([4.5]))
+        _, v_dense = predict_one(m, np.array([0.15]))
+        _, v_sparse = predict_one(m, np.array([4.5]))
         assert v_dense < v_sparse
         assert v_dense == pytest.approx(
             brute_posterior_variance(X, [0.15], 1.0, 1.0, 1e-6), abs=1e-9)
@@ -128,7 +133,7 @@ class TestTraining:
         X = np.array([[0.0, 0.0]] * 10 + [[1.0, 1.0]] * 10)
         y = [0] * 10 + [1] * 10
         m = train_gp(matrix(X, y), GpKernelConfig(lengthscale=1.0, jitter=1e-9), rng=0)
-        p, _ = predict_gp(m, np.array([1.0, 1.0]))
+        p, _ = predict_one(m, np.array([1.0, 1.0]))
         assert p > 0.5
 
     def test_serialization_round_trip(self):
@@ -142,6 +147,14 @@ class TestTraining:
         p1, v1 = back.predict_proba(q)
         np.testing.assert_array_equal(p0, p1)
         np.testing.assert_array_equal(v0, v1)
+
+    def test_load_rejects_bad_mode(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(6, 2))
+        doc = train_gp(matrix(X, X[:, 0] > 0), rng=0).to_dict()
+        for bad in (doc["f_mode"][:-1], doc["f_mode"][:-1] + [float("nan")], None):
+            with pytest.raises(LearnerError, match="f_mode"):
+                deserialize_learner({**doc, "f_mode": bad})
 
     def test_ml_two_improves_marginal_likelihood(self):
         rng = np.random.default_rng(8)

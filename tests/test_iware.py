@@ -208,6 +208,18 @@ class TestPredictEffortConditioned:
         assert g(1.0) == g(1.7) != g(0.5)
         assert g(2.0) == g(10.0) != g(1.5)
 
+    def test_per_row_effort_matches_scalar_effort(self):
+        ens = stub_ensemble([0.0, 1.0, 2.0], [0.2, 0.3, 0.5],
+                            [ConstLearner(0.4, 0.01), ConstLearner(0.6, 0.02),
+                             ConstLearner(0.8)])
+        efforts = np.array([2.5, 0.0, 1.0, 0.4, 1.9, 7.0])
+        P, V = ens.member_outputs(np.zeros((efforts.size, 1)))
+        g, v = ens.combine_at_effort(P, V, efforts)
+        for i, c in enumerate(efforts):
+            g1, v1 = ens.combine_at_effort(P[i:i + 1], V[i:i + 1], float(c))
+            assert (g[i], v[i]) == (g1[0], v1[0])
+        np.testing.assert_array_equal(ens.predict_rows(np.zeros((6, 1)), efforts)[0], g)
+
     def test_dimension_mismatch_rejected(self):
         ens = stub_ensemble([0.0], [1.0], [ConstLearner(0.5)])
         with pytest.raises(IwareError):
@@ -279,6 +291,11 @@ class TestTrainIware:
         g, v = ens.predict_rows(ds.design_matrix[0], 1.0)
         assert np.all((g > 0) & (g < 1))
         assert np.all(v >= 0)
+
+    def test_unknown_option_rejected(self):
+        ds = _toy_training_dataset(seed=2)
+        with pytest.raises(IwareError, match="num_tree"):
+            train_iware(ds, I=2, learner_kind="trees", rng=0, num_tree=3)
 
     def test_serialization_round_trip(self):
         ds = _toy_training_dataset(seed=6)

@@ -7,9 +7,7 @@ from patrolkit.learners import (
     LearnerError,
     TrainMatrix,
     deserialize_learner,
-    jackknife_variance,
     jackknife_variance_batch,
-    predict_bagged,
     train_bagged,
     train_tree,
 )
@@ -93,7 +91,8 @@ class TestBagging:
         y = X[:, 0] > 0.5
         model = train_bagged(matrix(X, y), num_trees=1, balanced=False, rng=7,
                              feature_subsample=None, max_depth=4)
-        p, votes = predict_bagged(model, X[0])
+        votes = model.tree_votes(X[:1])[:, 0]
+        p = model.predict_proba(X[:1])[0][0]
         assert votes.shape == (1,)
         assert p == votes[0] == model.trees[0].predict(X[:1])[0]
 
@@ -138,6 +137,12 @@ def manual_bag(votes, memberships):
                             undersample_ratio=1.0, balanced=False, n_features=1)
 
 
+def ij_one(model, x):
+    """IJ variance for one query row, through the batch call."""
+    out = jackknife_variance_batch(model, np.atleast_2d(x))
+    return None if out is None else float(out[0])
+
+
 def direct_ij(votes, memberships):
     """Independent oracle: covariance formula written out longhand."""
     votes = np.asarray(votes, float)
@@ -158,13 +163,13 @@ def direct_ij(votes, memberships):
 class TestJackknife:
     def test_identical_trees_zero_variance(self):
         model = manual_bag([0.3, 0.3, 0.3], [[1, 0, 2], [0, 2, 1], [2, 1, 0]])
-        assert jackknife_variance(model, np.zeros(1)) == 0.0
+        assert ij_one(model, np.zeros(1)) == 0.0
 
     def test_hand_example_matches_direct_formula(self):
         votes = [0.2, 0.5, 0.8]
         mem = [[2, 0, 1], [1, 1, 1], [0, 2, 1]]
         model = manual_bag(votes, mem)
-        assert jackknife_variance(model, np.zeros(1)) == pytest.approx(direct_ij(votes, mem))
+        assert ij_one(model, np.zeros(1)) == pytest.approx(direct_ij(votes, mem))
 
     def test_floor_at_zero(self):
         # draws vary orthogonally to votes: zero covariance, positive bias
@@ -173,21 +178,22 @@ class TestJackknife:
         mem = [[2, 0], [0, 2], [2, 0], [0, 2]]
         model = manual_bag(votes, mem)
         assert direct_ij(votes, mem) == 0.0
-        assert jackknife_variance(model, np.zeros(1)) == 0.0
+        assert ij_one(model, np.zeros(1)) == 0.0
 
     def test_single_tree_undefined(self):
         model = manual_bag([0.4], [[1, 1, 0]])
-        assert jackknife_variance(model, np.zeros(1)) is None
+        assert ij_one(model, np.zeros(1)) is None
 
     def test_two_tree_vote_mean(self):
         model = manual_bag([0.2, 0.8], [[1, 0], [0, 1]])
-        p, votes = predict_bagged(model, np.zeros(1))
+        votes = model.tree_votes(np.zeros((1, 1)))[:, 0]
+        p = model.predict_proba(np.zeros((1, 1)))[0][0]
         assert p == pytest.approx(0.5)
         assert votes.tolist() == [0.2, 0.8]
 
     def test_identical_trees_equal_single_tree(self):
         model = manual_bag([0.3, 0.3, 0.3], [[1, 0], [0, 1], [1, 1]])
-        p, _ = predict_bagged(model, np.zeros(1))
+        p = model.predict_proba(np.zeros((1, 1)))[0][0]
         assert p == 0.3
 
     def test_batch_matches_scalar(self):
@@ -198,4 +204,4 @@ class TestJackknife:
         Xq = rng.random((7, 2))
         batch = jackknife_variance_batch(model, Xq)
         for i in range(7):
-            assert batch[i] == pytest.approx(jackknife_variance(model, Xq[i]))
+            assert batch[i] == pytest.approx(ij_one(model, Xq[i]))
