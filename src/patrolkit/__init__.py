@@ -33,7 +33,6 @@ from .learners import (
     BaggedClassifier,
     DecisionTree,
     GpClassifier,
-    GpKernelConfig,
     LearnerError,
     TrainMatrix,
     jackknife_variance_batch,

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io, synth
-from .config import ConfigError, load_config
+from .config import DEFAULTS, ConfigError, load_config
 from .grid import GridError, assemble_dataset, reconstruct_effort, build_labels
-from .iware import IWareEnsemble, IwareError, train_iware
+from .iware import LEARNER_OPTIONS, IWareEnsemble, IwareError, train_iware
 from .learners import LearnerError
 from .metrics import FieldTestTable, MetricsError, ScoredSet, auc, chi_squared_field_test, ll_score, obs_per_cell, pr_metrics
 from .planner import (
@@ -102,18 +102,17 @@ def _split_holdout(ds, holdout: int):
 
 
 def _ensemble_options(cfg) -> dict:
+    """The chosen learner's settings from the ensemble section: each config
+    key named like one of its options (GP keys with a ``gp_`` prefix), as
+    an int where the config default is one and as a float otherwise."""
     ens = cfg["ensemble"]
-    opts = {
-        "num_trees": int(ens["num_trees"]),
-        "max_depth": int(ens["max_depth"]),
-        "min_leaf": int(ens["min_leaf"]),
-        "undersample_ratio": float(ens["undersample_ratio"]),
-        "max_points": int(ens["gp_max_points"]),
-        "signal_var": float(ens["gp_signal_var"]),
-        "jitter": float(ens["gp_jitter"]),
-    }
-    if float(ens["gp_lengthscale"]) > 0:
-        opts["lengthscale"] = float(ens["gp_lengthscale"])
+    prefix = "gp_" if ens["learner"] == "gp" else ""
+    opts = {}
+    for name in LEARNER_OPTIONS.get(ens["learner"], ()):
+        key = prefix + name
+        if key in ens:
+            number = int if isinstance(DEFAULTS["ensemble"][key], int) else float
+            opts[name] = None if ens[key] is None else number(ens[key])
     return opts
 
 

@@ -44,7 +44,7 @@ DEFAULTS: dict = {
         "min_leaf": 1,
         "undersample_ratio": 1.0,
         "gp_max_points": 400,
-        "gp_lengthscale": 0.0,  # 0 -> median heuristic
+        "gp_lengthscale": None,  # null -> median heuristic
         "gp_signal_var": 1.0,
         "gp_jitter": 1e-6,
     },

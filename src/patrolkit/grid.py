@@ -89,11 +89,6 @@ class ParkGrid:
     def cell_xy(self, cell_id: int) -> tuple[int, int]:
         return cell_id % self.width, cell_id // self.width
 
-    def cell_center_km(self, cell_id: int) -> tuple[float, float]:
-        ix, iy = self.cell_xy(cell_id)
-        s = self.cell_size_km
-        return (ix + 0.5) * s, (iy + 0.5) * s
-
     def cell_at(self, x_km: float, y_km: float) -> int:
         """Cell id containing the point, half-open convention.
 

@@ -62,15 +62,25 @@ def write_cells_csv(path, grid: ParkGrid) -> None:
     _write_rows(path, header, rows)
 
 
-def read_cells_csv(path, cell_size_km: float = 1.0) -> ParkGrid:
+def _read_csv(path, expected: list[str]) -> tuple[list[str], list[list[str]]]:
+    """Header and nonblank rows of a CSV file whose header starts with the
+    expected columns and whose rows all have one field per header column."""
+    name = Path(path).name
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        expected = ["cell_id", "x", "y", "mask", "is_post"]
+        header = next(reader, [])
         if header[: len(expected)] != expected:
-            raise GridError(f"bad cells.csv header: {header[:5]}")
-        feature_names = header[len(expected):]
+            raise GridError(f"bad {name} header {header[:len(expected)]}, expected {expected}")
         rows = [row for row in reader if row]
+    for row in rows:
+        if len(row) != len(header):
+            raise GridError(f"{name}: row {row} has {len(row)} fields, header has {len(header)}")
+    return header, rows
+
+
+def read_cells_csv(path, cell_size_km: float = 1.0) -> ParkGrid:
+    header, rows = _read_csv(path, ["cell_id", "x", "y", "mask", "is_post"])
+    feature_names = header[5:]
     if not rows:
         raise GridError("cells.csv contains no cells")
     width = max(int(r[1]) for r in rows) + 1
@@ -104,12 +114,9 @@ def write_waypoints_csv(path, tracks: list[WaypointTrack]) -> None:
 
 def read_waypoints_csv(path) -> list[WaypointTrack]:
     by_patrol: dict[str, list[tuple[float, float, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            by_patrol.setdefault(row["patrol_id"], []).append(
-                (float(row["x_km"]), float(row["y_km"]), parse_timestamp(row["timestamp_iso8601"]))
-            )
+    _, rows = _read_csv(path, ["patrol_id", "x_km", "y_km", "timestamp_iso8601"])
+    for pid, x, y, ts, *_ in rows:
+        by_patrol.setdefault(pid, []).append((float(x), float(y), parse_timestamp(ts)))
     return [WaypointTrack(patrol_id=pid, points=tuple(pts)) for pid, pts in by_patrol.items()]
 
 
@@ -119,11 +126,8 @@ def write_observations_csv(path, log: ObservationLog) -> None:
 
 
 def read_observations_csv(path) -> ObservationLog:
-    records = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append((float(row["x_km"]), float(row["y_km"]),
-                            parse_timestamp(row["timestamp_iso8601"]), row["category"]))
+    _, rows = _read_csv(path, ["x_km", "y_km", "timestamp_iso8601", "category"])
+    records = [(float(x), float(y), parse_timestamp(ts), cat) for x, y, ts, cat, *_ in rows]
     return ObservationLog(records=tuple(records))
 
 
@@ -141,11 +145,11 @@ def read_dataset_csv(path, grid: ParkGrid) -> PatrolDataset:
     """Rebuild a dataset from dataset.csv; features come from the grid."""
     cells = {}
     max_t = -1
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            t, cid = int(row["t"]), int(row["cell_id"])
-            cells[(t, cid)] = (float(row["effort_km"]), int(row["label"]))
-            max_t = max(max_t, t)
+    _, rows = _read_csv(path, ["t", "cell_id", "effort_km", "label"])
+    for row in rows:
+        t, cid = int(row[0]), int(row[1])
+        cells[(t, cid)] = (float(row[2]), int(row[3]))
+        max_t = max(max_t, t)
     if max_t < 0:
         raise GridError("dataset.csv contains no rows")
     effort = np.zeros((max_t + 1, grid.n_cells))
@@ -165,12 +169,9 @@ def write_riskmap_csv(path, riskmap) -> None:
 
 
 def read_fieldtest_csv(path) -> list[tuple[str, int, int, float]]:
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append((row["group"], int(row["obs_cells"]),
-                         int(row["patrolled_cells"]), float(row["effort_km"])))
-    return rows
+    _, rows = _read_csv(path, ["group", "obs_cells", "patrolled_cells", "effort_km"])
+    return [(group, int(obs), int(patrolled), float(effort))
+            for group, obs, patrolled, effort, *_ in rows]
 
 
 def write_json(path, obj) -> None:

@@ -23,27 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import PatrolDataset
-from .learners import (
-    GpKernelConfig,
-    TrainMatrix,
-    deserialize_learner,
-    serialize_learner,
-    train_bagged,
-    train_gp,
-)
+from .learners import TrainMatrix, deserialize_learner, train_bagged, train_gp
 
 PROB_CLAMP = 1e-6
 
-LEARNER_KINDS = ("trees", "gp")
-
-# learner options train_iware accepts, with their defaults
+# the learner options train_iware accepts for each learner kind; their
+# defaults are those of train_bagged and train_gp
 LEARNER_OPTIONS = {
-    # bagged trees
-    "num_trees": 25, "balanced": True, "undersample_ratio": 1.0, "max_depth": 10,
-    "min_leaf": 1, "feature_subsample": "sqrt",
-    # Laplace GP
-    "lengthscale": None, "signal_var": 1.0, "jitter": 1e-6, "optimize_hypers": False,
-    "max_points": 400,
+    "trees": ("num_trees", "balanced", "undersample_ratio", "max_depth", "min_leaf",
+              "feature_subsample"),
+    "gp": ("lengthscale", "signal_var", "jitter", "optimize_hypers", "max_points"),
 }
 
 
@@ -284,21 +273,24 @@ class IWareEnsemble:
             "learner_kind": self.learner_kind,
             "squash_scale": float(self.squash_scale),
             "n_features": int(self.n_features),
-            "learners": [serialize_learner(l) for l in self.learners],
+            "learners": [l.to_dict() for l in self.learners],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "IWareEnsemble":
         if d.get("version") != 1:
             raise IwareError(f"unsupported ensemble document version {d.get('version')!r}")
-        return cls(
-            thresholds=ThresholdSet(thresholds=tuple(d["thresholds"])),
-            learners=[deserialize_learner(b) for b in d["learners"]],
-            weights=np.asarray(d["weights"], dtype=float),
-            learner_kind=d["learner_kind"],
-            squash_scale=float(d["squash_scale"]),
-            n_features=int(d["n_features"]),
-        )
+        try:
+            return cls(
+                thresholds=ThresholdSet(thresholds=tuple(d["thresholds"])),
+                learners=[deserialize_learner(b) for b in d["learners"]],
+                weights=np.asarray(d["weights"], dtype=float),
+                learner_kind=d["learner_kind"],
+                squash_scale=float(d["squash_scale"]),
+                n_features=int(d["n_features"]),
+            )
+        except KeyError as err:
+            raise IwareError(f"ensemble document lacks key {err}") from None
 
 
 def predict_effort_conditioned(ens: IWareEnsemble, query: RiskQuery) -> tuple[float, float]:
@@ -329,27 +321,9 @@ def squash_uncertainty(var_raw, scale: float) -> np.ndarray | float:
 
 
 def _fit_learner(kind: str, data: TrainMatrix, rng, options: dict):
-    """Fit one learner; ``options`` holds every key of LEARNER_OPTIONS."""
-    if kind == "trees":
-        return train_bagged(
-            data,
-            num_trees=options["num_trees"],
-            balanced=options["balanced"],
-            rng=rng,
-            undersample_ratio=options["undersample_ratio"],
-            max_depth=options["max_depth"],
-            min_leaf=options["min_leaf"],
-            feature_subsample=options["feature_subsample"],
-        )
-    if kind == "gp":
-        cfg = GpKernelConfig(
-            lengthscale=options["lengthscale"],
-            signal_var=options["signal_var"],
-            jitter=options["jitter"],
-            optimize_hypers=options["optimize_hypers"],
-        )
-        return train_gp(data, cfg, max_points=options["max_points"], rng=rng)
-    raise IwareError(f"unknown learner kind {kind!r}; choose from {LEARNER_KINDS}")
+    """Fit one learner; ``options`` holds only settings of its kind."""
+    fit = train_bagged if kind == "trees" else train_gp
+    return fit(data, rng=rng, **options)
 
 
 def _stratified_folds(y: np.ndarray, folds: int, rng: np.random.Generator) -> np.ndarray:
@@ -377,13 +351,16 @@ def train_iware(
     optimized on those; learners refit on the full filtered subsets with
     identical hyperparameters. The squashing scale is the median raw
     mixture variance over the training rows at their observed efforts.
-    ``options`` are learner settings, the keys of LEARNER_OPTIONS.
+    ``options`` are settings of the chosen learner kind, named in
+    LEARNER_OPTIONS; the learner's own defaults fill in the rest.
     """
-    unknown = sorted(set(options) - set(LEARNER_OPTIONS))
+    if learner_kind not in LEARNER_OPTIONS:
+        raise IwareError(f"unknown learner kind {learner_kind!r}; "
+                         f"choose from {tuple(LEARNER_OPTIONS)}")
+    unknown = sorted(set(options) - set(LEARNER_OPTIONS[learner_kind]))
     if unknown:
-        raise IwareError(f"unknown learner option(s) {', '.join(unknown)}; "
-                         f"choose from {sorted(LEARNER_OPTIONS)}")
-    options = {**LEARNER_OPTIONS, **options}
+        raise IwareError(f"learner kind {learner_kind!r} takes no option(s) "
+                         f"{', '.join(unknown)}; choose from {LEARNER_OPTIONS[learner_kind]}")
     seed_root = rng if isinstance(rng, (int, np.integer)) else int(np.random.default_rng(rng).integers(2**62))
     ths = select_thresholds(ds, I)
     rows = _dataset_rows(ds)

@@ -16,6 +16,11 @@ where ``latent_var`` is None for learners without a native uncertainty.
   posterior variance of the latent function given the training inputs,
   which vanishes at training points and reverts to the signal variance far
   from data.
+
+Each learner's settings and their defaults are the keyword arguments of
+its training function (``train_bagged``, ``train_gp``) and are written
+nowhere else: the ensemble and the command line pass settings through
+and leave unset ones to these defaults.
 """
 
 from __future__ import annotations
@@ -98,13 +103,6 @@ class DecisionTree:
             node[active] = np.where(goleft, self.left[node[active]], self.right[node[active]])
         return self.value[node]
 
-    def depth(self) -> int:
-        def walk(i, d):
-            if self.feature[i] < 0:
-                return d
-            return max(walk(self.left[i], d + 1), walk(self.right[i], d + 1))
-        return walk(0, 0)
-
     def to_dict(self) -> dict:
         return {
             "feature": self.feature.tolist(),
@@ -163,7 +161,7 @@ def _best_split(X, y, feat_ids, min_leaf):
 
 def train_tree(
     data: TrainMatrix,
-    max_depth: int = 12,
+    max_depth: int = 10,
     min_leaf: int = 1,
     feature_subsample: int | None = None,
     rng=None,
@@ -285,11 +283,11 @@ class BaggedClassifier:
 
 def train_bagged(
     data: TrainMatrix,
-    num_trees: int = 50,
+    num_trees: int = 25,
     balanced: bool = True,
     rng=None,
     undersample_ratio: float = 1.0,
-    max_depth: int = 12,
+    max_depth: int = 10,
     min_leaf: int = 1,
     feature_subsample: int | str | None = "sqrt",
 ) -> BaggedClassifier:
@@ -365,14 +363,6 @@ def jackknife_variance_batch(model: BaggedClassifier, X: np.ndarray,
 # ---------------------------------------------------------------------------
 # Gaussian-process classifier (Laplace approximation)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class GpKernelConfig:
-    lengthscale: float | None = None  # None -> median pairwise distance
-    signal_var: float = 1.0
-    jitter: float = 1e-6
-    optimize_hypers: bool = False
-
 
 def _rbf(sqdist: np.ndarray, lengthscale: float, signal_var: float) -> np.ndarray:
     return signal_var * np.exp(-0.5 * sqdist / lengthscale**2)
@@ -538,37 +528,42 @@ def _stratified_cap(labels: np.ndarray, max_points: int, rng: np.random.Generato
 
 def train_gp(
     data: TrainMatrix,
-    kernel_config: GpKernelConfig | None = None,
-    max_points: int = 1000,
+    lengthscale: float | None = None,
+    signal_var: float = 1.0,
+    jitter: float = 1e-6,
+    optimize_hypers: bool = False,
+    max_points: int = 400,
     rng=None,
 ) -> GpClassifier:
     """Fit the Laplace GP on (at most) max_points stratified rows.
 
-    Newton iterations run until the mode moves by less than 1e-6 or 100
-    iterations. On Cholesky failure the jitter is escalated tenfold up to
-    1e-2 before giving up.
+    ``lengthscale`` None takes the median pairwise distance of the kept
+    rows. Newton iterations run until the mode moves by less than 1e-6 or
+    100 iterations. On Cholesky failure the jitter is escalated tenfold up
+    to 1e-2 before giving up. ``optimize_hypers`` refines the fitted
+    lengthscale and signal variance by ML-II.
     """
-    cfg = kernel_config or GpKernelConfig()
+    if lengthscale is not None and not lengthscale > 0:
+        raise LearnerError(f"lengthscale must be > 0, got {lengthscale}")
     rng = ensure_rng(rng)
     keep = _stratified_cap(data.labels, max_points, rng)
     if keep.size < 2:
         raise LearnerError("GP needs at least two rows after subsampling")
     X = data.rows[keep]
     y = np.where(data.labels[keep], 1.0, -1.0)
-    ell = cfg.lengthscale if cfg.lengthscale is not None else median_heuristic_lengthscale(X)
+    ell = lengthscale if lengthscale is not None else median_heuristic_lengthscale(X)
 
-    jitter = cfg.jitter
     last_err = None
     while jitter <= 1e-2:
         model = GpClassifier(X=X, y_sign=y, lengthscale=ell,
-                             signal_var=cfg.signal_var, jitter=jitter)
+                             signal_var=signal_var, jitter=jitter)
         try:
             _finalize_gp(model)
         except np.linalg.LinAlgError as err:
             last_err = err
             jitter = jitter * 10 if jitter > 0 else 1e-8
             continue
-        if cfg.optimize_hypers:
+        if optimize_hypers:
             _optimize_hypers(model)
         return model
     raise LearnerError(f"kernel matrix not positive definite up to jitter 1e-2: {last_err}")
@@ -624,10 +619,6 @@ def _optimize_hypers(model: GpClassifier) -> None:
     model.lengthscale = float(ell)
     model.signal_var = float(sv)
     _finalize_gp(model)
-
-
-def serialize_learner(model) -> dict:
-    return model.to_dict()
 
 
 def deserialize_learner(blob: dict):

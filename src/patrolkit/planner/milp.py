@@ -55,6 +55,9 @@ class PlanProblem:
             raise PlannerError("K must be >= 1")
         if not 0.0 <= self.beta <= 1.0:
             raise PlannerError("beta must lie in [0, 1]")
+        # coverage reaches T*K: a shorter PWL domain is flat-extended (with a
+        # warning) here, once, so every solve route and copy shares it
+        object.__setattr__(self, "pwl", self.pwl.extended_to(self.graph.horizon * self.K))
 
 
 @dataclass
@@ -75,7 +78,6 @@ class MilpModel:
     """
 
     problem: PlanProblem
-    pwl: PwlRiskModel               # domain-extended copy
     cells: list[int]                # cells with PWL terms (appear in graph)
     util: np.ndarray                # (n_cells_total, m+1) breakpoint utilities
     obj_const: float                # utility of cells stuck at zero coverage
@@ -122,7 +124,7 @@ class MilpModel:
         cov = g.coverage_from_flow(flow, self.problem.K)
         total = float(self.core_obj[: self.n_flow] @ flow)
         for cid in self.cells:
-            total += float(np.interp(cov[cid], self.pwl.breakpoints, self.util[cid]))
+            total += float(np.interp(cov[cid], self.problem.pwl.breakpoints, self.util[cid]))
         return total
 
 
@@ -145,15 +147,13 @@ def _csc(rows, cols, vals, shape) -> sparse.csc_array:
 def assemble_milp(problem: PlanProblem) -> MilpModel:
     """Build the MILP for one problem instance.
 
-    The PWL domain is flat-extended (with a warning) if the achievable
-    coverage T*K exceeds it. Cells pruned from the graph contribute their
-    zero-coverage utility as an objective constant.
+    Cells pruned from the graph contribute their zero-coverage utility as
+    an objective constant.
     """
     g = problem.graph
-    pwl = problem.pwl.extended_to(problem.graph.horizon * problem.K)
     cells = g.cells()
-    util = pwl.utility_values(problem.beta)
-    br = pwl.breakpoints
+    util = problem.pwl.utility_values(problem.beta)
+    br = problem.pwl.breakpoints
     n_bp = br.size
     n_seg = n_bp - 1
     n_cells = len(cells)
@@ -214,7 +214,7 @@ def assemble_milp(problem: PlanProblem) -> MilpModel:
                 (n_cells * n_bp, n_vars))
 
     return MilpModel(
-        problem=problem, pwl=pwl, cells=cells, util=util, obj_const=obj_const,
+        problem=problem, cells=cells, util=util, obj_const=obj_const,
         n_flow=n_flow, n_bp=n_bp,
         core_obj=core_obj, core_A_eq=core_A_eq, core_b_eq=core_b_eq,
         obj=np.concatenate([core_obj, np.zeros(n_vars - n_core)]),
@@ -261,7 +261,7 @@ def branch_and_bound(model: MilpModel):
     gap = MIP_GAP
     n_cells = len(model.cells)
     m = model.n_bp - 1
-    br = model.pwl.breakpoints
+    br = model.problem.pwl.breakpoints
     best_x, best_obj = None, -np.inf
     root = np.tile(np.array([0, m]), (n_cells, 1))
     stack = [root]

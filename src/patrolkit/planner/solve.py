@@ -78,9 +78,8 @@ class PatrolPlan:
 
 def utilities_convex(problem: PlanProblem, tol: float = 1e-12) -> bool:
     """True when every park cell's utility is convex in coverage."""
-    pwl = problem.pwl.extended_to(problem.graph.horizon * problem.K)
-    u = pwl.utility_values(problem.beta)
-    br = pwl.breakpoints
+    u = problem.pwl.utility_values(problem.beta)
+    br = problem.pwl.breakpoints
     slopes = np.diff(u[problem.graph.grid.masked_ids()], axis=1) / np.diff(br)[None, :]
     return bool(np.all(np.diff(slopes, axis=1) >= -tol))
 
@@ -95,8 +94,8 @@ def _plan_from_solution(model: MilpModel, x: np.ndarray, solver: str) -> PatrolP
     return PatrolPlan(
         graph=g, K=problem.K, beta=problem.beta, flow=flow, coverage=coverage,
         routes=routes,
-        objective=objective_of_coverage(model.pwl, g.grid, coverage, problem.beta),
-        objective_nominal=objective_of_coverage(model.pwl, g.grid, coverage, 0.0),
+        objective=objective_of_coverage(problem.pwl, g.grid, coverage, problem.beta),
+        objective_nominal=objective_of_coverage(problem.pwl, g.grid, coverage, 0.0),
         solver=solver,
     )
 
@@ -108,11 +107,10 @@ def solve_by_enumeration(problem: PlanProblem) -> PatrolPlan:
             "path enumeration is exact only for convex utilities; "
             "a mixed strategy could beat every single path here")
     g = problem.graph
-    pwl = problem.pwl.extended_to(g.horizon * problem.K)
     best_obj, best_path = -np.inf, None
     for path in g.enumerate_paths(PATH_LIMIT):
         cov = g.coverage_of_path(path, problem.K)
-        obj = objective_of_coverage(pwl, g.grid, cov, problem.beta)
+        obj = objective_of_coverage(problem.pwl, g.grid, cov, problem.beta)
         if obj > best_obj:  # paths arrive in lexicographic order; first max kept
             best_obj, best_path = obj, path
     if best_path is None:
@@ -127,7 +125,7 @@ def solve_by_enumeration(problem: PlanProblem) -> PatrolPlan:
         graph=g, K=problem.K, beta=problem.beta, flow=flow, coverage=coverage,
         routes=((tuple(best_path), 1.0),),
         objective=best_obj,
-        objective_nominal=objective_of_coverage(pwl, g.grid, coverage, 0.0),
+        objective_nominal=objective_of_coverage(problem.pwl, g.grid, coverage, 0.0),
         solver="enumerate",
     )
 
@@ -198,7 +196,6 @@ def improvement_ratio(problem: PlanProblem, beta_grid, method: str = "bnb",
     A zero baseline utility yields None (undefined).
     """
     base_plan = solve(replace(problem, beta=0.0), method=method)
-    pwl = problem.pwl.extended_to(problem.graph.horizon * problem.K)
     table = []
     plans = {}
     for beta in beta_grid:
@@ -211,6 +208,6 @@ def improvement_ratio(problem: PlanProblem, beta_grid, method: str = "bnb",
             continue
         plan_b = solve(replace(problem, beta=beta), method=method)
         plans[beta] = plan_b
-        denom = objective_of_coverage(pwl, problem.graph.grid, base_plan.coverage, beta)
+        denom = objective_of_coverage(problem.pwl, problem.graph.grid, base_plan.coverage, beta)
         table.append((beta, plan_b.objective / denom if denom != 0.0 else None))
     return (table, base_plan, plans) if return_plans else table

@@ -106,9 +106,6 @@ class PwlRiskModel:
     def prob_at(self, cell: int, effort) -> np.ndarray | float:
         return np.interp(effort, self.breakpoints, self.prob_values[cell])
 
-    def var_at(self, cell: int, effort) -> np.ndarray | float:
-        return np.interp(effort, self.breakpoints, self.var_values[cell])
-
     def utility_values(self, beta: float) -> np.ndarray:
         """Breakpoint values of U = g - beta * g * nu, formed pointwise
         before linearization so the product stays piecewise linear."""

@@ -18,7 +18,6 @@ from patrolkit.cli import main as cli_main
 from patrolkit.grid import WaypointTrack, assemble_dataset, reconstruct_effort
 from patrolkit.iware import _dataset_rows, train_iware
 from patrolkit.learners import (
-    GpKernelConfig,
     TrainMatrix,
     gp_lml_and_gradient,
     jackknife_variance_batch,
@@ -162,7 +161,7 @@ def _paired_auc_delta_trees(seed):
     g, _ = ens.predict_rows(Xte, c_star)
     Xtr, ytr, _, rid = _dataset_rows(train_ds)
     base = train_bagged(TrainMatrix(Xtr, ytr, rid), num_trees=20, balanced=True,
-                        rng=seed + 1000, max_depth=10)
+                        rng=seed + 1000)
     pb, _ = base.predict_proba(Xte)
     a_iw = np.mean([auc(ScoredSet(g, synth.sample_attacks(truth, 1, seed * 31 + r)[0, ids].astype(bool)))
                     for r in range(3)])
@@ -182,8 +181,7 @@ def _paired_auc_delta_gp(seed):
     c_star = float(np.median(train_ds.effort[train_ds.effort > 0]))
     g, _ = ens.predict_rows(Xte, c_star)
     Xtr, ytr, _, rid = _dataset_rows(train_ds)
-    base = train_gp(TrainMatrix(Xtr, ytr, rid), GpKernelConfig(), max_points=400,
-                    rng=seed + 1000)
+    base = train_gp(TrainMatrix(Xtr, ytr, rid), max_points=400, rng=seed + 1000)
     pb, _ = base.predict_proba(Xte)
     a_iw = np.mean([auc(ScoredSet(g, synth.sample_attacks(truth, 1, seed * 31 + r)[0, ids].astype(bool)))
                     for r in range(3)])
@@ -232,7 +230,7 @@ def test_criterion_6_gp_correctness():
         X = r.normal(size=(30, 3))
         y = (X[:, 0] - 0.4 * X[:, 2] + 0.2 * r.normal(size=30)) > 0
         model = train_gp(TrainMatrix(X, y, np.arange(30)),
-                         GpKernelConfig(lengthscale=1.2, signal_var=0.9), rng=0)
+                         lengthscale=1.2, signal_var=0.9, rng=0)
         _, g_ell, g_sv = gp_lml_and_gradient(model)
         h = 1e-5
         fd_ell = (gp_lml_and_gradient(model, lengthscale=model.lengthscale + h)[0]
@@ -247,21 +245,21 @@ def test_criterion_6_gp_correctness():
     X = rng.normal(size=(25, 2))
     y = X[:, 0] > 0
     model = train_gp(TrainMatrix(X, y, np.arange(25)),
-                     GpKernelConfig(lengthscale=1.0, signal_var=1.5), rng=0)
+                     lengthscale=1.0, signal_var=1.5, rng=0)
     _, v_train = model.predict_proba(X)
     max_train_var = float(v_train.max())
 
     # (c) variance monotone under data deletion, brute-force oracle n = 8
     X8 = rng.normal(size=(8, 2))
     y8 = X8[:, 0] > 0
-    cfg = GpKernelConfig(lengthscale=1.1, signal_var=1.0)
+    cfg = dict(lengthscale=1.1, signal_var=1.0)
     queries = rng.normal(size=(15, 2)) * 2
-    full = train_gp(TrainMatrix(X8, y8, np.arange(8)), cfg, rng=0)
+    full = train_gp(TrainMatrix(X8, y8, np.arange(8)), **cfg, rng=0)
     _, v_full = full.predict_proba(queries)
     monotone = True
     for drop in range(8):
         keep = [i for i in range(8) if i != drop]
-        sub = train_gp(TrainMatrix(X8[keep], y8[keep], np.arange(7)), cfg, rng=0)
+        sub = train_gp(TrainMatrix(X8[keep], y8[keep], np.arange(7)), **cfg, rng=0)
         _, v_sub = sub.predict_proba(queries)
         monotone = monotone and bool(np.all(v_sub >= v_full - 1e-9))
 
@@ -287,10 +285,11 @@ def test_criterion_7_uncertainty_correlation_contrast():
         train_ds = assemble_dataset(grid, ds.effort[: T - 1], ds.labels[: T - 1])
         Xtr, ytr, _, rid = _dataset_rows(train_ds)
         Xte = ds.design_matrix[T - 1, ids, :]
-        bag = train_bagged(TrainMatrix(Xtr, ytr, rid), num_trees=50, balanced=True, rng=seed)
+        bag = train_bagged(TrainMatrix(Xtr, ytr, rid), num_trees=50, balanced=True, rng=seed,
+                           max_depth=12)
         p_bag, _ = bag.predict_proba(Xte)
         v_bag = jackknife_variance_batch(bag, Xte)
-        gp = train_gp(TrainMatrix(Xtr, ytr, rid), GpKernelConfig(), max_points=1000, rng=seed)
+        gp = train_gp(TrainMatrix(Xtr, ytr, rid), max_points=1000, rng=seed)
         p_gp, v_gp = gp.predict_proba(Xte)
         c_bag = abs(float(np.corrcoef(p_bag, v_bag)[0, 1]))
         c_gp = abs(float(np.corrcoef(p_gp, v_gp)[0, 1]))

@@ -4,7 +4,7 @@
 checks outputs through a handful of public names. Both break silently on
 an API change (a traced run would fail only when the benchmark is run), so
 this test installs the tracer in a fresh process and exercises those names
-on a small park.
+on a small park, with a tree and a GP ensemble.
 """
 
 import os
@@ -43,6 +43,13 @@ m = layer_metrics([tracer.spans], 1)
 assert m["iware.cv_s"][0] > 0 and m["iware.refit_s"][0] > 0, m
 assert m["iware.fits_kept_ratio"][0] == 2 / 6, m  # 2 folds x 2 fits, then 2 kept
 assert m["iware.member_outputs_calls"][0] >= 3, m
+
+# the GP hooks: fits inside train_iware, loads inside IWareEnsemble.from_dict
+gp = patrolkit.cli.train_iware(ds, I=2, learner_kind="gp", rng=0, folds=2, max_points=40)
+iware.IWareEnsemble.from_dict(gp.to_dict())
+m = layer_metrics([tracer.spans], 1)
+assert m["learners.gp_fits"][0] == 6, m  # 2 folds x 2 fits, then 2 kept
+assert m["learners.gp_loads"][0] >= 2, m
 print("ok")
 """
 

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from patrolkit import io
 from patrolkit.cli import main
 from patrolkit.config import ConfigError, load_config
+from patrolkit.grid import assemble_dataset
+from patrolkit.iware import train_iware
 
 
 def run(args):
@@ -121,6 +124,50 @@ class TestPipeline:
         row0 = lines[1].split(",")
         assert float(row0[2]) == pytest.approx(0.75)
         assert row0[3] == "1"
+
+
+class TestMalformedInputs:
+    """A file missing a column or key the format requires is an input error."""
+
+    def test_fieldtest_without_group(self, workdir):
+        (workdir / "ft.csv").write_text("obs_cells,patrolled_cells,effort_km\n23,54,269.0\n")
+        assert run(["fieldtest", "--fieldtest.table=ft.csv", "--output_dir=o"]) == 2
+
+    def test_dataset_without_label(self, workdir):
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        path = workdir / "r" / "dataset.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        path.write_text("".join(",".join(r[:3] + r[4:]) + "\n" for r in rows))
+        assert run(["train", *SMALL, "--output_dir=r"]) == 2
+
+    def test_waypoints_without_x(self, workdir):
+        (workdir / "cells.csv").write_text("cell_id,x,y,mask,is_post,f_1\n0,0,0,1,1,0.5\n")
+        (workdir / "waypoints.csv").write_text(
+            "patrol_id,y_km,timestamp_iso8601\np1,0.5,2017-01-05T00:00:00\n")
+        (workdir / "observations.csv").write_text("x_km,y_km,timestamp_iso8601,category\n")
+        assert run(["ingest", "--output_dir=ing",
+                    '--ingest.windows=["2017-01-01T00:00:00,2017-04-01T00:00:00"]']) == 2
+
+    def test_model_with_version_only(self, workdir):
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        (workdir / "r" / "model.json").write_text('{"version": 1}\n')
+        assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
+
+
+@pytest.mark.parametrize("kind", ["trees", "gp"])
+def test_cli_defaults_are_library_defaults(workdir, kind):
+    """With no learner keys set, train fits what train_iware fits with no
+    learner options: the config's values are the learners' defaults."""
+    args = ["--simulate.preset=oneside-noise-small", "--seed=3", "--output_dir=r"]
+    assert run(["simulate", *args]) == 0
+    assert run(["train", *args, f"--ensemble.learner={kind}",
+                "--ensemble.num_thresholds=2", "--ensemble.folds=2"]) == 0
+    grid = io.read_cells_csv(workdir / "r" / "cells.csv")
+    ds = io.read_dataset_csv(workdir / "r" / "dataset.csv", grid)
+    T = ds.num_timesteps
+    train_ds = assemble_dataset(grid, ds.effort[: T - 1], ds.labels[: T - 1])
+    ens = train_iware(train_ds, I=2, folds=2, rng=3, learner_kind=kind)
+    assert json.loads((workdir / "r" / "model.json").read_text()) == ens.to_dict()
 
 
 def test_cli_import_leaves_out_scipy_stats():

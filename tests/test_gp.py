@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from patrolkit.learners import (
-    GpKernelConfig,
     LearnerError,
     TrainMatrix,
     deserialize_learner,
@@ -36,14 +35,12 @@ def brute_posterior_variance(X, xq, lengthscale, signal_var, jitter):
 
 class TestPredictions:
     def test_symmetric_points_give_half(self):
-        m = train_gp(matrix([[-1.0], [1.0]], [0, 1]),
-                     GpKernelConfig(lengthscale=1.0), rng=0)
+        m = train_gp(matrix([[-1.0], [1.0]], [0, 1]), lengthscale=1.0, rng=0)
         p, _ = predict_one(m, np.zeros(1))
         assert p == pytest.approx(0.5)
 
     def test_far_query_reverts_to_prior(self):
-        m = train_gp(matrix([[-1.0], [1.0]], [0, 1]),
-                     GpKernelConfig(lengthscale=0.7, signal_var=2.5), rng=0)
+        m = train_gp(matrix([[-1.0], [1.0]], [0, 1]), lengthscale=0.7, signal_var=2.5, rng=0)
         p, v = predict_one(m, np.array([500.0]))
         assert p == pytest.approx(0.5)
         assert v == pytest.approx(2.5)
@@ -60,7 +57,7 @@ class TestPredictions:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(25, 2))
         y = X[:, 0] + X[:, 1] > 0
-        m = train_gp(matrix(X, y), GpKernelConfig(lengthscale=1.0, signal_var=1.7), rng=0)
+        m = train_gp(matrix(X, y), lengthscale=1.0, signal_var=1.7, rng=0)
         _, v = m.predict_proba(X)
         assert np.all(v < 1e-3 * m.signal_var)
 
@@ -68,8 +65,7 @@ class TestPredictions:
         # 1-d ramp: tight cluster on the left, sparse points on the right
         X = np.array([[0.0], [0.1], [0.2], [0.3], [3.0], [6.0]])
         y = [0, 0, 0, 1, 1, 1]
-        cfg = GpKernelConfig(lengthscale=1.0, signal_var=1.0, jitter=1e-6)
-        m = train_gp(matrix(X, y), cfg, rng=0)
+        m = train_gp(matrix(X, y), lengthscale=1.0, signal_var=1.0, jitter=1e-6, rng=0)
         _, v_dense = predict_one(m, np.array([0.15]))
         _, v_sparse = predict_one(m, np.array([4.5]))
         assert v_dense < v_sparse
@@ -84,7 +80,7 @@ class TestLmlGradient:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(30, 3))
         y = (X[:, 0] - 0.4 * X[:, 2]) > 0
-        m = train_gp(matrix(X, y), GpKernelConfig(lengthscale=1.3, signal_var=0.8), rng=0)
+        m = train_gp(matrix(X, y), lengthscale=1.3, signal_var=0.8, rng=0)
         lml, g_ell, g_sv = gp_lml_and_gradient(m)
         h = 1e-5
         fd_ell = (gp_lml_and_gradient(m, lengthscale=m.lengthscale + h)[0]
@@ -100,13 +96,13 @@ class TestTraining:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(8, 2))
         y = X[:, 0] > 0
-        cfg = GpKernelConfig(lengthscale=1.1, signal_var=1.0)
-        full = train_gp(matrix(X, y), cfg, rng=0)
+        cfg = dict(lengthscale=1.1, signal_var=1.0)
+        full = train_gp(matrix(X, y), **cfg, rng=0)
         queries = rng.normal(size=(20, 2)) * 2
         _, v_full = full.predict_proba(queries)
         for drop in range(8):
             keep = [i for i in range(8) if i != drop]
-            sub = train_gp(matrix(X[keep], y[keep]), cfg, rng=0)
+            sub = train_gp(matrix(X[keep], y[keep]), **cfg, rng=0)
             _, v_sub = sub.predict_proba(queries)
             assert np.all(v_sub >= v_full - 1e-9)
 
@@ -114,12 +110,17 @@ class TestTraining:
         with pytest.raises(LearnerError):
             train_gp(matrix([[0.0]], [1]), rng=0)
 
+    def test_rejects_nonpositive_lengthscale(self):
+        for ell in (0.0, -1.0):
+            with pytest.raises(LearnerError, match="lengthscale"):
+                train_gp(matrix([[0.0], [1.0]], [0, 1]), lengthscale=ell, rng=0)
+
     def test_subsample_preserves_positives(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(500, 2))
         y = np.zeros(500, bool)
         y[::50] = True
-        m = train_gp(matrix(X, y), GpKernelConfig(lengthscale=1.0), max_points=100, rng=0)
+        m = train_gp(matrix(X, y), lengthscale=1.0, max_points=100, rng=0)
         assert m.X.shape[0] == 100
         assert int((m.y_sign > 0).sum()) == int(y.sum())
 
@@ -132,7 +133,7 @@ class TestTraining:
     def test_duplicate_points_survive_via_jitter(self):
         X = np.array([[0.0, 0.0]] * 10 + [[1.0, 1.0]] * 10)
         y = [0] * 10 + [1] * 10
-        m = train_gp(matrix(X, y), GpKernelConfig(lengthscale=1.0, jitter=1e-9), rng=0)
+        m = train_gp(matrix(X, y), lengthscale=1.0, jitter=1e-9, rng=0)
         p, _ = predict_one(m, np.array([1.0, 1.0]))
         assert p > 0.5
 
@@ -160,7 +161,6 @@ class TestTraining:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(40, 1))
         y = X[:, 0] > 0.2
-        base = train_gp(matrix(X, y), GpKernelConfig(lengthscale=5.0), rng=0)
-        tuned = train_gp(matrix(X, y),
-                         GpKernelConfig(lengthscale=5.0, optimize_hypers=True), rng=0)
+        base = train_gp(matrix(X, y), lengthscale=5.0, rng=0)
+        tuned = train_gp(matrix(X, y), lengthscale=5.0, optimize_hypers=True, rng=0)
         assert tuned.log_marginal_likelihood >= base.log_marginal_likelihood - 1e-9

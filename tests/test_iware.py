@@ -271,9 +271,7 @@ class TestTrainIware:
         ens = train_iware(ds, I=1, learner_kind="trees", rng=11, num_trees=8)
         assert ens.weights == pytest.approx([1.0])
         from patrolkit.iware import filter_dataset as fd
-        plain = train_bagged(fd(ds, 0.0), num_trees=8, balanced=True,
-                             rng=np.random.default_rng([11, 1, 0]),
-                             max_depth=10, min_leaf=1)
+        plain = train_bagged(fd(ds, 0.0), num_trees=8, rng=np.random.default_rng([11, 1, 0]))
         X = ds.design_matrix.reshape(-1, 3)
         g, _ = ens.predict_rows(X, 2.0)
         p, _ = plain.predict_proba(X)
@@ -296,6 +294,12 @@ class TestTrainIware:
         ds = _toy_training_dataset(seed=2)
         with pytest.raises(IwareError, match="num_tree"):
             train_iware(ds, I=2, learner_kind="trees", rng=0, num_tree=3)
+
+    def test_option_of_other_kind_rejected(self):
+        ds = _toy_training_dataset(seed=2)
+        for kind, option in (("gp", "num_trees"), ("trees", "max_points")):
+            with pytest.raises(IwareError, match=option):
+                train_iware(ds, I=2, learner_kind=kind, rng=0, **{option: 3})
 
     def test_serialization_round_trip(self):
         ds = _toy_training_dataset(seed=6)

@@ -100,7 +100,7 @@ class TestBagging:
         rng = np.random.default_rng(2)
         X = rng.random((400, 2))
         y = X[:, 0] + X[:, 1] > 1.0
-        model = train_bagged(matrix(X, y), num_trees=30, balanced=True, rng=4)
+        model = train_bagged(matrix(X, y), num_trees=30, balanced=True, rng=4, max_depth=12)
         Xte = rng.random((300, 2))
         yte = Xte[:, 0] + Xte[:, 1] > 1.0
         p, _ = model.predict_proba(Xte)
@@ -117,15 +117,15 @@ class TestBagging:
         X = rng.random((300, 3))
         y = (X[:, 0] + 0.2 * rng.random(300)) > 0.55
         Xte = rng.random((100, 3))
-        p1, _ = train_bagged(matrix(X, y), num_trees=50, rng=1).predict_proba(Xte)
-        p2, _ = train_bagged(matrix(X, y), num_trees=100, rng=2).predict_proba(Xte)
+        p1, _ = train_bagged(matrix(X, y), num_trees=50, rng=1, max_depth=12).predict_proba(Xte)
+        p2, _ = train_bagged(matrix(X, y), num_trees=100, rng=2, max_depth=12).predict_proba(Xte)
         assert np.mean(np.abs(p1 - p2)) <= 0.05
 
     def test_serialization_round_trip(self):
         rng = np.random.default_rng(1)
         X = rng.random((50, 2))
         y = X[:, 0] > 0.4
-        model = train_bagged(matrix(X, y), num_trees=5, rng=3)
+        model = train_bagged(matrix(X, y), num_trees=5, rng=3, max_depth=12)
         back = deserialize_learner(model.to_dict())
         np.testing.assert_array_equal(model.predict_proba(X)[0], back.predict_proba(X)[0])
         np.testing.assert_array_equal(model.memberships, back.memberships)
@@ -200,7 +200,7 @@ class TestJackknife:
         rng = np.random.default_rng(0)
         X = rng.random((60, 2))
         y = X[:, 0] > 0.5
-        model = train_bagged(matrix(X, y), num_trees=12, rng=5)
+        model = train_bagged(matrix(X, y), num_trees=12, rng=5, max_depth=12)
         Xq = rng.random((7, 2))
         batch = jackknife_variance_batch(model, Xq)
         for i in range(7):

@@ -222,8 +222,8 @@ class TestAssembleMilp:
     def test_beta_zero_reduces_to_nominal(self):
         p0 = line_problem(beta=0.0)
         m = assemble_milp(p0)
-        util = m.pwl.utility_values(0.0)
-        np.testing.assert_array_equal(util, m.pwl.prob_values)
+        util = m.problem.pwl.utility_values(0.0)
+        np.testing.assert_array_equal(util, m.problem.pwl.prob_values)
 
     def test_zero_variance_makes_beta_irrelevant(self):
         grid = flat_grid(2, 1)
@@ -246,10 +246,10 @@ class TestAssembleMilp:
         grid = flat_grid(2, 1)
         g = build_graph(grid, 0, 4)
         pwl = pwl_from_values(grid, [0.0, 1.0], [[0.1, 0.4], [0.0, 0.3]])
-        p = PlanProblem(graph=g, pwl=pwl, K=2, beta=0.0)  # T*K = 8 > 1
         with pytest.warns(UserWarning, match="clamping"):
-            m = assemble_milp(p)
-        assert m.pwl.c_max == 8.0
+            p = PlanProblem(graph=g, pwl=pwl, K=2, beta=0.0)  # T*K = 8 > 1
+        m = assemble_milp(p)
+        assert m.problem.pwl.c_max == 8.0
 
 
 class TestValidate:
