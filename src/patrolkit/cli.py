@@ -221,11 +221,9 @@ def cmd_plan(cfg, beta_sweep: bool = False) -> int:
     pwl = build_pwl(ens, grid, int(cfg["riskmap"]["segments"]), c_max, ds=ds)
     graph = build_graph(grid, post, T)
     problem = PlanProblem(graph=graph, pwl=pwl, K=K, beta=float(pcfg["beta"]))
-    method = pcfg["solver"]
 
     if beta_sweep:
-        table = improvement_ratio(problem, [float(b) for b in pcfg["beta_grid"]],
-                                  method=method if method != "auto" else "bnb")
+        table = improvement_ratio(problem, [float(b) for b in pcfg["beta_grid"]])
         with open(out / "beta_sweep.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["beta", "ratio"])
@@ -234,7 +232,7 @@ def cmd_plan(cfg, beta_sweep: bool = False) -> int:
         print(f"plan: beta sweep {[b for b, _ in table]} -> {out}/beta_sweep.csv")
         return 0
 
-    plan = solve(problem, method=method)
+    plan = solve(problem)
     plan.validate()
     io.write_json(out / "plan.json", plan.to_dict())
     print(f"plan: post={post} T={T} K={K} beta={problem.beta} "

@@ -64,7 +64,6 @@ DEFAULTS: dict = {
         "T": 6,
         "K": 2,
         "beta": 0.5,
-        "solver": "bnb",        # auto | enumerate | bnb | external
         "beta_grid": [0.0, 0.25, 0.5, 0.75, 1.0],
     },
     "fieldtest": {

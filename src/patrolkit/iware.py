@@ -149,15 +149,13 @@ def _clamp_probs(p: np.ndarray) -> np.ndarray:
 def optimize_weights_from_probs(
     probs: np.ndarray,
     labels: np.ndarray,
-    step: float = 0.5,
-    max_iter: int = 500,
-    tol: float = 1e-8,
 ) -> np.ndarray:
     """Simplex weights minimizing mean log loss of sum_i w_i p_i.
 
-    Exponentiated-gradient descent from the uniform start; the objective is
-    convex in w. Identical learner columns keep identical weights, which
-    realizes the uniform tie-break.
+    Exponentiated-gradient descent with step 0.5 from the uniform start,
+    for at most 500 steps or until no weight moves by 1e-8; the objective
+    is convex in w. Identical learner columns keep identical weights,
+    which realizes the uniform tie-break.
     """
     P = _clamp_probs(probs)
     y = np.asarray(labels, dtype=float)
@@ -166,15 +164,15 @@ def optimize_weights_from_probs(
         return np.ones(1)
     logits = np.zeros(I)
     w = np.full(I, 1.0 / I)
-    for _ in range(max_iter):
+    for _ in range(500):
         mix = np.clip(P @ w, PROB_CLAMP, 1.0 - PROB_CLAMP)
         dmix = (mix - y) / (mix * (1.0 - mix))
         grad = P.T @ dmix / n
-        logits -= step * grad
+        logits -= 0.5 * grad
         logits -= logits.max()
         e = np.exp(logits)
         w_new = e / e.sum()
-        if float(np.max(np.abs(w_new - w))) < tol:
+        if float(np.max(np.abs(w_new - w))) < 1e-8:
             w = w_new
             break
         w = w_new
@@ -278,12 +276,17 @@ class IWareEnsemble:
 
     @classmethod
     def from_dict(cls, d: dict) -> "IWareEnsemble":
+        if not isinstance(d, dict):
+            raise IwareError("ensemble document must be a JSON object")
         if d.get("version") != 1:
             raise IwareError(f"unsupported ensemble document version {d.get('version')!r}")
         try:
+            blobs = d["learners"]
+            if not isinstance(blobs, list) or not all(isinstance(b, dict) for b in blobs):
+                raise IwareError("ensemble document's learners must be a list of objects")
             return cls(
                 thresholds=ThresholdSet(thresholds=tuple(d["thresholds"])),
-                learners=[deserialize_learner(b) for b in d["learners"]],
+                learners=[deserialize_learner(b) for b in blobs],
                 weights=np.asarray(d["weights"], dtype=float),
                 learner_kind=d["learner_kind"],
                 squash_scale=float(d["squash_scale"]),

@@ -130,33 +130,28 @@ class DecisionTree:
 def _best_split(X, y, feat_ids, min_leaf):
     """Lowest weighted-Gini split; returns (gini, feature, threshold) or None.
 
-    Iterating features in ascending order and taking strict improvements
-    implements the tie-break: lowest feature index, then lowest threshold.
+    One Gini table over (threshold, feature) pairs. Its first minimum in
+    feature-major order implements the tie-break: lowest feature index,
+    then lowest threshold.
     """
     n = y.shape[0]
-    total_pos = int(y.sum())
-    best = None
-    for f in feat_ids:
-        x = X[:, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        cum_pos = np.cumsum(y[order])
-        left_n = np.arange(1, n)
-        right_n = n - left_n
-        valid = (xs[:-1] < xs[1:]) & (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not valid.any():
-            continue
-        left_pos = cum_pos[:-1]
-        right_pos = total_pos - left_pos
-        with np.errstate(invalid="ignore"):
-            pl = left_pos / left_n
-            pr = right_pos / right_n
-        gini = (left_n * 2 * pl * (1 - pl) + right_n * 2 * pr * (1 - pr)) / n
-        gini = np.where(valid, gini, np.inf)
-        i = int(np.argmin(gini))  # first occurrence -> lowest threshold
-        if best is None or gini[i] < best[0]:
-            best = (float(gini[i]), int(f), float(0.5 * (xs[i] + xs[i + 1])))
-    return best
+    Xf = X[:, feat_ids]                                          # (n, F)
+    order = np.argsort(Xf, axis=0, kind="stable")
+    xs = np.take_along_axis(Xf, order, axis=0)
+    cum_pos = np.cumsum(y[order], axis=0)
+    left_n = np.arange(1, n)[:, None]
+    right_n = n - left_n
+    valid = (xs[:-1] < xs[1:]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+    left_pos = cum_pos[:-1]
+    right_pos = cum_pos[-1] - left_pos
+    pl = left_pos / left_n
+    pr = right_pos / right_n
+    gini = (left_n * 2 * pl * (1 - pl) + right_n * 2 * pr * (1 - pr)) / n
+    gini = np.where(valid, gini, np.inf).T                       # (F, n - 1)
+    f, i = divmod(int(np.argmin(gini)), n - 1)
+    if not valid[i, f]:
+        return None
+    return float(gini[f, i]), int(feat_ids[f]), float(0.5 * (xs[i, f] + xs[i + 1, f]))
 
 
 def train_tree(
@@ -328,8 +323,7 @@ def train_bagged(
                             n_features=data.d)
 
 
-def jackknife_variance_batch(model: BaggedClassifier, X: np.ndarray,
-                             chunk: int = 64) -> np.ndarray | None:
+def jackknife_variance_batch(model: BaggedClassifier, X: np.ndarray) -> np.ndarray | None:
     """Infinitesimal-jackknife variance of the bagged prediction per query row.
 
     Sums the squared bootstrap covariance between draw counts and tree
@@ -350,13 +344,13 @@ def jackknife_variance_batch(model: BaggedClassifier, X: np.ndarray,
     n_c = (model.memberships - model.memberships.mean(axis=0, keepdims=True)).astype(float)
     sum_var_n = float((n_c**2).mean(axis=0).sum())
     out = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], chunk):
-        votes = model.tree_votes(X[lo:lo + chunk])           # (B, q)
+    for lo in range(0, X.shape[0], 64):                      # 64 query rows per pass
+        votes = model.tree_votes(X[lo:lo + 64])              # (B, q)
         t_c = votes - votes.mean(axis=0, keepdims=True)
         cov = n_c.T @ t_c / B                                # (n_train, q)
         raw = (cov**2).sum(axis=0)
         bias = sum_var_n / B * (t_c**2).mean(axis=0)
-        out[lo:lo + chunk] = np.maximum(raw - bias, 0.0)
+        out[lo:lo + 64] = np.maximum(raw - bias, 0.0)
     return out
 
 
@@ -459,8 +453,9 @@ def _log_sigmoid(x):
     return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
 
 
-def _newton_mode(K: np.ndarray, y: np.ndarray, tol: float = 1e-6, max_iter: int = 100):
-    """Find the latent posterior mode (logistic likelihood).
+def _newton_mode(K: np.ndarray, y: np.ndarray):
+    """Find the latent posterior mode (logistic likelihood): Newton steps
+    until no latent value moves by 1e-6, at most 100 of them.
 
     Raises on Cholesky failure; the caller escalates jitter.
     """
@@ -468,7 +463,7 @@ def _newton_mode(K: np.ndarray, y: np.ndarray, tol: float = 1e-6, max_iter: int 
     t = (y + 1.0) / 2.0
     f = np.zeros(n)
     eye = np.eye(n)
-    for _ in range(max_iter):
+    for _ in range(100):
         pi = _sigmoid_stable(f)
         w = pi * (1.0 - pi)
         sw = np.sqrt(w)
@@ -480,7 +475,7 @@ def _newton_mode(K: np.ndarray, y: np.ndarray, tol: float = 1e-6, max_iter: int 
         f_new = K @ a
         delta = float(np.max(np.abs(f_new - f)))
         f = f_new
-        if delta < tol:
+        if delta < 1e-6:
             break
     return f
 

@@ -24,6 +24,7 @@ deterministic, and another LP engine may return another route split.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -56,7 +57,7 @@ class PlanProblem:
         if not 0.0 <= self.beta <= 1.0:
             raise PlannerError("beta must lie in [0, 1]")
         # coverage reaches T*K: a shorter PWL domain is flat-extended (with a
-        # warning) here, once, so every solve route and copy shares it
+        # warning) here, once, so every solve and copy shares it
         object.__setattr__(self, "pwl", self.pwl.extended_to(self.graph.horizon * self.K))
 
 
@@ -73,8 +74,8 @@ class MilpModel:
 
     The core system (flows + breakpoint weights) is what the internal
     branch and bound solves; the full system additionally carries the
-    binary selector columns and their linking rows for the LP-file export
-    and the HiGHS MIP route. Constraint matrices are sparse (CSC).
+    binary selector columns and their linking rows, the SOS2 model that
+    ``write_lp_file`` exports. Constraint matrices are sparse (CSC).
     """
 
     problem: PlanProblem
@@ -87,7 +88,7 @@ class MilpModel:
     core_obj: np.ndarray
     core_A_eq: sparse.csc_array
     core_b_eq: np.ndarray
-    # full system with binary selectors, for export and the HiGHS MIP route
+    # full system with binary selectors, for the LP-file export
     obj: np.ndarray
     A_eq: sparse.csc_array
     b_eq: np.ndarray
@@ -222,6 +223,42 @@ def assemble_milp(problem: PlanProblem) -> MilpModel:
         A_ub=A_ub, b_ub=np.zeros(n_cells * n_bp),
         z_cols=z.ravel().astype(np.int64), var_names=names,
     )
+
+
+def _terms(cols: np.ndarray, coeffs: np.ndarray, names: list[str]) -> str:
+    parts = [f"{'-' if v < 0 else '+'} {abs(v):.17g} {names[j]}" for j, v in zip(cols, coeffs)]
+    if not parts:
+        return "0 " + names[0]
+    out = " ".join(parts)
+    return out[2:] if out.startswith("+ ") else out
+
+
+def _row_terms(A, names: list[str]) -> list[str]:
+    A = A.tocsr()
+    return [_terms(A.indices[a:b], A.data[a:b], names) for a, b in zip(A.indptr, A.indptr[1:])]
+
+
+def write_lp_file(model: MilpModel, path) -> None:
+    """CPLEX LP format. Flows are f_t_u_v, breakpoint weights lam_cell_bp,
+    selectors z_cell_seg (declared binary). The objective constant from
+    coverage-free cells is not representable in the format and is left
+    out; plan objectives are recomputed from coverage over every park cell."""
+    names = model.var_names
+    nz = np.flatnonzero(model.obj)
+    lines = ["\\ patrol plan model", "Maximize", f" obj: {_terms(nz, model.obj[nz], names)}"]
+    lines.append("Subject To")
+    for i, terms in enumerate(_row_terms(model.A_eq, names)):
+        lines.append(f" eq{i}: {terms} = {model.b_eq[i]:.17g}")
+    for i, terms in enumerate(_row_terms(model.A_ub, names)):
+        lines.append(f" ub{i}: {terms} <= {model.b_ub[i]:.17g}")
+    lines.append("Bounds")
+    for j in range(model.n_vars):
+        lines.append(f" 0 <= {names[j]} <= 1")
+    lines.append("Binary")
+    for col in model.z_cols:
+        lines.append(f" {names[col]}")
+    lines.append("End")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LpResult:

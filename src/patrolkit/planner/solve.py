@@ -1,18 +1,12 @@
 """Plan solving, route decomposition, and the robustness sweep.
 
-Three solution routes:
-
-* ``enumerate`` walks every feasible patrol path. It is an exact oracle
-  only when every cell's utility is convex in coverage (then some optimal
-  mixed strategy sits at a vertex of the flow polytope, i.e. a single
-  path); it refuses nonconvex instances, where mixtures can strictly beat
-  every pure path.
-* ``bnb`` (default) solves the MILP with the internal branch and bound.
-* ``external`` solves the full SOS2 model (the one ``write_lp_file``
-  exports) in process with scipy's HiGHS MIP.
-
-``auto`` picks enumeration when it is both exact and small enough
-(at most ``PATH_LIMIT`` paths), otherwise branch and bound.
+``solve`` runs the window branch and bound of ``milp`` (``bnb``). Path
+enumeration (``enumerate``) is kept as the exact oracle the tests compare
+against: it walks every feasible patrol path, which is exact only when
+every cell's utility is convex in coverage (then some optimal mixed
+strategy sits at a vertex of the flow polytope, i.e. a single path), and
+it refuses nonconvex instances, where mixtures can strictly beat every
+pure path.
 """
 
 from __future__ import annotations
@@ -76,28 +70,13 @@ class PatrolPlan:
         }
 
 
-def utilities_convex(problem: PlanProblem, tol: float = 1e-12) -> bool:
-    """True when every park cell's utility is convex in coverage."""
+def utilities_convex(problem: PlanProblem) -> bool:
+    """True when every park cell's utility is convex in coverage (slopes
+    non-decreasing up to 1e-12)."""
     u = problem.pwl.utility_values(problem.beta)
     br = problem.pwl.breakpoints
     slopes = np.diff(u[problem.graph.grid.masked_ids()], axis=1) / np.diff(br)[None, :]
-    return bool(np.all(np.diff(slopes, axis=1) >= -tol))
-
-
-def _plan_from_solution(model: MilpModel, x: np.ndarray, solver: str) -> PatrolPlan:
-    problem = model.problem
-    g = problem.graph
-    flow = np.clip(model.flow_values(x), 0.0, 1.0)
-    flow[flow < 1e-12] = 0.0
-    coverage = g.coverage_from_flow(flow, problem.K)
-    routes = decompose_flow(g, flow)
-    return PatrolPlan(
-        graph=g, K=problem.K, beta=problem.beta, flow=flow, coverage=coverage,
-        routes=routes,
-        objective=objective_of_coverage(problem.pwl, g.grid, coverage, problem.beta),
-        objective_nominal=objective_of_coverage(problem.pwl, g.grid, coverage, 0.0),
-        solver=solver,
-    )
+    return bool(np.all(np.diff(slopes, axis=1) >= -1e-12))
 
 
 def solve_by_enumeration(problem: PlanProblem) -> PatrolPlan:
@@ -130,32 +109,35 @@ def solve_by_enumeration(problem: PlanProblem) -> PatrolPlan:
     )
 
 
-def solve(problem: PlanProblem, method: str = "auto") -> PatrolPlan:
-    """Solve one plan problem. ``method``: auto | enumerate | bnb | external."""
-    if method == "auto":
-        if utilities_convex(problem) and problem.graph.count_paths() <= PATH_LIMIT:
-            method = "enumerate"
-        else:
-            method = "bnb"
+def solve(problem: PlanProblem, method: str = "bnb") -> PatrolPlan:
+    """Solve one plan problem by branch and bound (``bnb``), or by path
+    enumeration (``enumerate``, the convex-only oracle)."""
     if method == "enumerate":
         return solve_by_enumeration(problem)
-    if method == "bnb":
-        model = assemble_milp(problem)
-        x, _ = branch_and_bound(model)
-        return _plan_from_solution(model, x, "bnb")
-    if method == "external":
-        from .external import solve_external
+    if method != "bnb":
+        raise PlannerError(f"unknown solve method {method!r}")
+    model = assemble_milp(problem)
+    x, _ = branch_and_bound(model)
+    g = problem.graph
+    flow = np.clip(model.flow_values(x), 0.0, 1.0)
+    flow[flow < 1e-12] = 0.0
+    coverage = g.coverage_from_flow(flow, problem.K)
+    return PatrolPlan(
+        graph=g, K=problem.K, beta=problem.beta, flow=flow, coverage=coverage,
+        routes=decompose_flow(g, flow),
+        objective=objective_of_coverage(problem.pwl, g.grid, coverage, problem.beta),
+        objective_nominal=objective_of_coverage(problem.pwl, g.grid, coverage, 0.0),
+        solver="bnb",
+    )
 
-        return solve_external(problem)
-    raise PlannerError(f"unknown solve method {method!r}")
 
-
-def decompose_flow(g: TimeUnrolledGraph, flow: np.ndarray, tol: float = 1e-12) -> tuple:
+def decompose_flow(g: TimeUnrolledGraph, flow: np.ndarray) -> tuple:
     """Strip a unit source-sink flow into weighted paths.
 
     Greedy: follow the largest-flow out-edge (ties to the lowest edge
     index), subtract the bottleneck, repeat. At most one path per edge;
-    weights sum to the source outflow (1 for a feasible plan).
+    weights sum to the source outflow (1 for a feasible plan). Residual
+    flow at or below 1e-12 counts as none.
     """
     if g.horizon == 1:
         return (((g.post,), 1.0),)
@@ -163,13 +145,13 @@ def decompose_flow(g: TimeUnrolledGraph, flow: np.ndarray, tol: float = 1e-12) -
     routes = []
     for _ in range(g.num_edges):
         out_src = sum(residual[e] for e in g.out_edges(g.source))
-        if out_src <= tol:
+        if out_src <= 1e-12:
             break
         node = g.source
         cells = [g.post]
         taken = []
         while node != g.sink:
-            candidates = [e for e in g.out_edges(node) if residual[e] > tol]
+            candidates = [e for e in g.out_edges(node) if residual[e] > 1e-12]
             if not candidates:
                 raise PlannerError("flow does not decompose; conservation violated")
             e = max(candidates, key=lambda e: (residual[e], -e))
@@ -181,11 +163,6 @@ def decompose_flow(g: TimeUnrolledGraph, flow: np.ndarray, tol: float = 1e-12) -
             residual[e] -= w
         routes.append((tuple(cells), float(w)))
     return tuple(routes)
-
-
-def decompose_routes(plan: PatrolPlan) -> list[tuple[tuple[int, ...], float]]:
-    """Route decomposition of a solved plan."""
-    return list(decompose_flow(plan.graph, plan.flow))
 
 
 def improvement_ratio(problem: PlanProblem, beta_grid, method: str = "bnb",

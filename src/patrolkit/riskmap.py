@@ -90,7 +90,7 @@ class PwlRiskModel:
             raise IwareError("breakpoints must start at 0 and strictly increase")
         object.__setattr__(self, "breakpoints", br)
         for name in ("prob_values", "var_values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             if arr.shape != (self.grid.n_cells, br.size):
                 raise IwareError(f"{name} must be (n_cells, m+1)")
             object.__setattr__(self, name, arr)
@@ -134,35 +134,28 @@ def default_c_max(ds: PatrolDataset) -> float:
 
 
 def build_pwl(
-    source: IWareEnsemble | RiskMap,
+    ens: IWareEnsemble,
     grid: ParkGrid,
     m: int,
     c_max: float,
-    ds: PatrolDataset | None = None,
+    ds: PatrolDataset,
 ) -> PwlRiskModel:
-    """Sample the effort-response functions at m+1 uniform breakpoints.
-
-    ``source`` is either a trained ensemble (needs ``ds`` for the
-    previous-effort covariate), swept at the breakpoints, or an existing
-    RiskMap to resample.
-    """
+    """Sample the effort-response functions at m+1 uniform breakpoints on
+    [0, c_max]: the ensemble's risk-map sweep (``ds`` gives the
+    previous-effort covariate) taken at the breakpoints, one row per cell."""
     if m < 1:
         raise IwareError("need at least one segment")
     if c_max <= 0:
         raise IwareError("c_max must be positive")
     br = np.linspace(0.0, float(c_max), m + 1)
-    n = grid.n_cells
-    prob = np.full((n, m + 1), np.nan)
-    var = np.full((n, m + 1), np.nan)
-    if not isinstance(source, RiskMap):
-        if ds is None:
-            raise IwareError("building a PWL model from an ensemble needs the dataset")
-        source = sweep_riskmap(source, grid, ds, br)
-    levels = np.asarray(source.effort_levels)
-    for cid in grid.masked_ids():
-        prob[cid] = np.interp(br, levels, source.prob[:, cid])
-        var[cid] = np.interp(br, levels, source.var[:, cid])
-    return PwlRiskModel(grid=grid, breakpoints=br, prob_values=prob, var_values=var)
+    rm = sweep_riskmap(ens, grid, ds, br)
+    return PwlRiskModel(grid=grid, breakpoints=br, prob_values=rm.prob.T, var_values=rm.var.T)
+
+
+# field-test protocol: the high, medium and low risk percentile bands, and
+# the historical-effort percentile above which a block is left out
+PERCENTILE_BANDS = ((80, 100), (40, 60), (0, 20))
+EFFORT_CUTOFF_PERCENTILE = 50.0
 
 
 @dataclass(frozen=True)
@@ -173,15 +166,13 @@ class BlockSelection:
     high: tuple[tuple[int, float], ...]    # (center cell, block risk)
     medium: tuple[tuple[int, float], ...]
     low: tuple[tuple[int, float], ...]
-    percentile_bands: tuple = ((80, 100), (40, 60), (0, 20))
-    effort_cutoff_percentile: float = 50.0
     truncated: bool = False  # fewer valid blocks than requested
 
     def to_dict(self) -> dict:
         return {
             "block_size_cells": self.block_size_cells,
-            "percentile_bands": [list(b) for b in self.percentile_bands],
-            "effort_cutoff_percentile": self.effort_cutoff_percentile,
+            "percentile_bands": [list(b) for b in PERCENTILE_BANDS],
+            "effort_cutoff_percentile": EFFORT_CUTOFF_PERCENTILE,
             "truncated": self.truncated,
             "high": [[int(c), float(r)] for c, r in self.high],
             "medium": [[int(c), float(r)] for c, r in self.medium],
@@ -213,8 +204,6 @@ def select_field_test_blocks(
     historical_effort: np.ndarray,
     block_size: int = 3,
     per_band: int = 5,
-    bands: tuple = ((80, 100), (40, 60), (0, 20)),
-    effort_cutoff_percentile: float = 50.0,
 ) -> BlockSelection:
     """Candidate high/medium/low blocks for a ground field test.
 
@@ -231,7 +220,7 @@ def select_field_test_blocks(
     if not risk_blocks:
         raise IwareError("no fully masked blocks available")
     efforts = np.asarray([e for _, _, e in eff_blocks])
-    cutoff = np.percentile(efforts, effort_cutoff_percentile)
+    cutoff = np.percentile(efforts, EFFORT_CUTOFF_PERCENTILE)
     kept = [(bi, ctr, r) for (bi, ctr, r), (_, _, e) in zip(risk_blocks, eff_blocks) if e <= cutoff]
 
     nk = len(kept)
@@ -242,7 +231,7 @@ def select_field_test_blocks(
 
     truncated = False
     chosen: list[tuple[tuple[int, float], ...]] = []
-    for lo, hi in bands:
+    for lo, hi in PERCENTILE_BANDS:
         members = [i for i in range(nk) if lo <= pct[i] <= hi]
         members.sort(key=lambda i: (-kept[i][2], kept[i][0]))
         if len(members) < per_band:
@@ -253,6 +242,4 @@ def select_field_test_blocks(
         chosen.append(tuple((kept[i][1], kept[i][2]) for i in members[:per_band]))
 
     return BlockSelection(block_size_cells=block_size, high=chosen[0],
-                          medium=chosen[1], low=chosen[2], percentile_bands=bands,
-                          effort_cutoff_percentile=effort_cutoff_percentile,
-                          truncated=truncated)
+                          medium=chosen[1], low=chosen[2], truncated=truncated)

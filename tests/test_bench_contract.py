@@ -4,7 +4,8 @@
 checks outputs through a handful of public names. Both break silently on
 an API change (a traced run would fail only when the benchmark is run), so
 this test installs the tracer in a fresh process and exercises those names
-on a small park, with a tree and a GP ensemble.
+on a small park, with a tree and a GP ensemble, and makes the planner calls
+of ``bench/planlong.py``.
 """
 
 import os
@@ -43,6 +44,22 @@ m = layer_metrics([tracer.spans], 1)
 assert m["iware.cv_s"][0] > 0 and m["iware.refit_s"][0] > 0, m
 assert m["iware.fits_kept_ratio"][0] == 2 / 6, m  # 2 folds x 2 fits, then 2 kept
 assert m["iware.member_outputs_calls"][0] >= 3, m
+
+# the planner calls bench/planlong.py makes, on curves built like its own
+from patrolkit import planner
+curves = riskmap.PwlRiskModel(grid=grid, breakpoints=pwl.breakpoints,
+                              prob_values=pwl.prob_values, var_values=pwl.var_values)
+graph = planner.build_graph(grid, grid.patrol_posts[0], 4)
+problem = planner.PlanProblem(graph=graph, pwl=curves, K=1, beta=0.5)
+plan = planner.solve(problem, method="bnb")
+plan.validate()
+assert plan.to_dict()["solver"] == "bnb"
+table, _, plans = planner.improvement_ratio(problem, [0.0, 0.5], method="bnb",
+                                            return_plans=True)
+assert [b for b, _ in table] == [0.0, 0.5] and sorted(plans) == [0.0, 0.5]
+m = layer_metrics([tracer.spans], 1)
+assert m["planner.lp_calls"][0] > 0 and m["planner.solves"][0] >= 1, m
+assert m["planner.lp_rows"][0] > 0, m
 
 # the GP hooks: fits inside train_iware, loads inside IWareEnsemble.from_dict
 gp = patrolkit.cli.train_iware(ds, I=2, learner_kind="gp", rng=0, folds=2, max_points=40)

@@ -53,6 +53,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, ["--no.such.key=1"])
 
+    def test_planner_solver_key_is_gone(self, workdir, capsys):
+        # the solver is not a setting: branch and bound runs every plan
+        assert run(["plan", "--planner.solver=bnb", "--output_dir=r"]) == 2
+        assert "unknown configuration key 'planner.solver'" in capsys.readouterr().err
+
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent.conf", [])
@@ -151,6 +156,18 @@ class TestMalformedInputs:
     def test_model_with_version_only(self, workdir):
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
         (workdir / "r" / "model.json").write_text('{"version": 1}\n')
+        assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
+
+    def test_model_not_an_object(self, workdir):
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        (workdir / "r" / "model.json").write_text("[1, 2]\n")
+        assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
+
+    def test_model_with_null_learners(self, workdir):
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        doc = {"version": 1, "thresholds": [0.0], "learners": None, "weights": [1.0],
+               "learner_kind": "trees", "squash_scale": 1.0, "n_features": 3}
+        (workdir / "r" / "model.json").write_text(json.dumps(doc) + "\n")
         assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
 
 

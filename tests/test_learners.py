@@ -6,6 +6,7 @@ from patrolkit.learners import (
     DecisionTree,
     LearnerError,
     TrainMatrix,
+    _best_split,
     deserialize_learner,
     jackknife_variance_batch,
     train_bagged,
@@ -67,6 +68,42 @@ class TestTrainTree:
         t = train_tree(matrix(X, y), max_depth=4, rng=1)
         t2 = DecisionTree.from_dict(t.to_dict())
         np.testing.assert_array_equal(t.predict(X), t2.predict(X))
+
+    def test_split_table_equals_per_feature_loop(self):
+        # the per-feature scan _best_split's one table replaces; same
+        # arithmetic, so the results must be equal, not close
+        def loop_split(X, y, feat_ids, min_leaf):
+            n, total_pos, best = y.shape[0], int(y.sum()), None
+            for f in feat_ids:
+                order = np.argsort(X[:, f], kind="stable")
+                xs, cum_pos = X[order, f], np.cumsum(y[order])
+                left_n = np.arange(1, n)
+                right_n = n - left_n
+                valid = (xs[:-1] < xs[1:]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+                if not valid.any():
+                    continue
+                pl = cum_pos[:-1] / left_n
+                pr = (total_pos - cum_pos[:-1]) / right_n
+                gini = (left_n * 2 * pl * (1 - pl) + right_n * 2 * pr * (1 - pr)) / n
+                gini = np.where(valid, gini, np.inf)
+                i = int(np.argmin(gini))
+                if best is None or gini[i] < best[0]:
+                    best = (float(gini[i]), int(f), float(0.5 * (xs[i] + xs[i + 1])))
+            return best
+
+        rng = np.random.default_rng(11)
+        for case in range(2000):
+            n, d = int(rng.integers(2, 30)), int(rng.integers(1, 6))
+            if case % 2:  # few distinct values: threshold and feature ties
+                X = rng.integers(0, int(rng.integers(1, 4)), size=(n, d)).astype(float)
+            else:
+                X = rng.random((n, d))
+            if case % 3 == 0:
+                X[:, 0] = X[:, -1]
+            y = rng.random(n) < rng.random()
+            feats = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+            min_leaf = int(rng.integers(1, 5))
+            assert _best_split(X, y, feats, min_leaf) == loop_split(X, y, feats, min_leaf)
 
 
 class TestBagging:

@@ -10,7 +10,6 @@ from patrolkit.planner import (
     assemble_milp,
     branch_and_bound,
     build_graph,
-    decompose_routes,
     improvement_ratio,
     objective_of_coverage,
     solve,
@@ -152,7 +151,7 @@ class TestSolve:
         assert plan.objective == pytest.approx(0.2, abs=1e-9)
         assert plan.coverage[0] == pytest.approx(2.0)
         assert plan.coverage[1] == pytest.approx(1.0)
-        assert decompose_routes(plan) == [((0, 1, 0), 1.0)]
+        assert list(plan.routes) == [((0, 1, 0), 1.0)]
 
     def test_zero_utilities_feasible(self):
         p = line_problem()
@@ -161,10 +160,6 @@ class TestSolve:
         plan = solve(PlanProblem(graph=p.graph, pwl=zero, K=1, beta=0.0), method="bnb")
         plan.validate()
         assert plan.objective == pytest.approx(0.0, abs=1e-9)
-
-    def test_auto_uses_enumeration_on_convex(self):
-        plan = solve(line_problem(), method="auto")
-        assert plan.solver == "enumerate"
 
     def test_enumeration_refuses_nonconvex(self):
         p = random_nonconvex_problem(3)
@@ -206,7 +201,7 @@ class TestSolve:
             objective_of_coverage(p.pwl, grid, g.coverage_of_path(path, 1), 0.0)
             for path in g.enumerate_paths(1000))
         assert plan.objective > best_path + 0.25  # 0.8 vs 0.5
-        assert len(decompose_routes(plan)) == 2
+        assert len(plan.routes) == 2
 
     def test_infeasible_when_post_missing(self):
         grid = flat_grid(2, 1)
@@ -279,8 +274,8 @@ class TestValidate:
 class TestDecompose:
     def test_integral_flow_single_path(self):
         plan = solve(line_problem(), method="enumerate")
-        routes = decompose_routes(plan)
-        assert routes == [((0, 1, 0), 1.0)]
+        routes = decompose_flow(plan.graph, plan.flow)
+        assert routes == (((0, 1, 0), 1.0),)
 
     def test_stay_path_when_flow_sits_on_loop(self):
         grid = flat_grid(2, 1)
@@ -307,7 +302,7 @@ class TestDecompose:
         for seed in range(8):
             p = random_nonconvex_problem(seed)
             plan = solve(p, method="bnb")
-            routes = decompose_routes(plan)
+            routes = list(plan.routes)
             assert abs(sum(w for _, w in routes) - 1.0) <= 1e-9
             assert len(routes) <= p.graph.num_edges
             assert all(w > 0 for _, w in routes)
@@ -365,15 +360,6 @@ class TestLpInterface:
         assert res.success
         _, internal = branch_and_bound(model)
         assert abs(-res.fun - internal) <= 1e-6
-
-    def test_external_agrees_with_bnb(self):
-        for seed in range(8):
-            p = random_nonconvex_problem(seed)
-            ext = solve(p, method="external")
-            internal = solve(p, method="bnb")
-            ext.validate()
-            assert ext.solver == "external:highs"
-            assert abs(ext.objective - internal.objective) <= 1e-6
 
 
 def _parse_lp(text, var_names):

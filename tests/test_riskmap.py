@@ -5,7 +5,6 @@ from patrolkit.grid import assemble_dataset
 from patrolkit.iware import IwareError, train_iware
 from patrolkit.riskmap import (
     PwlRiskModel,
-    RiskMap,
     build_pwl,
     default_c_max,
     select_field_test_blocks,
@@ -128,9 +127,10 @@ class TestPwl:
         ids = grid.masked_ids()
         # at c=0 only the first learner qualifies
         assert pwl.prob_values[ids, 0] == pytest.approx([0.3] * 4)
-        rm = sweep_riskmap(ens, grid, ds, [0.5, 1.0, 2.0])
-        pwl2 = build_pwl(rm, grid, m=4, c_max=2.0)
-        assert pwl2.prob_values[ids[0], -1] == pytest.approx(rm.prob[-1, ids[0]])
+        # the curves are the risk-map sweep at the breakpoints, transposed
+        rm = sweep_riskmap(ens, grid, ds, pwl.breakpoints)
+        np.testing.assert_array_equal(pwl.prob_values, rm.prob.T)
+        np.testing.assert_array_equal(pwl.var_values, rm.var.T)
 
     def test_default_c_max(self):
         grid = flat_grid(2, 1, k=1)
