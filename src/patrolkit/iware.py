@@ -294,6 +294,10 @@ class IWareEnsemble:
             )
         except KeyError as err:
             raise IwareError(f"ensemble document lacks key {err}") from None
+        except IwareError:
+            raise
+        except (TypeError, ValueError) as err:
+            raise IwareError(f"ensemble document has a malformed field: {err}") from None
 
 
 def predict_effort_conditioned(ens: IWareEnsemble, query: RiskQuery) -> tuple[float, float]:

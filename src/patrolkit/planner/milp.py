@@ -13,12 +13,16 @@ as zeroing the selectors outside it, but splitting a window halves the
 search space where branching a single selector barely tightens it. Inside
 a width-one window the weights are forced onto two adjacent breakpoints,
 so integrality never needs a separate check. The node relaxations drop
-the selector columns entirely and are solved by HiGHS (scipy's linprog);
-every relaxation's flow is itself a feasible plan, which supplies
-incumbents. The objective's tie-break term, PERTURBATION times the edge
-index, lies below HiGHS's optimality tolerance, so it does not pick one
-among flows of equal coverage: repeated solves agree because HiGHS is
-deterministic, and another LP engine may return another route split.
+the selector columns entirely, and every relaxation's flow is itself a
+feasible plan, which supplies incumbents.
+
+Each branch and bound loads the relaxation into one HiGHS instance
+(scipy's bundled binding). The root is solved cold by primal simplex.
+A node only sets the upper bounds of the weights outside its windows to
+zero, which keeps the previous node's basis valid, so every later node is
+hot-started by dual simplex. Flows of equal coverage are not told apart
+by the objective: the route split is whichever optimal basis HiGHS
+reaches, which repeats exactly because HiGHS is deterministic.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs_core  # private: tests check its names
 
 from ..riskmap import PwlRiskModel
 from .graph import PlanInfeasibleError, PlannerError, TimeUnrolledGraph
@@ -38,10 +42,24 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
 FAILED = "failed"
-_LINPROG_STATUS = {1: ITERATION_LIMIT, 2: INFEASIBLE, 3: UNBOUNDED}
+_MODEL_STATUS = highs_core.HighsModelStatus
+_STATUS = {
+    _MODEL_STATUS.kOptimal: OPTIMAL,
+    _MODEL_STATUS.kInfeasible: INFEASIBLE,
+    _MODEL_STATUS.kUnbounded: UNBOUNDED,
+    _MODEL_STATUS.kIterationLimit: ITERATION_LIMIT,
+    _MODEL_STATUS.kTimeLimit: ITERATION_LIMIT,
+}
+# a cold solve of the flow system is much faster by primal simplex; after
+# a bound change the old basis stays dual feasible, so re-solves use dual.
+# Presolve is off: it saves little time on these LPs, and without it the
+# root's flows come straight from the simplex basis, as every child's do
+# (postsolved flows carried round-off, such as route weights of 1 - 3e-16).
+_SIMPLEX = highs_core.simplex_constants.SimplexStrategy
+COLD_STRATEGY = _SIMPLEX.kSimplexStrategyPrimal
+HOT_STRATEGY = _SIMPLEX.kSimplexStrategyDual
 NODE_LIMIT = 100000
 MIP_GAP = 1e-6
-PERTURBATION = 1e-9
 
 
 @dataclass(frozen=True)
@@ -117,16 +135,12 @@ class MilpModel:
 
         Any feasible flow is MILP-feasible: its coverage can always be
         written as a convex combination of two adjacent breakpoints. The
-        value is the interpolated utility over graph cells plus the flow
-        perturbation, matching the LP objective (which omits obj_const).
+        value is the interpolated utility over graph cells, matching the LP
+        objective (which omits obj_const).
         """
-        flow = self.flow_values(x)
-        g = self.problem.graph
-        cov = g.coverage_from_flow(flow, self.problem.K)
-        total = float(self.core_obj[: self.n_flow] @ flow)
-        for cid in self.cells:
-            total += float(np.interp(cov[cid], self.problem.pwl.breakpoints, self.util[cid]))
-        return total
+        cov = self.problem.graph.coverage_from_flow(self.flow_values(x), self.problem.K)
+        br = self.problem.pwl.breakpoints
+        return sum((float(np.interp(cov[cid], br, self.util[cid])) for cid in self.cells), 0.0)
 
 
 def objective_of_coverage(pwl: PwlRiskModel, grid, coverage: np.ndarray, beta: float) -> float:
@@ -166,7 +180,7 @@ def assemble_milp(problem: PlanProblem) -> MilpModel:
     names += [f"lam_{cid}_{j}" for cid in cells for j in range(n_bp)]
     names += [f"z_{cid}_{s}" for cid in cells for s in range(1, n_seg + 1)]
 
-    core_obj = np.concatenate([-PERTURBATION * np.arange(n_flow), util[cells].ravel()])
+    core_obj = np.concatenate([np.zeros(n_flow), util[cells].ravel()])
     in_graph = set(cells)
     obj_const = sum((float(util[cid, 0]) for cid in g.grid.masked_ids()
                      if int(cid) not in in_graph), 0.0)
@@ -261,36 +275,69 @@ def write_lp_file(model: MilpModel, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LpResult:
-    """max c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0, by HiGHS."""
+def load_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+    """A HiGHS instance holding  max c.x  s.t.  A_ub x <= b_ub,
+    A_eq x = b_eq,  x >= 0, set up for a cold primal solve."""
     c = np.asarray(c, dtype=float)
-    res = linprog(-c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=(0, None), method="highs")
-    if res.status == 0:
-        return LpResult(OPTIMAL, res.x, float(c @ res.x))
-    status = _LINPROG_STATUS.get(res.status, FAILED)
-    return LpResult(status, None, np.inf if status == UNBOUNDED else -np.inf)
+    none = (np.zeros((0, c.size)), np.zeros(0))
+    A_ub, b_ub = none if A_ub is None else (A_ub, np.asarray(b_ub, dtype=float))
+    A_eq, b_eq = none if A_eq is None else (A_eq, np.asarray(b_eq, dtype=float))
+    A = sparse.csc_array(sparse.vstack([sparse.csc_array(A_ub), sparse.csc_array(A_eq)]))
+    lp = highs_core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
+    lp.col_cost_ = -c
+    lp.col_lower_ = np.zeros(c.size)
+    lp.col_upper_ = np.full(c.size, highs_core.kHighsInf)
+    lp.row_lower_ = np.concatenate([np.full(b_ub.size, -np.inf), b_eq])
+    lp.row_upper_ = np.concatenate([b_ub, b_eq])
+    lp.a_matrix_.format_ = highs_core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = A.indptr
+    lp.a_matrix_.index_ = A.indices
+    lp.a_matrix_.value_ = A.data
+    highs = highs_core._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("presolve", "off")
+    highs.setOptionValue("simplex_strategy", COLD_STRATEGY)
+    if highs.passModel(lp) == highs_core.HighsStatus.kError:
+        raise PlannerError("HiGHS rejected the LP")
+    return highs
 
 
-def _solve_window_lp(model: MilpModel, windows: np.ndarray):
-    """LP relaxation with each cell's weights confined to its breakpoint
-    window. Returns (status, x_core, objective)."""
+def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, highs=None) -> LpResult:
+    """max c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0, by HiGHS.
+
+    ``highs`` is an instance from ``load_lp`` that already holds this LP,
+    perhaps with changed column bounds. Its first solve is cold primal
+    simplex; every later one starts from the last basis by dual simplex.
+    Without it the LP is loaded into a fresh instance.
+    """
+    if highs is None:
+        highs = load_lp(c, A_ub, b_ub, A_eq, b_eq)
+    highs.run()
+    highs.setOptionValue("simplex_strategy", HOT_STRATEGY)
+    status = _STATUS.get(highs.getModelStatus(), FAILED)
+    if status != OPTIMAL:
+        return LpResult(status, None, np.inf if status == UNBOUNDED else -np.inf)
+    x = np.array(highs.getSolution().col_value)
+    return LpResult(OPTIMAL, x, float(np.asarray(c, dtype=float) @ x))
+
+
+def _solve_window_lp(model: MilpModel, highs, windows: np.ndarray) -> LpResult:
+    """Core LP relaxation with each cell's weights confined to its
+    breakpoint window, re-solved on ``highs`` (from ``load_lp``)."""
     j = np.arange(model.n_bp)
     inside = (j >= windows[:, :1]) & (j <= windows[:, 1:])
-    cols = np.concatenate([np.arange(model.n_flow), model.n_flow + np.flatnonzero(inside)])
-    res = solve_lp(model.core_obj[cols], None, None,
-                   model.core_A_eq[:, cols], model.core_b_eq)
-    if res.status != OPTIMAL:
-        return res.status, None, -np.inf
-    x = np.zeros(model.n_core)
-    x[cols] = res.x
-    return OPTIMAL, x, res.objective
+    cols = np.arange(model.n_flow, model.n_core, dtype=np.int32)
+    highs.changeColsBounds(cols.size, cols, np.zeros(cols.size),
+                           np.where(inside.ravel(), highs_core.kHighsInf, 0.0))
+    return solve_lp(model.core_obj, None, None, model.core_A_eq, model.core_b_eq, highs=highs)
 
 
 def branch_and_bound(model: MilpModel):
     """Maximize over SOS2-feasible weight assignments.
 
-    Returns (x_core, perturbed_objective). Depth-first over breakpoint
+    Returns (x_core, objective). Depth-first over breakpoint
     windows; each relaxation's flow doubles as a primal incumbent, and a
     node is closed once its relaxation value is within the MIP gap of the
     interpolated utility of its own flow.
@@ -303,17 +350,19 @@ def branch_and_bound(model: MilpModel):
     root = np.tile(np.array([0, m]), (n_cells, 1))
     stack = [root]
     nodes = 0
+    highs = load_lp(model.core_obj, None, None, model.core_A_eq, model.core_b_eq)
 
     while stack:
         windows = stack.pop()
         nodes += 1
         if nodes > NODE_LIMIT:
             raise PlannerError("branch-and-bound node limit exceeded")
-        status, x, ub = _solve_window_lp(model, windows)
-        if status != OPTIMAL:
-            if status == INFEASIBLE:
+        res = _solve_window_lp(model, highs, windows)
+        if res.status != OPTIMAL:
+            if res.status == INFEASIBLE:
                 continue
-            raise PlannerError(f"LP relaxation failed: {status}")
+            raise PlannerError(f"LP relaxation failed: {res.status}")
+        x, ub = res.x, res.objective
         if ub <= best_obj + gap:
             continue
         heur = model.flow_incumbent_value(x)

@@ -67,6 +67,23 @@ iware.IWareEnsemble.from_dict(gp.to_dict())
 m = layer_metrics([tracer.spans], 1)
 assert m["learners.gp_fits"][0] == 6, m  # 2 folds x 2 fits, then 2 kept
 assert m["learners.gp_loads"][0] >= 2, m
+
+# a nonconvex instance whose branch and bound branches: its child node LPs
+# go through the traced name too, each over the full core system
+rng = np.random.default_rng(0)
+br = np.linspace(0.0, 4.0, 5)
+rough = riskmap.PwlRiskModel(grid=grid, breakpoints=br,
+                             prob_values=rng.random((grid.n_cells, 5)) * 0.5,
+                             var_values=rng.random((grid.n_cells, 5)) * 0.8)
+graph = planner.build_graph(grid, grid.patrol_posts[0], 4)
+problem = planner.PlanProblem(graph=graph, pwl=rough, K=1, beta=0.5)
+tracer.spans.clear()
+planner.solve(problem, method="bnb")
+m = layer_metrics([tracer.spans], 1)
+core = planner.assemble_milp(problem).core_A_eq.shape
+assert m["planner.lp_calls"][0] > m["planner.solves"][0] == 1, m
+assert m["planner.lp_cols"][0] == core[1], (m, core)
+assert all(s[4] == list(core) for s in tracer.spans if s[0] == "planner.lp"), core
 print("ok")
 """
 

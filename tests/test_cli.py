@@ -170,6 +170,15 @@ class TestMalformedInputs:
         (workdir / "r" / "model.json").write_text(json.dumps(doc) + "\n")
         assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
 
+    @pytest.mark.parametrize("key", ["thresholds", "n_features"])
+    def test_model_with_null_field(self, workdir, key):
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        assert run(["train", *SMALL, "--output_dir=r"]) == 0
+        path = workdir / "r" / "model.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, key: None}) + "\n")
+        assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
+
 
 @pytest.mark.parametrize("kind", ["trees", "gp"])
 def test_cli_defaults_are_library_defaults(workdir, kind):

@@ -447,3 +447,71 @@ class TestSolveLp:
         res = solve_lp(c, None, None, A_eq, b_eq)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(1.0)
+
+
+class TestNodeLp:
+    """Node LPs run on scipy's private HiGHS binding, one instance per
+    branch and bound, hot-started from node to node."""
+
+    def test_highs_binding_has_the_names_the_planner_uses(self):
+        import scipy
+        from scipy.optimize._highspy import _core
+
+        missing = [name for name in ("_Highs", "HighsLp", "HighsModelStatus", "HighsStatus",
+                                     "MatrixFormat", "kHighsInf", "simplex_constants")
+                   if not hasattr(_core, name)]
+        missing += [f"_Highs.{name}" for name in ("changeColsBounds", "getSolution",
+                                                  "getModelStatus", "passModel", "run",
+                                                  "setOptionValue")
+                    if not hasattr(getattr(_core, "_Highs", None), name)]
+        missing += [f"HighsModelStatus.{name}" for name in ("kOptimal", "kInfeasible",
+                                                            "kUnbounded", "kIterationLimit",
+                                                            "kTimeLimit")
+                    if not hasattr(getattr(_core, "HighsModelStatus", None), name)]
+        assert not missing, (
+            f"scipy {scipy.__version__}'s scipy.optimize._highspy._core lacks {missing}, "
+            "which patrolkit.planner.milp solves every node LP with")
+
+    def test_hot_started_windows_match_fresh_solves(self):
+        from patrolkit.planner.milp import _solve_window_lp, load_lp
+
+        rng = np.random.default_rng(5)
+        grid = flat_grid(4, 4, posts=(5,))
+        br = np.linspace(0, 5, 6)
+        p = PlanProblem(graph=build_graph(grid, 5, 5), K=1, beta=0.5,
+                        pwl=pwl_from_values(grid, br, rng.random((16, 6)) * 0.5,
+                                            rng.random((16, 6)) * 0.8))
+        model = assemble_milp(p)
+        post = model.cells.index(5)
+        root = np.tile([0, 5], (len(model.cells), 1))
+
+        def windows(**at):
+            w = root.copy()
+            for pos, lo_hi in at.items():
+                w[int(pos[1:])] = lo_hi
+            return w
+
+        # the post's coverage is at least K, so confining it to 0 is infeasible
+        sequence = [root, windows(**{f"p{post}": (0, 0)}), windows(p0=(0, 1)),
+                    windows(p3=(2, 5)), windows(**{f"p{post}": (1, 2)}), windows(p1=(5, 5)),
+                    windows(p2=(0, 0), p6=(0, 1)), root]
+        highs = load_lp(model.core_obj, None, None, model.core_A_eq, model.core_b_eq)
+        statuses = []
+        j = np.arange(model.n_bp)
+        for w in sequence:
+            hot = _solve_window_lp(model, highs, w)
+            # the fresh solve drops the columns outside the windows instead
+            inside = (j >= w[:, :1]) & (j <= w[:, 1:])
+            cols = np.concatenate([np.arange(model.n_flow), model.n_flow + np.flatnonzero(inside)])
+            fresh = solve_lp(model.core_obj[cols], None, None, model.core_A_eq[:, cols],
+                             model.core_b_eq)
+            assert hot.status == fresh.status
+            if fresh.status == "optimal":
+                assert hot.objective == pytest.approx(fresh.objective, rel=1e-9, abs=1e-9)
+            statuses.append(hot.status)
+        assert statuses[:3] == ["optimal", "infeasible", "optimal"]
+        assert statuses.count("infeasible") >= 2 and statuses[-1] == "optimal"
+
+    def test_unbounded_lp(self):
+        res = solve_lp(np.array([1.0, 0.0]), np.array([[0.0, 1.0]]), np.array([1.0]))
+        assert res.status == "unbounded" and res.x is None and res.objective == np.inf
