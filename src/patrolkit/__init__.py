@@ -23,7 +23,6 @@ from .iware import (
     RiskQuery,
     ThresholdSet,
     filter_dataset,
-    optimize_weights,
     predict_effort_conditioned,
     select_thresholds,
     squash_uncertainty,

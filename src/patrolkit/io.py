@@ -142,21 +142,23 @@ def write_dataset_csv(path, ds: PatrolDataset) -> None:
 
 
 def read_dataset_csv(path, grid: ParkGrid) -> PatrolDataset:
-    """Rebuild a dataset from dataset.csv; features come from the grid."""
-    cells = {}
-    max_t = -1
+    """Rebuild a dataset from dataset.csv, which must hold one row per
+    window and grid cell; features come from the grid."""
     _, rows = _read_csv(path, ["t", "cell_id", "effort_km", "label"])
-    for row in rows:
-        t, cid = int(row[0]), int(row[1])
-        cells[(t, cid)] = (float(row[2]), int(row[3]))
-        max_t = max(max_t, t)
-    if max_t < 0:
+    if not rows:
         raise GridError("dataset.csv contains no rows")
-    effort = np.zeros((max_t + 1, grid.n_cells))
-    labels = np.zeros((max_t + 1, grid.n_cells), dtype=np.int8)
-    for (t, cid), (e, y) in cells.items():
-        effort[t, cid] = e
-        labels[t, cid] = y
+    n = grid.n_cells
+    t, cid = np.array([(int(r[0]), int(r[1])) for r in rows]).T
+    if t.min() < 0 or cid.min() < 0 or cid.max() >= n:
+        raise GridError(f"dataset.csv: t must be >= 0 and cell_id in [0, {n})")
+    count = np.bincount(t * n + cid, minlength=(t.max() + 1) * n)
+    if np.any(count != 1):
+        bad = int(np.argmax(count != 1))
+        raise GridError(f"dataset.csv: {count[bad]} rows for t={bad // n}, cell_id={bad % n}; "
+                        "need exactly one")
+    order = np.argsort(t * n + cid)
+    effort = np.array([float(r[2]) for r in rows])[order].reshape(-1, n)
+    labels = np.array([int(r[3]) for r in rows], dtype=np.int8)[order].reshape(-1, n)
     return assemble_dataset(grid, effort, labels)
 
 

@@ -6,13 +6,12 @@ every positive row but only the negatives recorded with effort strictly
 above threshold i. Thresholds are percentiles of the positive-effort
 distribution, keeping the training subsets comparably sized.
 
-A single weight vector on the probability simplex is fit by minimizing
-cross-validated log loss of the convex combination of learner outputs.
-At prediction time the original qualification rule is kept: for a query
-at hypothetical effort c only learners with threshold <= c participate,
-with their weights renormalized. ``IWareEnsemble.combine_at_effort`` is
-the one place that applies it, to a batch of rows at one effort or at one
-effort per row.
+For a query at hypothetical effort c only learners with threshold <= c
+participate, with their weights renormalized (``mixture_weights``). One
+weight vector on the probability simplex is fit by minimizing the held-out
+log loss of that same mixture, each training row taken at its observed
+effort; ``IWareEnsemble.combine_at_effort`` applies it to batches of rows
+at one effort or at one effort per row.
 """
 
 from __future__ import annotations
@@ -105,10 +104,7 @@ def select_thresholds(ds: PatrolDataset, I: int) -> ThresholdSet:
         raise IwareError("dataset has no positive-effort rows")
     levels = [(i - 1) / I for i in range(1, I + 1)]
     raw = [0.0] + [float(np.quantile(pos_eff, q, method="linear")) for q in levels[1:]]
-    collapsed = [raw[0]]
-    for t in raw[1:]:
-        if t > collapsed[-1]:
-            collapsed.append(t)
+    collapsed = sorted(set(raw))  # the quantiles ascend
     if len(collapsed) < len(raw):
         warnings.warn(
             f"collapsed {len(raw) - len(collapsed)} duplicate effort thresholds "
@@ -146,56 +142,55 @@ def _clamp_probs(p: np.ndarray) -> np.ndarray:
     return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def optimize_weights_from_probs(
-    probs: np.ndarray,
-    labels: np.ndarray,
-) -> np.ndarray:
-    """Simplex weights minimizing mean log loss of sum_i w_i p_i.
+def mixture_weights(mask: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-row weights (n, I): ``weights`` renormalized over the learners
+    ``mask`` admits in each row, uniform where those all weigh 0, zero where
+    it admits none. The weight fit and prediction both mix by this rule."""
+    W = np.where(mask, weights, 0.0)
+    total = W.sum(axis=1, keepdims=True)
+    uniform = mask / np.maximum(mask.sum(axis=1, keepdims=True), 1)
+    return np.divide(W, total, out=uniform, where=total > 0)
 
-    Exponentiated-gradient descent with step 0.5 from the uniform start,
-    for at most 500 steps or until no weight moves by 1e-8; the objective
-    is convex in w. Identical learner columns keep identical weights,
-    which realizes the uniform tie-break.
+
+def _mixture_log_loss(P, y, mask, weights):
+    """Mean log loss of the masked mixtures over the rows whose mask admits
+    a learner, and its gradient in the logits of ``weights``."""
+    rows = mask.any(axis=1)
+    P, y, W = P[rows], y[rows], mixture_weights(mask[rows], weights)
+    n = max(int(rows.sum()), 1)
+    mix = np.clip((W * P).sum(axis=1), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    loss = -float(np.sum(y * np.log(mix) + (1.0 - y) * np.log(1.0 - mix))) / n
+    dmix = (mix - y) / (mix * (1.0 - mix))
+    # the renormalized mixture is a softmax over the admitted logits
+    return loss, (W * (P - mix[:, None])).T @ dmix / n
+
+
+def optimize_weights_from_probs(probs: np.ndarray, labels: np.ndarray,
+                                mask: np.ndarray) -> np.ndarray:
+    """Simplex weights minimizing the mean log loss of each row's mixture
+    over the learners ``mask`` admits (``mixture_weights``); rows that admit
+    none drop out. L-BFGS on softmax logits from the uniform start, with
+    tolerances tight enough to reach the simplex boundary. Identical learner
+    columns keep identical weights, which realizes the uniform tie-break.
     """
+    from scipy.optimize import minimize
+
     P = _clamp_probs(probs)
     y = np.asarray(labels, dtype=float)
-    n, I = P.shape
-    if I == 1:
+    M = np.asarray(mask, dtype=bool)
+    if P.shape[1] == 1:
         return np.ones(1)
-    logits = np.zeros(I)
-    w = np.full(I, 1.0 / I)
-    for _ in range(500):
-        mix = np.clip(P @ w, PROB_CLAMP, 1.0 - PROB_CLAMP)
-        dmix = (mix - y) / (mix * (1.0 - mix))
-        grad = P.T @ dmix / n
-        logits -= 0.5 * grad
-        logits -= logits.max()
-        e = np.exp(logits)
-        w_new = e / e.sum()
-        if float(np.max(np.abs(w_new - w))) < 1e-8:
-            w = w_new
-            break
-        w = w_new
-    return w
+    res = minimize(lambda z: _mixture_log_loss(P, y, M, np.exp(z - z.max())),
+                   np.zeros(P.shape[1]), jac=True, method="L-BFGS-B",
+                   options={"ftol": 1e-15, "gtol": 1e-12})
+    w = np.exp(res.x - res.x.max())
+    return w / w.sum()
 
 
-def log_loss(probs: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> float:
-    P = _clamp_probs(probs)
-    mix = np.clip(P @ np.asarray(weights, dtype=float), PROB_CLAMP, 1.0 - PROB_CLAMP)
-    y = np.asarray(labels, dtype=float)
-    return float(-np.mean(y * np.log(mix) + (1.0 - y) * np.log(1.0 - mix)))
-
-
-def optimize_weights(learners: list, ds: PatrolDataset) -> np.ndarray:
-    """Weights for already-trained learners scored on a dataset.
-
-    Every learner must be able to score every row. (Out-of-fold retraining
-    for unbiased weights happens inside train_iware; this operation is the
-    plain optimizer over the given learners' predictions.)
-    """
-    X, y, _, _ = _dataset_rows(ds)
-    P = np.column_stack([lrn.predict_proba(X)[0] for lrn in learners])
-    return optimize_weights_from_probs(P, y)
+def log_loss(probs, labels, weights, mask) -> float:
+    """The objective ``optimize_weights_from_probs`` minimizes, at ``weights``."""
+    return _mixture_log_loss(_clamp_probs(probs), np.asarray(labels, dtype=float),
+                             np.asarray(mask, dtype=bool), np.asarray(weights, dtype=float))[0]
 
 
 @dataclass
@@ -237,24 +232,14 @@ class IWareEnsemble:
         """Qualified, renormalized mixture mean and raw mixture variance.
 
         ``effort`` is one hypothetical effort for every row of the member
-        outputs (P, V), or a vector with one effort per row. Rows are mixed
-        over the learners whose threshold does not exceed their effort,
-        with those learners' weights renormalized; per-row efforts are
-        grouped by their number of qualified learners.
+        outputs (P, V), or a vector with one effort per row. Each row is
+        mixed over the learners whose threshold does not exceed its effort,
+        by ``mixture_weights``.
         """
-        q = np.broadcast_to(self.thresholds.qualified(effort), P.shape)
-        counts = q.sum(axis=1)
-        g, var = np.empty(P.shape[0]), np.empty(P.shape[0])
-        for c in np.unique(counts):
-            rows = counts == c
-            mask = q[np.argmax(rows)]  # thresholds ascend: equal counts, equal masks
-            w = self.weights[mask]
-            total = w.sum()
-            w = w / total if total > 0 else np.full(c, 1.0 / c)
-            p, v = P[rows][:, mask], V[rows][:, mask]
-            g[rows] = p @ w
-            var[rows] = np.maximum((v + p**2) @ w - g[rows]**2, 0.0)
-        return g, var
+        W = mixture_weights(np.broadcast_to(self.thresholds.qualified(effort), P.shape),
+                            self.weights)
+        g = (W * P).sum(axis=1)
+        return g, np.maximum((W * (V + P**2)).sum(axis=1) - g**2, 0.0)
 
     def predict_rows(self, X: np.ndarray, effort):
         P, V = self.member_outputs(X)
@@ -343,6 +328,15 @@ def _stratified_folds(y: np.ndarray, folds: int, rng: np.random.Generator) -> np
     return assign
 
 
+def _out_of_bag(model, X: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Each row's mean vote over the trees whose bag did not draw it (NaN if
+    none); rows outside ``keep``, the subset bagged, are out of every bag."""
+    out = np.ones((model.num_trees, X.shape[0]), dtype=bool)
+    out[:, keep] = model.memberships == 0
+    with np.errstate(invalid="ignore"):  # 0/0: NaN
+        return (model.tree_votes(X) * out).sum(axis=0) / out.sum(axis=0)
+
+
 def train_iware(
     ds: PatrolDataset,
     I: int,
@@ -353,13 +347,15 @@ def train_iware(
 ) -> IWareEnsemble:
     """Full ensemble training.
 
-    Thresholds from effort percentiles; per-threshold learners fit
-    out-of-fold to collect unbiased validation predictions; weights
-    optimized on those; learners refit on the full filtered subsets with
-    identical hyperparameters. The squashing scale is the median raw
-    mixture variance over the training rows at their observed efforts.
-    ``options`` are settings of the chosen learner kind, named in
-    LEARNER_OPTIONS; the learner's own defaults fill in the rest.
+    Thresholds come from effort percentiles; each threshold learner is fit
+    once on its filtered subset. Held-out predictions are those fits'
+    out-of-bag votes for trees and ``folds`` stratified refits for the GP;
+    a row every tree drew, or whose fold left a learner no positive, has
+    none from that learner and leaves it out of the row's mixture in the
+    weight fit. The squashing scale is the median raw mixture variance over
+    the training rows at their observed efforts. ``options`` are settings
+    of the chosen learner kind (LEARNER_OPTIONS); learner defaults fill in
+    the rest.
     """
     if learner_kind not in LEARNER_OPTIONS:
         raise IwareError(f"unknown learner kind {learner_kind!r}; "
@@ -372,33 +368,39 @@ def train_iware(
     ths = select_thresholds(ds, I)
     rows = _dataset_rows(ds)
     X, y, eff, _ = rows
-    n = X.shape[0]
+    keeps = [_one_sided(y, eff, theta) for theta in ths.thresholds]
 
-    if int(y.sum()) < folds:
-        folds = max(2, int(y.sum()))
-    fold_of = _stratified_folds(y, folds, np.random.default_rng([seed_root, 2]))
-
-    P_oof = np.full((n, ths.count), 0.5)
-    for f in range(folds):
-        va = fold_of == f
-        for i, theta in enumerate(ths.thresholds):
-            keep = ~va & _one_sided(y, eff, theta)
-            if not y[keep].any():
-                continue  # degenerate fold: leave the neutral 0.5 prediction
-            model = _fit_learner(learner_kind, _subset(rows, keep),
-                                 np.random.default_rng([seed_root, 0, f, i]), options)
-            P_oof[va, i] = _clamp_probs(model.predict_proba(X[va])[0])
-    weights = optimize_weights_from_probs(P_oof, y)
-
-    learners = [_fit_learner(learner_kind, _subset(rows, _one_sided(y, eff, theta)),
+    def fit_kept():
+        return [_fit_learner(learner_kind, _subset(rows, keep),
                              np.random.default_rng([seed_root, 1, i]), options)
-                for i, theta in enumerate(ths.thresholds)]
+                for i, keep in enumerate(keeps)]
+
+    def fit_weights(held):
+        return optimize_weights_from_probs(held, y, ths.qualified(eff) & ~np.isnan(held))
+
+    if learner_kind == "trees":
+        learners = fit_kept()
+        weights = fit_weights(np.column_stack(
+            [_out_of_bag(lrn, X, keep) for lrn, keep in zip(learners, keeps)]))
+    else:
+        folds = min(folds, max(2, int(y.sum())))
+        fold_of = _stratified_folds(y, folds, np.random.default_rng([seed_root, 2]))
+        held = np.full((X.shape[0], ths.count), np.nan)
+        for f in range(folds):
+            va = fold_of == f
+            for i, keep in enumerate(keeps):
+                if not y[keep & ~va].any():
+                    continue  # degenerate fold: no held-out prediction for its rows
+                model = _fit_learner(learner_kind, _subset(rows, keep & ~va),
+                                     np.random.default_rng([seed_root, 0, f, i]), options)
+                held[va, i] = model.predict_proba(X[va])[0]
+        weights = fit_weights(held)
+        learners = fit_kept()
 
     ens = IWareEnsemble(thresholds=ths, learners=learners, weights=weights,
                         learner_kind=learner_kind, squash_scale=1.0,
                         n_features=X.shape[1])
-    P, V = ens.member_outputs(X)
-    _, raw = ens.combine_at_effort(P, V, eff)
+    _, raw = ens.predict_rows(X, eff)
     med = float(np.median(raw))
     if med <= 0:
         positive = raw[raw > 0]

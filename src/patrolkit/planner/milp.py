@@ -9,12 +9,13 @@ before linearization, so the objective stays linear.
 
 Branch and bound works on per-cell breakpoint windows (SOS2 interval
 branching): fixing a window to a contiguous breakpoint range is the same
-as zeroing the selectors outside it, but splitting a window halves the
-search space where branching a single selector barely tightens it. Inside
-a width-one window the weights are forced onto two adjacent breakpoints,
-so integrality never needs a separate check. The node relaxations drop
-the selector columns entirely, and every relaxation's flow is itself a
-feasible plan, which supplies incumbents.
+as zeroing the selectors outside it. A window splits at the first
+breakpoint at or above the cell's relaxed coverage, one side of that
+coverage to each child, where branching a single selector barely tightens
+it. Inside a width-one window the weights are forced onto two adjacent
+breakpoints, so integrality never needs a separate check. The node
+relaxations drop the selector columns entirely, and every relaxation's
+flow is itself a feasible plan, which supplies incumbents.
 
 Each branch and bound loads the relaxation into one HiGHS instance
 (scipy's bundled binding). The root is solved cold by primal simplex.
@@ -372,23 +373,19 @@ def branch_and_bound(model: MilpModel):
                 continue
 
         # branch on the cell whose weights cheat the envelope the most
-        best_gap, branch_pos = 0.0, -1
+        best_gap, branch_pos, branch_cv = 0.0, -1, 0.0
         for pos, cid in enumerate(model.cells):
             lam = x[model.lam_slice(pos)]
             cv = float(lam @ br)
             lam_obj = float(lam @ model.util[cid])
             violation = lam_obj - float(np.interp(cv, br, model.util[cid]))
             if violation > best_gap + 1e-12:
-                best_gap, branch_pos = violation, pos
+                best_gap, branch_pos, branch_cv = violation, pos, cv
         if branch_pos < 0:
             # relaxation matches its own interpolation: node solved exactly
             continue
         lo, hi = windows[branch_pos]
-        lam = x[model.lam_slice(branch_pos)]
-        mass = lam[lo:hi + 1]
-        cum = np.cumsum(mass)
-        r = lo + int(np.searchsorted(cum, 0.5 * cum[-1]))
-        r = min(max(r, lo + 1), hi - 1)
+        r = min(max(lo + int(np.searchsorted(br[lo:hi + 1], branch_cv)), lo + 1), hi - 1)
         left = windows.copy()
         left[branch_pos] = (lo, r)
         right = windows.copy()

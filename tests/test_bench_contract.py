@@ -41,8 +41,9 @@ assert 0.0 < p < 1.0 and 0.0 <= nu < 1.0
 assert pwl.prob_values.shape == (grid.n_cells, 5)
 
 m = layer_metrics([tracer.spans], 1)
-assert m["iware.cv_s"][0] > 0 and m["iware.refit_s"][0] > 0, m
-assert m["iware.fits_kept_ratio"][0] == 2 / 6, m  # 2 folds x 2 fits, then 2 kept
+# 2 bagged fits of 3 trees in total: the trees' held-out votes are out of
+# bag, so every fit comes before the weight fit
+assert m["learners.tree_fits"][0] == 2 * 3 and m["iware.cv_s"][0] > 0, m
 assert m["iware.member_outputs_calls"][0] >= 3, m
 
 # the planner calls bench/planlong.py makes, on curves built like its own

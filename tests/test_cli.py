@@ -145,6 +145,25 @@ class TestMalformedInputs:
         path.write_text("".join(",".join(r[:3] + r[4:]) + "\n" for r in rows))
         assert run(["train", *SMALL, "--output_dir=r"]) == 2
 
+    @pytest.mark.parametrize("edit", [
+        "cell_id_past_grid", "negative_cell_id", "truncated", "negative_t", "duplicate_row"])
+    def test_dataset_rows_not_one_per_window_and_cell(self, workdir, edit):
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        path = workdir / "r" / "dataset.csv"
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        if edit == "cell_id_past_grid":
+            rows[0][1] = "1000000"
+        elif edit == "negative_cell_id":
+            rows[0][1] = "-1"
+        elif edit == "truncated":
+            rows = rows[:-1]  # the last window lost its last cell
+        elif edit == "negative_t":
+            rows[0][0] = "-1"
+        else:
+            rows.append(rows[0])
+        path.write_text("".join(",".join(r) + "\n" for r in [header, *rows]))
+        assert run(["train", *SMALL, "--output_dir=r"]) == 2
+
     def test_waypoints_without_x(self, workdir):
         (workdir / "cells.csv").write_text("cell_id,x,y,mask,is_post,f_1\n0,0,0,1,1,0.5\n")
         (workdir / "waypoints.csv").write_text(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patrolkit import iware
 from patrolkit.grid import assemble_dataset
 from patrolkit.iware import (
     IWareEnsemble,
@@ -11,14 +12,13 @@ from patrolkit.iware import (
     ThresholdSet,
     filter_dataset,
     log_loss,
-    optimize_weights,
     optimize_weights_from_probs,
     predict_effort_conditioned,
     select_thresholds,
     squash_uncertainty,
     train_iware,
 )
-from patrolkit.learners import train_bagged
+from patrolkit.learners import TrainMatrix, train_bagged
 
 from conftest import dataset_from_rows, flat_grid
 
@@ -109,21 +109,21 @@ class TestFilterDataset:
 
 class TestOptimizeWeights:
     def test_single_learner(self):
-        w = optimize_weights_from_probs(np.full((10, 1), 0.7), np.ones(10))
+        w = optimize_weights_from_probs(np.full((10, 1), 0.7), np.ones(10), np.ones((10, 1), bool))
         assert w == pytest.approx([1.0])
 
     def test_perfect_learner_dominates(self):
         rng = np.random.default_rng(0)
         y = rng.random(200) < 0.5
         P = np.column_stack([np.where(y, 1.0, 0.0), np.full(200, 0.5)])
-        w = optimize_weights_from_probs(P, y)
+        w = optimize_weights_from_probs(P, y, np.ones_like(P, bool))
         assert w[0] >= 0.99
 
     def test_identical_learners_stay_uniform(self):
         rng = np.random.default_rng(1)
         y = rng.random(50) < 0.3
         p = np.clip(rng.random(50), 0.1, 0.9)
-        w = optimize_weights_from_probs(np.column_stack([p, p]), y)
+        w = optimize_weights_from_probs(np.column_stack([p, p]), y, np.ones((50, 2), bool))
         assert w == pytest.approx([0.5, 0.5])
 
     def test_matches_fine_grid_search(self):
@@ -133,9 +133,10 @@ class TestOptimizeWeights:
             np.where(y, 0.7, 0.3) + 0.1 * rng.normal(size=150),
             np.where(y, 0.6, 0.45) + 0.1 * rng.normal(size=150),
         ]), 0.01, 0.99)
-        w = optimize_weights_from_probs(P, y)
-        ours = log_loss(P, y, w)
-        grid = min(log_loss(P, y, np.array([a, 1 - a]))
+        every = np.ones_like(P, bool)
+        w = optimize_weights_from_probs(P, y, every)
+        ours = log_loss(P, y, w, every)
+        grid = min(log_loss(P, y, np.array([a, 1 - a]), every)
                    for a in np.linspace(0, 1, 4001))
         assert ours <= grid + 1e-6
 
@@ -144,18 +145,19 @@ class TestOptimizeWeights:
         y = rng.random(120) < 0.5
         P = np.clip(rng.random((120, 3)) * 0.5 + np.where(y, 0.3, 0.1)[:, None]
                     * rng.random((120, 3)), 0.01, 0.99)
-        w = optimize_weights_from_probs(P, y)
-        ours = log_loss(P, y, w)
+        every = np.ones_like(P, bool)
+        w = optimize_weights_from_probs(P, y, every)
+        ours = log_loss(P, y, w, every)
         best = np.inf
         for a in np.linspace(0, 1, 101):
             for b in np.linspace(0, 1 - a, max(int((1 - a) * 100) + 1, 1)):
-                best = min(best, log_loss(P, y, np.array([a, b, 1 - a - b])))
+                best = min(best, log_loss(P, y, np.array([a, b, 1 - a - b]), every))
         assert ours <= best + 1e-6
 
     def test_non_finite_outputs_clamped(self):
         y = np.array([1.0, 0.0])
         P = np.array([[np.nan, 1.0], [np.inf, 0.0]])
-        w = optimize_weights_from_probs(P, y)
+        w = optimize_weights_from_probs(P, y, np.ones_like(P, bool))
         assert np.all(np.isfinite(w)) and abs(w.sum() - 1) < 1e-9
 
     def test_simplex_invariant(self):
@@ -163,14 +165,35 @@ class TestOptimizeWeights:
         for trial in range(10):
             P = rng.random((30, 4))
             y = rng.random(30) < 0.5
-            w = optimize_weights_from_probs(P, y)
+            w = optimize_weights_from_probs(P, y, np.ones_like(P, bool))
             assert np.all(w >= -1e-12) and abs(w.sum() - 1.0) <= 1e-9
 
-    def test_operation_over_trained_learners(self):
-        ds = dataset_from_rows([(1.0, 1), (2.0, 0), (1.5, 1), (3.0, 0)])
-        learners = [ConstLearner(0.8), ConstLearner(0.2)]
-        w = optimize_weights(learners, ds)
-        assert abs(w.sum() - 1.0) < 1e-9
+    def test_fit_scores_the_mixture_prediction_makes(self):
+        # learner 1 qualifies only on the high-effort rows, where it is right;
+        # the low-effort rows it would get wrong are not its to score
+        ens = stub_ensemble([0.0, 1.0], [0.5, 0.5], [ConstLearner(0.5), ConstLearner(0.5)])
+        eff = np.array([0.2, 0.4, 0.6, 1.5, 2.0, 3.0, 1.2, 2.5])
+        y = np.array([1, 1, 1, 1, 1, 0, 0, 0], bool)
+        P = np.column_stack([np.full(8, 0.5), np.where(y, 0.9, 0.1)])
+        P[:3, 1] = 0.01
+        mask = ens.thresholds.qualified(eff)
+        w = optimize_weights_from_probs(P, y, mask)
+        assert w[1] > 0.99
+        ens.weights = w
+        g, _ = ens.combine_at_effort(P, np.zeros_like(P), eff)
+        expected = -np.mean(np.where(y, np.log(g), np.log(1 - g)))
+        assert log_loss(P, y, w, mask) == pytest.approx(expected, rel=1e-12)
+
+    def test_rows_admitting_no_learner_drop_out(self):
+        rng = np.random.default_rng(5)
+        P = rng.random((40, 3))
+        y = rng.random(40) < 0.5
+        mask = rng.random((40, 3)) < 0.6
+        mask[:5] = False
+        w = optimize_weights_from_probs(P, y, mask)
+        P[:5], y[:5] = 0.5, ~y[:5]
+        np.testing.assert_array_equal(optimize_weights_from_probs(P, y, mask), w)
+        assert np.isfinite(log_loss(P, y, w, mask))
 
 
 class TestPredictEffortConditioned:
@@ -310,3 +333,39 @@ class TestTrainIware:
                                       back.predict_rows(X, 1.5)[0])
         np.testing.assert_array_equal(ens.predict_rows(X, 1.5)[1],
                                       back.predict_rows(X, 1.5)[1])
+
+    def test_trees_fit_once_per_threshold(self, monkeypatch):
+        fits = []
+        fit = iware.train_bagged
+        monkeypatch.setattr(iware, "train_bagged", lambda *a, **k: fits.append(1) or fit(*a, **k))
+        train_iware(_toy_training_dataset(), I=3, learner_kind="trees", rng=5, num_trees=5)
+        assert len(fits) == 3
+
+    def test_out_of_bag_votes(self):
+        X, y, eff, ids = iware._dataset_rows(_toy_training_dataset(seed=1))
+        keep = iware._one_sided(y, eff, 0.5)
+        model = train_bagged(TrainMatrix(X[keep], y[keep], ids[keep]), num_trees=3, rng=0)
+        held = iware._out_of_bag(model, X, keep)
+        votes = model.tree_votes(X)
+        np.testing.assert_allclose(held[~keep], model.predict_proba(X[~keep])[0], rtol=1e-12)
+        for j, r in enumerate(np.flatnonzero(keep)):
+            out = model.memberships[:, j] == 0
+            if out.any():
+                assert held[r] == pytest.approx(votes[out, r].mean(), rel=1e-12)
+            else:
+                assert np.isnan(held[r])
+        assert np.isnan(held).any()
+
+    def test_gp_degenerate_fold_has_no_held_out_prediction(self, monkeypatch):
+        # one positive: the fold holding it leaves every refit without one
+        ds = dataset_from_rows([(1.0, 1)] + [(0.2 * k, 0) for k in range(1, 16)])
+        seen = []
+        fit = iware.optimize_weights_from_probs
+        monkeypatch.setattr(iware, "optimize_weights_from_probs",
+                            lambda P, y, mask: seen.append((P, y, mask)) or fit(P, y, mask))
+        ens = train_iware(ds, I=2, learner_kind="gp", rng=0, folds=2)
+        P, y, mask = seen[0]
+        assert not mask[y].any()
+        assert np.isnan(P[~mask.any(axis=1)]).all()
+        assert mask.any() and not np.isnan(P[mask]).any()
+        assert abs(ens.weights.sum() - 1.0) <= 1e-9

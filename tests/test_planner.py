@@ -183,6 +183,26 @@ class TestSolve:
             _, got = branch_and_bound(model)
             assert abs(got - ref) <= 1e-6
 
+    def test_branching_splits_at_the_relaxed_coverage(self, monkeypatch):
+        # a convex risk curve: the root relaxation puts the cell's weight on
+        # the two ends of its window, most of it on the low end; one
+        # split at the relaxed coverage settles the cell
+        from patrolkit.planner import milp as milp_module
+
+        windows = []
+        solve_window = milp_module._solve_window_lp
+        monkeypatch.setattr(milp_module, "_solve_window_lp",
+                            lambda m, h, w: windows.append(w.copy()) or solve_window(m, h, w))
+        grid = flat_grid(2, 1, posts=(0,))
+        br = np.linspace(0.0, 12.0, 25)
+        prob = np.vstack([np.zeros(25), (br / 12.0) ** 2])
+        p = PlanProblem(graph=build_graph(grid, 0, 6), pwl=pwl_from_values(grid, br, prob),
+                        K=1, beta=0.0)
+        ref, model = scipy_milp_objective(p)
+        _, got = branch_and_bound(model)
+        assert abs(got - ref) <= 1e-6
+        assert len(windows) == 3  # the root and its two children
+
     def test_mixed_strategy_beats_pure_paths_when_concave(self):
         # concave plateau utilities: splitting flow across B and C wins
         grid = flat_grid(2, 2, posts=(0,))
