@@ -143,10 +143,9 @@ def cmd_train(cfg) -> int:
         I=int(cfg["ensemble"]["num_thresholds"]),
         learner_kind=cfg["ensemble"]["learner"],
         rng=int(cfg["seed"]),
-        folds=int(cfg["ensemble"]["folds"]),
         **_ensemble_options(cfg),
     )
-    io.write_json(out / "model.json", ens.to_dict())
+    io.write_json(out / "model.json", ens.to_dict(), indent=None)
     report = {
         "learner": ens.learner_kind,
         "thresholds": [float(t) for t in ens.thresholds.thresholds],

@@ -38,7 +38,7 @@ DEFAULTS: dict = {
     "ensemble": {
         "num_thresholds": 10,
         "learner": "trees",
-        "folds": 5,             # GP only: trees take out-of-bag predictions
+        "folds": 5,             # ignored: kept only for the benchmark's pin
         "num_trees": 25,
         "max_depth": 10,
         "min_leaf": 1,

@@ -90,11 +90,15 @@ def read_cells_csv(path, cell_size_km: float = 1.0) -> ParkGrid:
         raise GridError(f"cells.csv must list all {n} cells of the bounding rectangle")
     feats = np.zeros((n, len(feature_names)))
     mask = np.zeros(n, dtype=bool)
+    seen = np.zeros(n, dtype=bool)
     posts = []
     for r in rows:
         cid = int(r[0])
         if cid != int(r[2]) * width + int(r[1]):
             raise GridError(f"cell_id {cid} inconsistent with (x={r[1]}, y={r[2]})")
+        if seen[cid]:
+            raise GridError(f"cells.csv lists cell_id {cid} twice")
+        seen[cid] = True
         mask[cid] = bool(int(r[3]))
         if int(r[4]):
             posts.append(cid)
@@ -176,8 +180,11 @@ def read_fieldtest_csv(path) -> list[tuple[str, int, int, float]]:
             for group, obs, patrolled, effort, *_ in rows]
 
 
-def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def write_json(path, obj, indent: int | None = 2) -> None:
+    """Sorted keys; ``indent=None`` writes one line without spaces."""
+    separators = None if indent else (",", ":")
+    Path(path).write_text(json.dumps(obj, indent=indent, sort_keys=True,
+                                     separators=separators) + "\n")
 
 
 def read_json(path):

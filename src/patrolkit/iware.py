@@ -11,7 +11,8 @@ participate, with their weights renormalized (``mixture_weights``). One
 weight vector on the probability simplex is fit by minimizing the held-out
 log loss of that same mixture, each training row taken at its observed
 effort; ``IWareEnsemble.combine_at_effort`` applies it to batches of rows
-at one effort or at one effort per row.
+at one effort or at one effort per row. Each learner is fit once, and its
+held-out predictions come from that fit (``held_out_proba``).
 """
 
 from __future__ import annotations
@@ -318,44 +319,25 @@ def _fit_learner(kind: str, data: TrainMatrix, rng, options: dict):
     return fit(data, rng=rng, **options)
 
 
-def _stratified_folds(y: np.ndarray, folds: int, rng: np.random.Generator) -> np.ndarray:
-    """Fold index per row; positives and negatives dealt round-robin."""
-    assign = np.empty(y.shape[0], dtype=np.int32)
-    for cls in (True, False):
-        idx = np.flatnonzero(y == cls)
-        idx = idx[rng.permutation(idx.size)]
-        assign[idx] = np.arange(idx.size) % folds
-    return assign
-
-
-def _out_of_bag(model, X: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Each row's mean vote over the trees whose bag did not draw it (NaN if
-    none); rows outside ``keep``, the subset bagged, are out of every bag."""
-    out = np.ones((model.num_trees, X.shape[0]), dtype=bool)
-    out[:, keep] = model.memberships == 0
-    with np.errstate(invalid="ignore"):  # 0/0: NaN
-        return (model.tree_votes(X) * out).sum(axis=0) / out.sum(axis=0)
-
-
 def train_iware(
     ds: PatrolDataset,
     I: int,
     learner_kind: str = "trees",
     rng=None,
-    folds: int = 5,
     **options,
 ) -> IWareEnsemble:
     """Full ensemble training.
 
     Thresholds come from effort percentiles; each threshold learner is fit
-    once on its filtered subset. Held-out predictions are those fits'
-    out-of-bag votes for trees and ``folds`` stratified refits for the GP;
-    a row every tree drew, or whose fold left a learner no positive, has
-    none from that learner and leaves it out of the row's mixture in the
-    weight fit. The squashing scale is the median raw mixture variance over
-    the training rows at their observed efforts. ``options`` are settings
-    of the chosen learner kind (LEARNER_OPTIONS); learner defaults fill in
-    the rest.
+    once on its filtered subset. Its held-out predictions come from that
+    fit (``held_out_proba``: out-of-bag votes for trees, the leave-one-out
+    predictive for the GP) on the rows the fit used, and are its plain
+    predictions on every other row. A row every tree drew has none from
+    that learner and leaves it out of the row's mixture in the weight fit.
+    The squashing scale is the median raw mixture variance over the
+    training rows at their observed efforts, from the same member outputs.
+    ``options`` are settings of the chosen learner kind (LEARNER_OPTIONS);
+    learner defaults fill in the rest.
     """
     if learner_kind not in LEARNER_OPTIONS:
         raise IwareError(f"unknown learner kind {learner_kind!r}; "
@@ -369,38 +351,19 @@ def train_iware(
     rows = _dataset_rows(ds)
     X, y, eff, _ = rows
     keeps = [_one_sided(y, eff, theta) for theta in ths.thresholds]
-
-    def fit_kept():
-        return [_fit_learner(learner_kind, _subset(rows, keep),
+    learners = [_fit_learner(learner_kind, _subset(rows, keep),
                              np.random.default_rng([seed_root, 1, i]), options)
                 for i, keep in enumerate(keeps)]
-
-    def fit_weights(held):
-        return optimize_weights_from_probs(held, y, ths.qualified(eff) & ~np.isnan(held))
-
-    if learner_kind == "trees":
-        learners = fit_kept()
-        weights = fit_weights(np.column_stack(
-            [_out_of_bag(lrn, X, keep) for lrn, keep in zip(learners, keeps)]))
-    else:
-        folds = min(folds, max(2, int(y.sum())))
-        fold_of = _stratified_folds(y, folds, np.random.default_rng([seed_root, 2]))
-        held = np.full((X.shape[0], ths.count), np.nan)
-        for f in range(folds):
-            va = fold_of == f
-            for i, keep in enumerate(keeps):
-                if not y[keep & ~va].any():
-                    continue  # degenerate fold: no held-out prediction for its rows
-                model = _fit_learner(learner_kind, _subset(rows, keep & ~va),
-                                     np.random.default_rng([seed_root, 0, f, i]), options)
-                held[va, i] = model.predict_proba(X[va])[0]
-        weights = fit_weights(held)
-        learners = fit_kept()
-
-    ens = IWareEnsemble(thresholds=ths, learners=learners, weights=weights,
-                        learner_kind=learner_kind, squash_scale=1.0,
-                        n_features=X.shape[1])
-    _, raw = ens.predict_rows(X, eff)
+    ens = IWareEnsemble(thresholds=ths, learners=learners,
+                        weights=np.full(ths.count, 1 / ths.count),  # fit below
+                        learner_kind=learner_kind, squash_scale=1.0, n_features=X.shape[1])
+    P, V = ens.member_outputs(X)
+    held = P.copy()
+    for i, (lrn, keep) in enumerate(zip(learners, keeps)):
+        used, prob = lrn.held_out_proba(X[keep])
+        held[np.flatnonzero(keep)[used], i] = prob
+    ens.weights = optimize_weights_from_probs(held, y, ths.qualified(eff) & ~np.isnan(held))
+    _, raw = ens.combine_at_effort(P, V, eff)
     med = float(np.median(raw))
     if med <= 0:
         positive = raw[raw > 0]

@@ -2,6 +2,10 @@
 
 Three families, one contract: ``predict_proba(X) -> (prob, latent_var)``
 where ``latent_var`` is None for learners without a native uncertainty.
+The learners an ensemble keeps also give held-out predictions for the
+rows they were fit on, from that single fit (``held_out_proba``): the
+out-of-bag votes of a bag, the closed-form leave-one-out predictive of a
+GP.
 
 * CART decision trees with Gini splits; leaves store positive fractions.
   Ties are broken by lowest feature index, then lowest threshold, so
@@ -245,6 +249,15 @@ class BaggedClassifier:
         votes = self.tree_votes(X)
         return votes.mean(axis=0), None
 
+    def held_out_proba(self, X: np.ndarray):
+        """(rows, prob) for the rows X the bag was drawn from: each row's
+        mean vote over the trees whose bag did not draw it (Breiman's
+        out-of-bag estimate), NaN where every tree drew it."""
+        out = self.memberships == 0
+        with np.errstate(invalid="ignore"):  # 0/0: NaN
+            prob = (self.tree_votes(X) * out).sum(axis=0) / out.sum(axis=0)
+        return np.arange(out.shape[1]), prob
+
     def to_dict(self) -> dict:
         sparse = []
         for row in self.memberships:
@@ -328,7 +341,10 @@ def jackknife_variance_batch(model: BaggedClassifier, X: np.ndarray) -> np.ndarr
 
     Sums the squared bootstrap covariance between draw counts and tree
     predictions over training points, then applies the finite-B bias
-    correction, flooring at zero. None for a single tree (undefined).
+    correction, flooring at zero. None for a single tree (undefined). With
+    centred draw counts n_c (B, n_train) and centred votes t_c (B, q), the
+    sum for query q is t_c[:, q]' G t_c[:, q], G = n_c n_c' / B^2 being the
+    B x B Gram matrix of the draws.
 
     The finite-B bias correction uses the empirical variance of the draw
     counts, sum_j Var_b(N_bj) * Var_b(t) / B. Under a plain size-n
@@ -343,15 +359,12 @@ def jackknife_variance_batch(model: BaggedClassifier, X: np.ndarray) -> np.ndarr
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n_c = (model.memberships - model.memberships.mean(axis=0, keepdims=True)).astype(float)
     sum_var_n = float((n_c**2).mean(axis=0).sum())
-    out = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], 64):                      # 64 query rows per pass
-        votes = model.tree_votes(X[lo:lo + 64])              # (B, q)
-        t_c = votes - votes.mean(axis=0, keepdims=True)
-        cov = n_c.T @ t_c / B                                # (n_train, q)
-        raw = (cov**2).sum(axis=0)
-        bias = sum_var_n / B * (t_c**2).mean(axis=0)
-        out[lo:lo + 64] = np.maximum(raw - bias, 0.0)
-    return out
+    votes = model.tree_votes(X)                                  # (B, q)
+    t_c = votes - votes.mean(axis=0, keepdims=True)
+    G = n_c @ n_c.T / B**2                                       # (B, B)
+    raw = ((G @ t_c) * t_c).sum(axis=0)
+    bias = sum_var_n / B * (t_c**2).mean(axis=0)
+    return np.maximum(raw - bias, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +387,9 @@ class GpClassifier:
     Kept after training: the (possibly subsampled) inputs, the latent
     posterior mode and its likelihood gradient, the Cholesky factor of
     B = I + sqrt(W) K sqrt(W) used for predictions, and the Cholesky factor
-    of K + jitter*I used for the exposed latent variance.
+    of K + jitter*I used for the exposed latent variance. ``kept_rows``,
+    set by ``train_gp`` only, records which of its input rows the
+    ``max_points`` cap kept; it is not serialized.
     """
 
     X: np.ndarray
@@ -388,6 +403,7 @@ class GpClassifier:
     _L_b: np.ndarray = field(repr=False, default=None)
     _L_k: np.ndarray = field(repr=False, default=None)
     log_marginal_likelihood: float = 0.0
+    kept_rows: np.ndarray = field(repr=False, default=None)
 
     def kernel(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return _rbf(_sqdist(A, B), self.lengthscale, self.signal_var)
@@ -410,6 +426,24 @@ class GpClassifier:
         var_latent = np.maximum(self.signal_var - (u**2).sum(axis=0), 0.0)
         return prob, var_latent
 
+    def held_out_proba(self, X: np.ndarray):
+        """(rows, prob) for the input rows X of ``train_gp``, which the fit
+        already holds: the rows its cap kept and their closed-form
+        leave-one-out probabilities under the Laplace fit (Vehtari et al.,
+        JMLR 2016). The cavity of row i, its Laplace marginal N(f_i, S_ii)
+        with its likelihood site removed, has precision tau_i = 1/S_ii - W_i
+        and mean (f_i/S_ii - W_i f_i - (t_i - p_i)) / tau_i; its probability
+        is the probit approximation ``predict_proba`` uses. Rows the cap
+        dropped did not enter the fit, so their plain prediction is held
+        out."""
+        K = self.kernel(self.X, self.X) + self.jitter * np.eye(self.X.shape[0])
+        C = solve_triangular(self._L_b, self._sqrt_w[:, None] * K, lower=True)
+        s = np.diag(K) - (C**2).sum(axis=0)
+        w = self._sqrt_w**2
+        tau = 1.0 / s - w
+        mean = (self.f_mode / s - w * self.f_mode - self._alpha) / tau
+        return self.kept_rows, _sigmoid_stable(mean / np.sqrt(1.0 + np.pi / (8.0 * tau)))
+
     def to_dict(self) -> dict:
         return {
             "kind": "gp",
@@ -419,7 +453,6 @@ class GpClassifier:
             "signal_var": float(self.signal_var),
             "jitter": float(self.jitter),
             "f_mode": [float(v) for v in self.f_mode],
-            "dual_weights": [float(v) for v in self._alpha],
         }
 
     @classmethod
@@ -560,6 +593,7 @@ def train_gp(
             continue
         if optimize_hypers:
             _optimize_hypers(model)
+        model.kept_rows = keep
         return model
     raise LearnerError(f"kernel matrix not positive definite up to jitter 1e-2: {last_err}")
 

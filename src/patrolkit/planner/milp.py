@@ -100,7 +100,6 @@ class MilpModel:
     problem: PlanProblem
     cells: list[int]                # cells with PWL terms (appear in graph)
     util: np.ndarray                # (n_cells_total, m+1) breakpoint utilities
-    obj_const: float                # utility of cells stuck at zero coverage
     n_flow: int
     n_bp: int
     # core system: columns [flows | lambdas], rows eq-only
@@ -137,7 +136,7 @@ class MilpModel:
         Any feasible flow is MILP-feasible: its coverage can always be
         written as a convex combination of two adjacent breakpoints. The
         value is the interpolated utility over graph cells, matching the LP
-        objective (which omits obj_const).
+        objective.
         """
         cov = self.problem.graph.coverage_from_flow(self.flow_values(x), self.problem.K)
         br = self.problem.pwl.breakpoints
@@ -163,8 +162,8 @@ def _csc(rows, cols, vals, shape) -> sparse.csc_array:
 def assemble_milp(problem: PlanProblem) -> MilpModel:
     """Build the MILP for one problem instance.
 
-    Cells pruned from the graph contribute their zero-coverage utility as
-    an objective constant.
+    Only cells in the graph get columns: the utility of the cells pruned
+    from it is constant and left out of the objective.
     """
     g = problem.graph
     cells = g.cells()
@@ -182,9 +181,6 @@ def assemble_milp(problem: PlanProblem) -> MilpModel:
     names += [f"z_{cid}_{s}" for cid in cells for s in range(1, n_seg + 1)]
 
     core_obj = np.concatenate([np.zeros(n_flow), util[cells].ravel()])
-    in_graph = set(cells)
-    obj_const = sum((float(util[cid, 0]) for cid in g.grid.masked_ids()
-                     if int(cid) not in in_graph), 0.0)
 
     # column and row indices: lam[pos, j] is breakpoint j of cell pos,
     # z[pos, s - 1] the selector of its segment s
@@ -230,7 +226,7 @@ def assemble_milp(problem: PlanProblem) -> MilpModel:
                 (n_cells * n_bp, n_vars))
 
     return MilpModel(
-        problem=problem, cells=cells, util=util, obj_const=obj_const,
+        problem=problem, cells=cells, util=util,
         n_flow=n_flow, n_bp=n_bp,
         core_obj=core_obj, core_A_eq=core_A_eq, core_b_eq=core_b_eq,
         obj=np.concatenate([core_obj, np.zeros(n_vars - n_core)]),
@@ -255,9 +251,9 @@ def _row_terms(A, names: list[str]) -> list[str]:
 
 def write_lp_file(model: MilpModel, path) -> None:
     """CPLEX LP format. Flows are f_t_u_v, breakpoint weights lam_cell_bp,
-    selectors z_cell_seg (declared binary). The objective constant from
-    coverage-free cells is not representable in the format and is left
-    out; plan objectives are recomputed from coverage over every park cell."""
+    selectors z_cell_seg (declared binary). The constant utility of the
+    cells outside the graph is left out, as in the LP objective; plan
+    objectives are recomputed from coverage over every park cell."""
     names = model.var_names
     nz = np.flatnonzero(model.obj)
     lines = ["\\ patrol plan model", "Maximize", f" obj: {_terms(nz, model.obj[nz], names)}"]

@@ -27,7 +27,7 @@ from patrolkit import iware, riskmap, synth
 
 bundle = synth.generate_preset("oneside-noise-small", 0)
 grid, ds = bundle.grid, bundle.dataset
-ens = patrolkit.cli.train_iware(ds, I=2, learner_kind="trees", rng=0, num_trees=3, folds=2)
+ens = patrolkit.cli.train_iware(ds, I=2, learner_kind="trees", rng=0, num_trees=3)
 
 # the names bench/run.py scores single rows and risk curves with
 cell = int(grid.masked_ids()[0])
@@ -63,10 +63,10 @@ assert m["planner.lp_calls"][0] > 0 and m["planner.solves"][0] >= 1, m
 assert m["planner.lp_rows"][0] > 0, m
 
 # the GP hooks: fits inside train_iware, loads inside IWareEnsemble.from_dict
-gp = patrolkit.cli.train_iware(ds, I=2, learner_kind="gp", rng=0, folds=2, max_points=40)
+gp = patrolkit.cli.train_iware(ds, I=2, learner_kind="gp", rng=0, max_points=40)
 iware.IWareEnsemble.from_dict(gp.to_dict())
 m = layer_metrics([tracer.spans], 1)
-assert m["learners.gp_fits"][0] == 6, m  # 2 folds x 2 fits, then 2 kept
+assert m["learners.gp_fits"][0] == 2, m  # one fit per threshold
 assert m["learners.gp_loads"][0] >= 2, m
 
 # a nonconvex instance whose branch and bound branches: its child node LPs

@@ -83,6 +83,19 @@ class TestPipeline:
         assert sweep[0] == "beta,ratio"
         assert sweep[1].startswith("0.0,1.0")
 
+    def test_model_written_compact_and_indented_model_loads(self, workdir):
+        out = ["--output_dir=run"]
+        assert run(["simulate", *SMALL, *out]) == 0
+        assert run(["train", *SMALL, *out]) == 0
+        assert run(["riskmap", *SMALL, *out]) == 0
+        path, risk = workdir / "run" / "model.json", workdir / "run" / "riskmap.csv"
+        compact, first = path.read_text(), risk.read_bytes()
+        assert compact.count("\n") == 1 and ": " not in compact
+        # a model file written indented, as before, loads to the same model
+        path.write_text(json.dumps(json.loads(compact), indent=2, sort_keys=True) + "\n")
+        assert run(["riskmap", *SMALL, *out]) == 0
+        assert risk.read_bytes() == first
+
     def test_missing_output_dir_parent_is_config_error(self, workdir):
         assert run(["simulate", *SMALL, "--output_dir=gone/deeper/run"]) == 2
 
@@ -164,6 +177,14 @@ class TestMalformedInputs:
         path.write_text("".join(",".join(r) + "\n" for r in [header, *rows]))
         assert run(["train", *SMALL, "--output_dir=r"]) == 2
 
+    def test_cells_with_duplicate_id(self, workdir):
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        path = workdir / "r" / "cells.csv"
+        lines = path.read_text().splitlines()
+        lines[1 + 7] = lines[1 + 6]  # cell 7's row is a copy of cell 6's
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["train", *SMALL, "--output_dir=r"]) == 2
+
     def test_waypoints_without_x(self, workdir):
         (workdir / "cells.csv").write_text("cell_id,x,y,mask,is_post,f_1\n0,0,0,1,1,0.5\n")
         (workdir / "waypoints.csv").write_text(
@@ -211,7 +232,7 @@ def test_cli_defaults_are_library_defaults(workdir, kind):
     ds = io.read_dataset_csv(workdir / "r" / "dataset.csv", grid)
     T = ds.num_timesteps
     train_ds = assemble_dataset(grid, ds.effort[: T - 1], ds.labels[: T - 1])
-    ens = train_iware(train_ds, I=2, folds=2, rng=3, learner_kind=kind)
+    ens = train_iware(train_ds, I=2, rng=3, learner_kind=kind)
     assert json.loads((workdir / "r" / "model.json").read_text()) == ens.to_dict()
 
 

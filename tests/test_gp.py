@@ -91,6 +91,33 @@ class TestLmlGradient:
         assert abs(g_sv - fd_sv) <= 1e-4 * max(1.0, abs(fd_sv))
 
 
+class TestLeaveOneOut:
+    def test_matches_refits(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(60, 3))
+        y = X[:, 0] + 0.8 * rng.normal(size=60) > 0.3
+        cfg = dict(lengthscale=1.2, signal_var=1.0, jitter=1e-6, max_points=60)
+        full = train_gp(matrix(X, y), **cfg, rng=0)
+        rows, loo = full.held_out_proba(X)
+        np.testing.assert_array_equal(rows, np.arange(60))
+        refit = np.array([predict_one(train_gp(matrix(np.delete(X, i, 0), np.delete(y, i)),
+                                               **cfg, rng=0), X[i])[0] for i in range(60)])
+        np.testing.assert_allclose(loo, refit, atol=1e-3)
+        # the in-sample prediction is not a held-out one
+        assert np.max(np.abs(full.predict_proba(X)[0] - refit)) > 0.05
+
+    def test_rows_the_cap_kept(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(50, 2))
+        y = X[:, 1] > 0.5
+        m = train_gp(matrix(X, y), lengthscale=1.0, max_points=30, rng=0)
+        rows, loo = m.held_out_proba(X)
+        assert rows.shape == loo.shape == (30,)
+        np.testing.assert_array_equal(X[rows], m.X)
+        assert np.all((loo > 0) & (loo < 1))
+        assert "kept_rows" not in m.to_dict()
+
+
 class TestTraining:
     def test_variance_monotone_under_deletion(self):
         rng = np.random.default_rng(4)

@@ -341,31 +341,46 @@ class TestTrainIware:
         train_iware(_toy_training_dataset(), I=3, learner_kind="trees", rng=5, num_trees=5)
         assert len(fits) == 3
 
+    def test_gp_fit_once_per_threshold(self, monkeypatch):
+        fits = []
+        fit = iware.train_gp
+        monkeypatch.setattr(iware, "train_gp", lambda *a, **k: fits.append(1) or fit(*a, **k))
+        ens = train_iware(_toy_training_dataset(seed=5, T=4, n=24), I=3, learner_kind="gp",
+                          rng=1, max_points=60)
+        assert len(fits) == ens.thresholds.count == 3
+
+    @pytest.mark.parametrize("kind, options", [("trees", {"num_trees": 4}),
+                                               ("gp", {"max_points": 30})])
+    def test_held_out_matrix(self, monkeypatch, kind, options):
+        """Each learner's column holds its held-out predictions on the rows
+        its fit used and its plain predictions on every other row."""
+        ds = _toy_training_dataset(seed=5, T=4, n=24)
+        seen = []
+        fit = iware.optimize_weights_from_probs
+        monkeypatch.setattr(iware, "optimize_weights_from_probs",
+                            lambda P, y, mask: seen.append(P) or fit(P, y, mask))
+        ens = train_iware(ds, I=3, learner_kind=kind, rng=1, **options)
+        X, y, eff, _ = iware._dataset_rows(ds)
+        held, (P, _) = seen[0], ens.member_outputs(X)
+        for i, (lrn, theta) in enumerate(zip(ens.learners, ens.thresholds.thresholds)):
+            fitted = np.flatnonzero(iware._one_sided(y, eff, theta))
+            rows, prob = lrn.held_out_proba(X[fitted])
+            other = np.setdiff1d(np.arange(y.size), fitted[rows])
+            np.testing.assert_array_equal(held[fitted[rows], i], prob)
+            np.testing.assert_array_equal(held[other, i], P[other, i])
+            assert other.size > 0
+
     def test_out_of_bag_votes(self):
         X, y, eff, ids = iware._dataset_rows(_toy_training_dataset(seed=1))
         keep = iware._one_sided(y, eff, 0.5)
         model = train_bagged(TrainMatrix(X[keep], y[keep], ids[keep]), num_trees=3, rng=0)
-        held = iware._out_of_bag(model, X, keep)
-        votes = model.tree_votes(X)
-        np.testing.assert_allclose(held[~keep], model.predict_proba(X[~keep])[0], rtol=1e-12)
-        for j, r in enumerate(np.flatnonzero(keep)):
+        rows, held = model.held_out_proba(X[keep])
+        votes = model.tree_votes(X[keep])
+        np.testing.assert_array_equal(rows, np.arange(keep.sum()))
+        for j in rows:
             out = model.memberships[:, j] == 0
             if out.any():
-                assert held[r] == pytest.approx(votes[out, r].mean(), rel=1e-12)
+                assert held[j] == pytest.approx(votes[out, j].mean(), rel=1e-12)
             else:
-                assert np.isnan(held[r])
+                assert np.isnan(held[j])
         assert np.isnan(held).any()
-
-    def test_gp_degenerate_fold_has_no_held_out_prediction(self, monkeypatch):
-        # one positive: the fold holding it leaves every refit without one
-        ds = dataset_from_rows([(1.0, 1)] + [(0.2 * k, 0) for k in range(1, 16)])
-        seen = []
-        fit = iware.optimize_weights_from_probs
-        monkeypatch.setattr(iware, "optimize_weights_from_probs",
-                            lambda P, y, mask: seen.append((P, y, mask)) or fit(P, y, mask))
-        ens = train_iware(ds, I=2, learner_kind="gp", rng=0, folds=2)
-        P, y, mask = seen[0]
-        assert not mask[y].any()
-        assert np.isnan(P[~mask.any(axis=1)]).all()
-        assert mask.any() and not np.isnan(P[mask]).any()
-        assert abs(ens.weights.sum() - 1.0) <= 1e-9
