@@ -1,9 +1,10 @@
 """Pipeline configuration: nested keys in a plain-text file.
 
 The file format is one dotted key per line, ``section.key = value``, with
-``#`` comments. Values are parsed as JSON where possible (numbers, lists,
-booleans) and fall back to bare strings. Every key can be overridden on
-the command line as ``--section.key=value``.
+``#`` comments. Values are parsed as JSON where possible (numbers, lists)
+and fall back to bare strings. A value must have the JSON kind of its
+default in ``DEFAULTS``. Every key can be overridden on the command line
+as ``--section.key=value``.
 """
 
 from __future__ import annotations
@@ -80,7 +81,21 @@ def parse_scalar(text: str):
         return text
 
 
-def _set_dotted(cfg: dict, dotted: str, value) -> None:
+def _kind(value) -> str:
+    """JSON kind of a setting; a boolean is not a number."""
+    if isinstance(value, bool):
+        return "boolean"
+    for kind, types in (("number", (int, float)), ("list", list), ("string", str),
+                        ("section", dict)):
+        if isinstance(value, types):
+            return kind
+    return "null"
+
+
+def _set_dotted(cfg: dict, dotted: str, text: str) -> None:
+    """Set one key from its text. The value must have its default's JSON
+    kind; where the default is null it may also be a number, and where it
+    is a string, text that is not a JSON string is kept as given."""
     parts = dotted.split(".")
     node = cfg
     for p in parts[:-1]:
@@ -89,6 +104,16 @@ def _set_dotted(cfg: dict, dotted: str, value) -> None:
         node = node[p]
     if parts[-1] not in node:
         raise ConfigError(f"unknown configuration key {dotted!r}")
+    want = _kind(node[parts[-1]])
+    if want == "section":
+        raise ConfigError(f"configuration section {dotted!r} cannot be set to a value")
+    value = parse_scalar(text)
+    if want == "string" and not isinstance(value, str):
+        value = text.strip()
+    allowed = ("number", "null") if want == "null" else (want,)
+    if _kind(value) not in allowed:
+        raise ConfigError(f"configuration key {dotted!r} takes a {' or '.join(allowed)}, "
+                          f"not {text.strip()!r}")
     node[parts[-1]] = value
 
 
@@ -106,11 +131,11 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            _set_dotted(cfg, key.strip(), parse_scalar(value))
+            _set_dotted(cfg, key.strip(), value)
     for ov in overrides or []:
         item = ov[2:] if ov.startswith("--") else ov
         if "=" not in item:
             raise ConfigError(f"override {ov!r} must look like section.key=value")
         key, _, value = item.partition("=")
-        _set_dotted(cfg, key.strip(), parse_scalar(value))
+        _set_dotted(cfg, key.strip(), value)
     return cfg

@@ -1,21 +1,23 @@
 """Robust patrol MILP: flow polytope + piecewise-linear utilities.
 
 Decision variables are edge flows on the time-unrolled graph (continuous,
-a mixed strategy), per-cell convex-combination weights over the utility
-breakpoints, and binary segment selectors that force each cell's weights
-onto two adjacent breakpoints (the SOS2 condition). The per-cell utility
-U(c) = g(c) - beta * g(c) * nu(c) is formed pointwise at the breakpoints
-before linearization, so the objective stays linear.
+a mixed strategy) and per-cell convex-combination weights over the utility
+breakpoints. The SOS2 condition puts each cell's weights on two adjacent
+breakpoints; the MILP states it with binary segment selectors. The
+per-cell utility U(c) = g(c) - beta * g(c) * nu(c) is formed pointwise at
+the breakpoints before linearization, so the objective stays linear.
 
+``assemble_milp`` builds only the LP relaxation, without selectors.
 Branch and bound works on per-cell breakpoint windows (SOS2 interval
 branching): fixing a window to a contiguous breakpoint range is the same
 as zeroing the selectors outside it. A window splits at the first
 breakpoint at or above the cell's relaxed coverage, one side of that
 coverage to each child, where branching a single selector barely tightens
 it. Inside a width-one window the weights are forced onto two adjacent
-breakpoints, so integrality never needs a separate check. The node
-relaxations drop the selector columns entirely, and every relaxation's
-flow is itself a feasible plan, which supplies incumbents.
+breakpoints, so integrality never needs a separate check. Every
+relaxation's flow is itself a feasible plan, which supplies incumbents.
+``write_lp_file`` is the one place that writes the selectors out, in the
+exported MILP.
 
 Each branch and bound loads the relaxation into one HiGHS instance
 (scipy's bundled binding). The root is solved cold by primal simplex.
@@ -28,14 +30,14 @@ reaches, which repeats exactly because HiGHS is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize._highspy import _core as highs_core  # private: tests check its names
 
-from ..riskmap import PwlRiskModel
+from ..riskmap import PwlRiskModel, interp_rows
 from .graph import PlanInfeasibleError, PlannerError, TimeUnrolledGraph
 
 OPTIMAL = "optimal"
@@ -89,12 +91,13 @@ class LpResult:
 
 @dataclass
 class MilpModel:
-    """LP data for one plan problem.
+    """The LP relaxation that branch and bound solves for one plan problem.
 
-    The core system (flows + breakpoint weights) is what the internal
-    branch and bound solves; the full system additionally carries the
-    binary selector columns and their linking rows, the SOS2 model that
-    ``write_lp_file`` exports. Constraint matrices are sparse (CSC).
+    Columns are the edge flows, then each graph cell's breakpoint weights;
+    every row is an equality, and the matrix is sparse (CSC). The binary
+    segment selectors of the SOS2 model are not part of it: branch and
+    bound replaces them by breakpoint windows, and ``write_lp_file`` adds
+    them when it exports the model.
     """
 
     problem: PlanProblem
@@ -102,26 +105,9 @@ class MilpModel:
     util: np.ndarray                # (n_cells_total, m+1) breakpoint utilities
     n_flow: int
     n_bp: int
-    # core system: columns [flows | lambdas], rows eq-only
-    core_obj: np.ndarray
-    core_A_eq: sparse.csc_array
-    core_b_eq: np.ndarray
-    # full system with binary selectors, for the LP-file export
-    obj: np.ndarray
+    obj: np.ndarray                 # columns [flows | lambdas]
     A_eq: sparse.csc_array
     b_eq: np.ndarray
-    A_ub: sparse.csc_array
-    b_ub: np.ndarray
-    z_cols: np.ndarray
-    var_names: list[str] = field(repr=False, default_factory=list)
-
-    @property
-    def n_vars(self) -> int:
-        return self.obj.shape[0]
-
-    @property
-    def n_core(self) -> int:
-        return self.core_obj.shape[0]
 
     def lam_slice(self, cell_pos: int) -> slice:
         start = self.n_flow + cell_pos * self.n_bp
@@ -140,16 +126,24 @@ class MilpModel:
         """
         cov = self.problem.graph.coverage_from_flow(self.flow_values(x), self.problem.K)
         br = self.problem.pwl.breakpoints
-        return sum((float(np.interp(cov[cid], br, self.util[cid])) for cid in self.cells), 0.0)
+        return _sum_in_order(interp_rows(cov[self.cells], br, self.util[self.cells]))
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """Left-to-right float sum. ``np.sum`` adds pairwise and ``sum`` adds
+    with compensation from Python 3.12 on; either changes the last bits."""
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
 
 
 def objective_of_coverage(pwl: PwlRiskModel, grid, coverage: np.ndarray, beta: float) -> float:
-    """Sum of per-cell PWL utilities over all park cells."""
-    util = pwl.utility_values(beta)
-    total = 0.0
-    for cid in grid.masked_ids():
-        total += float(np.interp(coverage[cid], pwl.breakpoints, util[cid]))
-    return total
+    """Sum of per-cell PWL utilities over all park cells, added one cell
+    at a time in ascending cell order."""
+    ids = grid.masked_ids()
+    return _sum_in_order(interp_rows(coverage[ids], pwl.breakpoints,
+                                     pwl.utility_values(beta)[ids]))
 
 
 def _csc(rows, cols, vals, shape) -> sparse.csc_array:
@@ -160,7 +154,8 @@ def _csc(rows, cols, vals, shape) -> sparse.csc_array:
 
 
 def assemble_milp(problem: PlanProblem) -> MilpModel:
-    """Build the MILP for one problem instance.
+    """Build the LP relaxation (flows and breakpoint weights) for one
+    problem instance.
 
     Only cells in the graph get columns: the utility of the cells pruned
     from it is constant and left out of the objective.
@@ -170,23 +165,12 @@ def assemble_milp(problem: PlanProblem) -> MilpModel:
     util = problem.pwl.utility_values(problem.beta)
     br = problem.pwl.breakpoints
     n_bp = br.size
-    n_seg = n_bp - 1
     n_cells = len(cells)
     n_flow = g.num_edges
-    n_core = n_flow + n_cells * n_bp
-    n_vars = n_core + n_cells * n_seg
 
-    names = [f"f_{g.nodes[u][1]}_{g.nodes[u][0]}_{g.nodes[v][0]}" for u, v in g.edges]
-    names += [f"lam_{cid}_{j}" for cid in cells for j in range(n_bp)]
-    names += [f"z_{cid}_{s}" for cid in cells for s in range(1, n_seg + 1)]
-
-    core_obj = np.concatenate([np.zeros(n_flow), util[cells].ravel()])
-
-    # column and row indices: lam[pos, j] is breakpoint j of cell pos,
-    # z[pos, s - 1] the selector of its segment s
+    # column and row indices: lam[pos, j] is breakpoint j of cell pos
     edge = np.arange(n_flow)
     lam = n_flow + np.arange(n_cells * n_bp).reshape(n_cells, n_bp)
-    z = n_core + np.arange(n_cells * n_seg).reshape(n_cells, n_seg)
     cell_row = np.repeat(np.arange(n_cells), n_bp)
     pos_of = np.full(g.grid.n_cells, -1)
     pos_of[cells] = np.arange(n_cells)
@@ -211,28 +195,12 @@ def assemble_milp(problem: PlanProblem) -> MilpModel:
     rows.append(n_nodes + n_cells + cell_row)
     cols.append(lam.ravel())
     vals.append(np.ones(n_cells * n_bp))
-    n_rows = n_nodes + 2 * n_cells
-    core_A_eq = _csc(rows, cols, vals, (n_rows, n_core))
-    core_b_eq = np.concatenate([node_rhs, link_rhs, np.ones(n_cells)])
-
-    # full system: the core rows with zero selector columns, plus the
-    # selector conventions (sum to one; weights only next to a chosen segment)
-    A_eq = _csc(rows + [n_rows + np.repeat(np.arange(n_cells), n_seg)], cols + [z.ravel()],
-                vals + [np.ones(n_cells * n_seg)], (n_rows + n_cells, n_vars))
-    ub_row = np.arange(n_cells * n_bp).reshape(n_cells, n_bp)
-    A_ub = _csc([ub_row.ravel(), ub_row[:, 1:].ravel(), ub_row[:, :-1].ravel()],
-                [lam.ravel(), z.ravel(), z.ravel()],
-                [np.ones(n_cells * n_bp), -np.ones(z.size), -np.ones(z.size)],
-                (n_cells * n_bp, n_vars))
 
     return MilpModel(
-        problem=problem, cells=cells, util=util,
-        n_flow=n_flow, n_bp=n_bp,
-        core_obj=core_obj, core_A_eq=core_A_eq, core_b_eq=core_b_eq,
-        obj=np.concatenate([core_obj, np.zeros(n_vars - n_core)]),
-        A_eq=A_eq, b_eq=np.concatenate([core_b_eq, np.ones(n_cells)]),
-        A_ub=A_ub, b_ub=np.zeros(n_cells * n_bp),
-        z_cols=z.ravel().astype(np.int64), var_names=names,
+        problem=problem, cells=cells, util=util, n_flow=n_flow, n_bp=n_bp,
+        obj=np.concatenate([np.zeros(n_flow), util[cells].ravel()]),
+        A_eq=_csc(rows, cols, vals, (n_nodes + 2 * n_cells, n_flow + n_cells * n_bp)),
+        b_eq=np.concatenate([node_rhs, link_rhs, np.ones(n_cells)]),
     )
 
 
@@ -244,30 +212,38 @@ def _terms(cols: np.ndarray, coeffs: np.ndarray, names: list[str]) -> str:
     return out[2:] if out.startswith("+ ") else out
 
 
-def _row_terms(A, names: list[str]) -> list[str]:
-    A = A.tocsr()
-    return [_terms(A.indices[a:b], A.data[a:b], names) for a, b in zip(A.indptr, A.indptr[1:])]
-
-
 def write_lp_file(model: MilpModel, path) -> None:
-    """CPLEX LP format. Flows are f_t_u_v, breakpoint weights lam_cell_bp,
-    selectors z_cell_seg (declared binary). The constant utility of the
+    """Export the SOS2 model in CPLEX LP format.
+
+    The model's rows and columns come first: flows f_t_u_v and breakpoint
+    weights lam_cell_bp. The export adds the binary selectors z_cell_seg,
+    one per segment: each cell's selectors sum to one, and a weight may be
+    nonzero only next to the chosen segment. The constant utility of the
     cells outside the graph is left out, as in the LP objective; plan
     objectives are recomputed from coverage over every park cell."""
-    names = model.var_names
+    g = model.problem.graph
+    n_seg = model.n_bp - 1
+    names = [f"f_{g.nodes[u][1]}_{g.nodes[u][0]}_{g.nodes[v][0]}" for u, v in g.edges]
+    names += [f"lam_{cid}_{j}" for cid in model.cells for j in range(model.n_bp)]
+    selectors = [[f"z_{cid}_{s}" for s in range(1, n_seg + 1)] for cid in model.cells]
     nz = np.flatnonzero(model.obj)
     lines = ["\\ patrol plan model", "Maximize", f" obj: {_terms(nz, model.obj[nz], names)}"]
     lines.append("Subject To")
-    for i, terms in enumerate(_row_terms(model.A_eq, names)):
-        lines.append(f" eq{i}: {terms} = {model.b_eq[i]:.17g}")
-    for i, terms in enumerate(_row_terms(model.A_ub, names)):
-        lines.append(f" ub{i}: {terms} <= {model.b_ub[i]:.17g}")
+    A = model.A_eq.tocsr()
+    for i, (a, b) in enumerate(zip(A.indptr, A.indptr[1:])):
+        lines.append(f" eq{i}: {_terms(A.indices[a:b], A.data[a:b], names)}"
+                     f" = {model.b_eq[i]:.17g}")
+    for i, z in enumerate(selectors, start=len(model.b_eq)):
+        lines.append(f" eq{i}: {' + '.join(f'1 {name}' for name in z)} = 1")
+    for i, name in enumerate(names[model.n_flow:]):
+        z, j = selectors[i // model.n_bp], i % model.n_bp
+        nbrs = "".join(f" - 1 {z[s]}" for s in (j - 1, j) if 0 <= s < n_seg)
+        lines.append(f" ub{i}: 1 {name}{nbrs} <= 0")
     lines.append("Bounds")
-    for j in range(model.n_vars):
-        lines.append(f" 0 <= {names[j]} <= 1")
+    names += [name for z in selectors for name in z]
+    lines += [f" 0 <= {name} <= 1" for name in names]
     lines.append("Binary")
-    for col in model.z_cols:
-        lines.append(f" {names[col]}")
+    lines += [f" {name}" for z in selectors for name in z]
     lines.append("End")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -321,20 +297,20 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, highs=None) -> LpRes
 
 
 def _solve_window_lp(model: MilpModel, highs, windows: np.ndarray) -> LpResult:
-    """Core LP relaxation with each cell's weights confined to its
+    """The LP relaxation with each cell's weights confined to its
     breakpoint window, re-solved on ``highs`` (from ``load_lp``)."""
     j = np.arange(model.n_bp)
     inside = (j >= windows[:, :1]) & (j <= windows[:, 1:])
-    cols = np.arange(model.n_flow, model.n_core, dtype=np.int32)
+    cols = np.arange(model.n_flow, model.obj.size, dtype=np.int32)
     highs.changeColsBounds(cols.size, cols, np.zeros(cols.size),
                            np.where(inside.ravel(), highs_core.kHighsInf, 0.0))
-    return solve_lp(model.core_obj, None, None, model.core_A_eq, model.core_b_eq, highs=highs)
+    return solve_lp(model.obj, None, None, model.A_eq, model.b_eq, highs=highs)
 
 
 def branch_and_bound(model: MilpModel):
     """Maximize over SOS2-feasible weight assignments.
 
-    Returns (x_core, objective). Depth-first over breakpoint
+    Returns (x, objective). Depth-first over breakpoint
     windows; each relaxation's flow doubles as a primal incumbent, and a
     node is closed once its relaxation value is within the MIP gap of the
     interpolated utility of its own flow.
@@ -347,7 +323,7 @@ def branch_and_bound(model: MilpModel):
     root = np.tile(np.array([0, m]), (n_cells, 1))
     stack = [root]
     nodes = 0
-    highs = load_lp(model.core_obj, None, None, model.core_A_eq, model.core_b_eq)
+    highs = load_lp(model.obj, None, None, model.A_eq, model.b_eq)
 
     while stack:
         windows = stack.pop()

@@ -124,6 +124,18 @@ class PwlRiskModel:
         return PwlRiskModel(grid=self.grid, breakpoints=br, prob_values=pv, var_values=vv)
 
 
+def interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(x[i], xp, fp[i])`` for every row i at once, bit for bit:
+    the same slope and formula inside a segment, and exact values at the
+    breakpoints, below ``xp[0]`` and from ``xp[-1]`` on."""
+    x = np.asarray(x, dtype=float)
+    j = np.clip(np.searchsorted(xp, x, side="right") - 1, 0, xp.size - 2)
+    rows = np.arange(x.size)
+    lo, hi = fp[rows, j], fp[rows, j + 1]
+    inner = (hi - lo) / (xp[j + 1] - xp[j]) * (x - xp[j]) + lo
+    return np.where(x >= xp[-1], fp[:, -1], np.where(x <= xp[j], lo, inner))
+
+
 def default_c_max(ds: PatrolDataset) -> float:
     """Twice the 95th percentile of positive historical row efforts."""
     eff = ds.effort[:, ds.grid.masked_ids()].ravel()

@@ -1,11 +1,11 @@
 """The benchmark's hooks keep working against the current API.
 
 ``bench/tracing.py`` wraps patrolkit functions by name, and ``bench/run.py``
-checks outputs through a handful of public names. Both break silently on
-an API change (a traced run would fail only when the benchmark is run), so
-this test installs the tracer in a fresh process and exercises those names
-on a small park, with a tree and a GP ensemble, and makes the planner calls
-of ``bench/planlong.py``.
+passes configuration overrides and checks outputs through a handful of
+public names. Both break silently on an API change (a traced run would
+fail only when the benchmark is run), so this test installs the tracer in
+a fresh process and exercises those names on a small park, with a tree
+and a GP ensemble, and makes the planner calls of ``bench/planlong.py``.
 """
 
 import os
@@ -21,6 +21,15 @@ from tracing import Tracer, install, layer_metrics
 
 tracer = Tracer()
 install(tracer)  # every target must resolve where the tracer looks for it
+
+# every CLI command line bench/run.py builds passes the configuration rules
+from pathlib import Path
+import run
+from patrolkit.config import load_config
+for stage in ("simulate", "train", "riskmap", "plan", "sweep", "evaluate"):
+    for learner in ("trees", "gp"):
+        argv = run.cli_argv(stage, Path("out"), learner, None, post=86)
+        load_config(None, [a for a in argv if a.startswith("--") and a != "--beta-sweep"])
 
 import patrolkit.cli
 from patrolkit import iware, riskmap, synth
@@ -70,7 +79,7 @@ assert m["learners.gp_fits"][0] == 2, m  # one fit per threshold
 assert m["learners.gp_loads"][0] >= 2, m
 
 # a nonconvex instance whose branch and bound branches: its child node LPs
-# go through the traced name too, each over the full core system
+# go through the traced name too, each over the model's whole LP
 rng = np.random.default_rng(0)
 br = np.linspace(0.0, 4.0, 5)
 rough = riskmap.PwlRiskModel(grid=grid, breakpoints=br,
@@ -81,10 +90,10 @@ problem = planner.PlanProblem(graph=graph, pwl=rough, K=1, beta=0.5)
 tracer.spans.clear()
 planner.solve(problem, method="bnb")
 m = layer_metrics([tracer.spans], 1)
-core = planner.assemble_milp(problem).core_A_eq.shape
+A_eq = planner.assemble_milp(problem).A_eq
 assert m["planner.lp_calls"][0] > m["planner.solves"][0] == 1, m
-assert m["planner.lp_cols"][0] == core[1], (m, core)
-assert all(s[4] == list(core) for s in tracer.spans if s[0] == "planner.lp"), core
+assert m["planner.lp_cols"][0] == A_eq.shape[1], (m, A_eq.shape)
+assert all(s[4] == list(A_eq.shape) for s in tracer.spans if s[0] == "planner.lp"), A_eq.shape
 print("ok")
 """
 

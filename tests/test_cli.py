@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,45 @@ class TestConfig:
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent.conf", [])
+
+    @pytest.mark.parametrize("override, message", [
+        ("--ensemble=5", "section 'ensemble' cannot be set"),
+        ("--planner.T=[1]", "'planner.T' takes a number, not '[1]'"),
+        ("--planner.T=true", "'planner.T' takes a number, not 'true'"),
+        ("--ensemble.num_thresholds=null", "takes a number, not 'null'"),
+        ("--planner.beta_grid=5", "'planner.beta_grid' takes a list"),
+        ("--riskmap.levels=0.5", "takes a list"),
+        ("--ensemble.gp_lengthscale=wide", "takes a number or null, not 'wide'"),
+        ("--ensemble.gp_lengthscale=false", "takes a number or null"),
+    ])
+    def test_value_of_the_wrong_kind_rejected(self, override, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(None, [override])
+
+    def test_wrong_kind_is_an_input_error(self, workdir, capsys):
+        # on a simulated park these ended in a TypeError traceback: a
+        # section replaced by a number, and a number where a list is iterated
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        assert run(["train", *SMALL, "--ensemble=5", "--output_dir=r"]) == 2
+        assert run(["plan", "--beta-sweep", "--planner.beta_grid=5", "--output_dir=r"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot be set to a value" in err and "takes a list" in err
+        (workdir / "run.conf").write_text("planner.T = true\n")
+        with pytest.raises(ConfigError, match="takes a number"):
+            load_config(workdir / "run.conf", [])
+
+    def test_values_of_the_default_kind_kept(self):
+        cfg = load_config(None, ["--simulate.preset=2019", "--output_dir=null",
+                                 '--ensemble.learner="gp"', "--train.dataset=[d].csv",
+                                 "--ensemble.gp_lengthscale=null", "--planner.T=8",
+                                 "--riskmap.c_max=2.5", "--planner.beta_grid=[0.0,1]"])
+        # text that is no JSON string stays a string where the default is one
+        assert cfg["simulate"]["preset"] == "2019" and cfg["output_dir"] == "null"
+        assert cfg["ensemble"]["learner"] == "gp" and cfg["train"]["dataset"] == "[d].csv"
+        assert cfg["ensemble"]["gp_lengthscale"] is None and cfg["planner"]["T"] == 8
+        assert cfg["riskmap"]["c_max"] == 2.5 and cfg["planner"]["beta_grid"] == [0.0, 1]
+        assert load_config(None, ["--ensemble.gp_lengthscale=0.7"])["ensemble"][
+            "gp_lengthscale"] == 0.7
 
 
 class TestPipeline:

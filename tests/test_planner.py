@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -81,17 +82,56 @@ def random_nonconvex_problem(seed):
                        K=K, beta=float(rng.choice([0.0, 0.5, 1.0])))
 
 
-def scipy_milp_objective(problem):
-    """Independent oracle: same model data, solved by HiGHS."""
-    m = assemble_milp(problem)
-    cons = [LinearConstraint(m.A_eq, m.b_eq, m.b_eq)]
-    if m.A_ub.shape[0]:
-        cons.append(LinearConstraint(m.A_ub, -np.inf, m.b_ub))
-    integrality = np.zeros(m.n_vars)
-    integrality[m.z_cols] = 1
-    res = milp(c=-m.obj, constraints=cons, integrality=integrality, bounds=Bounds(0, 1))
+def scipy_milp_objective(problem, tmp_path):
+    """Independent oracle: the model as ``write_lp_file`` exports it, read
+    back from the file and solved by scipy's HiGHS MILP."""
+    model = assemble_milp(problem)
+    path = tmp_path / "model.lp"
+    write_lp_file(model, path)
+    obj, A_eq, b_eq, A_ub, b_ub, lo, hi, binary = _parse_lp(path.read_text())
+    cons = [LinearConstraint(A_eq, b_eq, b_eq), LinearConstraint(A_ub, -np.inf, b_ub)]
+    res = milp(c=-obj, constraints=cons, integrality=binary, bounds=Bounds(lo, hi))
     assert res.success, res.message
-    return -res.fun, m
+    return -res.fun, model
+
+
+def _parse_lp(text):
+    """Minimal CPLEX-LP reader. The columns are the variables of the
+    Bounds section, in its order; returns the objective, the equality and
+    inequality rows, the bounds and the binary flags over them."""
+    sections, section = {}, None
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("\\"):
+            continue
+        if line.lower() in ("maximize", "subject to", "bounds", "binary", "end"):
+            section = sections.setdefault(line.lower(), [])
+        else:
+            section.append(line)
+    bounds = [line.split("<=") for line in sections["bounds"]]
+    names = [name.strip() for _, name, _ in bounds]
+    col = {name: j for j, name in enumerate(names)}
+
+    def parse_expr(expr):
+        row = np.zeros(len(names))
+        for sign, coef, name in re.findall(r"([+-]?)\s*([\d.eE+-]*)\s*([A-Za-z]\w*)", expr):
+            c = float(coef) if coef not in ("", "+", "-") else 1.0
+            row[col[name]] += -c if sign == "-" else c
+        return row
+
+    (objective,) = sections["maximize"]
+    rows = {"=": ([], []), "<=": ([], [])}
+    for line in sections["subject to"]:
+        body = line.split(":", 1)[1]
+        op = "<=" if "<=" in body else "="
+        lhs, rhs = body.split(op)
+        rows[op][0].append(parse_expr(lhs))
+        rows[op][1].append(float(rhs))
+    A_eq, b_eq = map(np.asarray, rows["="])
+    A_ub, b_ub = map(np.asarray, rows["<="])
+    lo, hi = (np.array([float(b[k]) for b in bounds]) for k in (0, 2))
+    return (parse_expr(objective.split(":", 1)[1]), A_eq, b_eq, A_ub, b_ub, lo, hi,
+            np.isin(names, sections["binary"]).astype(int))
 
 
 class TestGraph:
@@ -176,14 +216,16 @@ class TestSolve:
             pb.validate()
             assert abs(pe.objective - pb.objective) <= 1e-6
 
-    def test_bnb_matches_scipy_on_nonconvex(self):
+    def test_bnb_matches_scipy_on_nonconvex(self, tmp_path):
+        # every seed goes through the LP-file export: the oracle solves
+        # the file that write_lp_file writes
         for seed in range(12):
             p = random_nonconvex_problem(seed)
-            ref, model = scipy_milp_objective(p)
+            ref, model = scipy_milp_objective(p, tmp_path)
             _, got = branch_and_bound(model)
             assert abs(got - ref) <= 1e-6
 
-    def test_branching_splits_at_the_relaxed_coverage(self, monkeypatch):
+    def test_branching_splits_at_the_relaxed_coverage(self, monkeypatch, tmp_path):
         # a convex risk curve: the root relaxation puts the cell's weight on
         # the two ends of its window, most of it on the low end; one
         # split at the relaxed coverage settles the cell
@@ -198,7 +240,7 @@ class TestSolve:
         prob = np.vstack([np.zeros(25), (br / 12.0) ** 2])
         p = PlanProblem(graph=build_graph(grid, 0, 6), pwl=pwl_from_values(grid, br, prob),
                         K=1, beta=0.0)
-        ref, model = scipy_milp_objective(p)
+        ref, model = scipy_milp_objective(p, tmp_path)
         _, got = branch_and_bound(model)
         assert abs(got - ref) <= 1e-6
         assert len(windows) == 3  # the root and its two children
@@ -265,6 +307,33 @@ class TestAssembleMilp:
             p = PlanProblem(graph=g, pwl=pwl, K=2, beta=0.0)  # T*K = 8 > 1
         m = assemble_milp(p)
         assert m.problem.pwl.c_max == 8.0
+
+
+class TestObjective:
+    def test_coverage_objectives_equal_a_per_cell_loop(self):
+        # both coverage objectives add np.interp's per-cell values one at a
+        # time in ascending cell order, to the last bit
+        def loop(pwl, cells, cov, util):
+            total = 0.0
+            for cid in cells:
+                total += float(np.interp(cov[cid], pwl.breakpoints, util[cid]))
+            return total
+
+        problems = [random_nonconvex_problem(s) for s in range(12)]
+        problems += [random_convex_problem(s) for s in range(4)]  # with masked-out cells
+        for seed, p in enumerate(problems):
+            grid, pwl = p.graph.grid, p.pwl
+            rng = np.random.default_rng(seed)
+            model = assemble_milp(p)
+            x, _ = branch_and_bound(model)
+            covs = [p.graph.coverage_from_flow(model.flow_values(x), p.K),
+                    rng.uniform(0.0, 1.2 * pwl.c_max, grid.n_cells),
+                    rng.choice(pwl.breakpoints, grid.n_cells)]
+            for cov in covs:
+                for beta in (0.0, p.beta, 1.0):
+                    want = loop(pwl, grid.masked_ids(), cov, pwl.utility_values(beta))
+                    assert objective_of_coverage(pwl, grid, cov, beta) == want
+            assert model.flow_incumbent_value(x) == loop(pwl, model.cells, covs[0], model.util)
 
 
 class TestValidate:
@@ -362,74 +431,6 @@ class TestImprovementRatio:
         assert table[1][1] is None
 
 
-class TestLpInterface:
-    def test_lp_file_round_trip_via_scipy(self, tmp_path):
-        p = random_nonconvex_problem(4)
-        model = assemble_milp(p)
-        path = tmp_path / "model.lp"
-        write_lp_file(model, path)
-        obj_names, A_eq, b_eq, A_ub, b_ub, binaries = _parse_lp(path.read_text(),
-                                                                model.var_names)
-        cons = [LinearConstraint(A_eq, b_eq, b_eq)]
-        if len(b_ub):
-            cons.append(LinearConstraint(A_ub, -np.inf, b_ub))
-        integrality = np.zeros(model.n_vars)
-        integrality[[model.var_names.index(b) for b in binaries]] = 1
-        res = milp(c=-obj_names, constraints=cons, integrality=integrality,
-                   bounds=Bounds(0, 1))
-        assert res.success
-        _, internal = branch_and_bound(model)
-        assert abs(-res.fun - internal) <= 1e-6
-
-
-def _parse_lp(text, var_names):
-    """Minimal CPLEX-LP reader for round-trip testing (objective, rows)."""
-    import re
-
-    name_to_col = {n: j for j, n in enumerate(var_names)}
-    n = len(var_names)
-    section = None
-    obj = np.zeros(n)
-    A_eq, b_eq, A_ub, b_ub, binaries = [], [], [], [], []
-
-    def parse_expr(expr, row):
-        for sign, coef, name in re.findall(r"([+-]?)\s*([\d.eE+-]*)\s*([A-Za-z]\w*)", expr):
-            c = float(coef) if coef not in ("", "+", "-") else 1.0
-            if sign == "-":
-                c = -c
-            row[name_to_col[name]] += c
-
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("\\"):
-            continue
-        low = line.lower()
-        if low in ("maximize", "subject to", "bounds", "binary", "end"):
-            section = low
-            continue
-        if section == "maximize":
-            parse_expr(line.split(":", 1)[1], obj)
-        elif section == "subject to":
-            body = line.split(":", 1)[1]
-            if "<=" in body:
-                lhs, rhs = body.split("<=")
-                row = np.zeros(n)
-                parse_expr(lhs, row)
-                A_ub.append(row)
-                b_ub.append(float(rhs))
-            else:
-                lhs, rhs = body.split("=")
-                row = np.zeros(n)
-                parse_expr(lhs, row)
-                A_eq.append(row)
-                b_eq.append(float(rhs))
-        elif section == "binary":
-            binaries.append(line)
-    return (obj, np.asarray(A_eq), np.asarray(b_eq),
-            np.asarray(A_ub) if A_ub else np.zeros((0, n)),
-            np.asarray(b_ub), binaries)
-
-
 class TestSolveLp:
     """solve_lp maximizes and maps HiGHS statuses onto the planner's."""
 
@@ -515,7 +516,7 @@ class TestNodeLp:
         sequence = [root, windows(**{f"p{post}": (0, 0)}), windows(p0=(0, 1)),
                     windows(p3=(2, 5)), windows(**{f"p{post}": (1, 2)}), windows(p1=(5, 5)),
                     windows(p2=(0, 0), p6=(0, 1)), root]
-        highs = load_lp(model.core_obj, None, None, model.core_A_eq, model.core_b_eq)
+        highs = load_lp(model.obj, None, None, model.A_eq, model.b_eq)
         statuses = []
         j = np.arange(model.n_bp)
         for w in sequence:
@@ -523,8 +524,8 @@ class TestNodeLp:
             # the fresh solve drops the columns outside the windows instead
             inside = (j >= w[:, :1]) & (j <= w[:, 1:])
             cols = np.concatenate([np.arange(model.n_flow), model.n_flow + np.flatnonzero(inside)])
-            fresh = solve_lp(model.core_obj[cols], None, None, model.core_A_eq[:, cols],
-                             model.core_b_eq)
+            fresh = solve_lp(model.obj[cols], None, None, model.A_eq[:, cols],
+                             model.b_eq)
             assert hot.status == fresh.status
             if fresh.status == "optimal":
                 assert hot.objective == pytest.approx(fresh.objective, rel=1e-9, abs=1e-9)

@@ -7,6 +7,7 @@ from patrolkit.riskmap import (
     PwlRiskModel,
     build_pwl,
     default_c_max,
+    interp_rows,
     select_field_test_blocks,
     sweep_riskmap,
 )
@@ -131,6 +132,28 @@ class TestPwl:
         rm = sweep_riskmap(ens, grid, ds, pwl.breakpoints)
         np.testing.assert_array_equal(pwl.prob_values, rm.prob.T)
         np.testing.assert_array_equal(pwl.var_values, rm.var.T)
+
+    def test_interp_rows_is_np_interp_bit_for_bit(self):
+        # 400 cells on uneven breakpoints, flat-extended past c_max
+        rng = np.random.default_rng(3)
+        grid = flat_grid(20, 20, k=1)
+        br = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.7, size=6))])
+        m = PwlRiskModel(grid=grid, breakpoints=br, prob_values=rng.random((400, 7)),
+                         var_values=rng.random((400, 7)))
+        with pytest.warns(UserWarning, match="clamping"):
+            ext = m.extended_to(br[-1] + 3.0)
+        between = rng.uniform(0.0, br[-1], size=400)
+        cases = [np.zeros(400), between, rng.uniform(br[-1], ext.c_max, size=400),
+                 np.full(400, ext.c_max + 1.0), rng.choice(ext.breakpoints, size=400)]
+        cases += [np.full(400, b) for b in ext.breakpoints]
+        # and without the extension: clamped at both ends of the domain
+        cases += [np.full(400, -0.5), np.full(400, br[-1]), br[-1] + rng.random(400)]
+        for x in cases:
+            for pwl in (ext, m):
+                fp = pwl.utility_values(0.5)
+                want = np.array([np.interp(x[i], pwl.breakpoints, fp[i]) for i in range(400)])
+                got = interp_rows(x, pwl.breakpoints, fp)
+                assert got.tobytes() == want.tobytes()
 
     def test_default_c_max(self):
         grid = flat_grid(2, 1, k=1)
