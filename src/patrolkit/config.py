@@ -3,7 +3,8 @@
 The file format is one dotted key per line, ``section.key = value``, with
 ``#`` comments. Values are parsed as JSON where possible (numbers, lists)
 and fall back to bare strings. A value must have the JSON kind of its
-default in ``DEFAULTS``. Every key can be overridden on the command line
+default in ``DEFAULTS``, and an integral value where that default is an
+integer. Every key can be overridden on the command line
 as ``--section.key=value``.
 """
 
@@ -94,17 +95,20 @@ def _kind(value) -> str:
 
 def _set_dotted(cfg: dict, dotted: str, text: str) -> None:
     """Set one key from its text. The value must have its default's JSON
-    kind; where the default is null it may also be a number, and where it
-    is a string, text that is not a JSON string is kept as given."""
-    parts = dotted.split(".")
-    node = cfg
-    for p in parts[:-1]:
-        if p not in node or not isinstance(node[p], dict):
+    kind; where the default is null it may also be a number, where it is an
+    integer the number must be integral (and is stored as an int), and where
+    it is a string, text that is not a JSON string is kept as given. The
+    default is read from ``DEFAULTS``, not from a value set earlier."""
+    *sections, key = dotted.split(".")
+    node, default = cfg, DEFAULTS
+    for p in sections:
+        if p not in default or not isinstance(default[p], dict):
             raise ConfigError(f"unknown configuration section {dotted!r}")
-        node = node[p]
-    if parts[-1] not in node:
+        node, default = node[p], default[p]
+    if key not in default:
         raise ConfigError(f"unknown configuration key {dotted!r}")
-    want = _kind(node[parts[-1]])
+    default = default[key]
+    want = _kind(default)
     if want == "section":
         raise ConfigError(f"configuration section {dotted!r} cannot be set to a value")
     value = parse_scalar(text)
@@ -114,7 +118,12 @@ def _set_dotted(cfg: dict, dotted: str, text: str) -> None:
     if _kind(value) not in allowed:
         raise ConfigError(f"configuration key {dotted!r} takes a {' or '.join(allowed)}, "
                           f"not {text.strip()!r}")
-    node[parts[-1]] = value
+    if want == "number" and isinstance(default, int):
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"configuration key {dotted!r} takes an integer, "
+                              f"not {text.strip()!r}")
+        value = int(value)
+    node[key] = value
 
 
 def load_config(path: str | None = None, overrides: list[str] | None = None) -> dict:

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NO_DATA = float("nan")
-
 
 class GridError(ValueError):
     """Invalid grid geometry or inconsistent dataset shapes."""
@@ -329,25 +327,3 @@ def assemble_dataset(grid: ParkGrid, effort: np.ndarray, labels: np.ndarray) -> 
     return PatrolDataset(grid=grid, effort=effort, labels=clean,
                          design_matrix=design, coerced_label_count=coerced)
 
-
-def positive_rate_by_effort(ds: PatrolDataset, thresholds) -> list[tuple[float, float | None]]:
-    """Fraction of positive labels among park rows with effort >= threshold.
-
-    At threshold 0 the bucket is rows with strictly positive effort (rows
-    that were never patrolled carry no information). Empty buckets yield
-    ``None``. Only masked cells are counted.
-    """
-    ids = ds.grid.masked_ids()
-    eff = ds.effort[:, ids].ravel()
-    lab = ds.labels[:, ids].ravel()
-    out: list[tuple[float, float | None]] = []
-    for theta in thresholds:
-        theta = float(theta)
-        if theta < 0:
-            raise GridError("thresholds must be nonnegative")
-        sel = eff > 0 if theta == 0 else eff >= theta
-        if not sel.any():
-            out.append((theta, None))
-        else:
-            out.append((theta, float(lab[sel].mean())))
-    return out

@@ -42,7 +42,7 @@ class IwareError(ValueError):
 
 @dataclass(frozen=True)
 class ThresholdSet:
-    """Ascending effort thresholds in km; the first is always 0."""
+    """Ascending finite effort thresholds in km; the first is always 0."""
 
     thresholds: tuple[float, ...]
 
@@ -50,6 +50,8 @@ class ThresholdSet:
         th = tuple(float(t) for t in self.thresholds)
         if not th:
             raise IwareError("need at least one threshold")
+        if not np.all(np.isfinite(th)):
+            raise IwareError("thresholds must be finite")
         if th[0] != 0.0:
             raise IwareError("first threshold must be 0")
         if any(b < a for a, b in zip(th, th[1:])):
@@ -124,19 +126,6 @@ def _subset(rows, keep: np.ndarray) -> TrainMatrix:
     return TrainMatrix(rows=X[keep], labels=y[keep], row_ids=row_ids[keep])
 
 
-def filter_dataset(ds: PatrolDataset, theta: float) -> TrainMatrix:
-    """Training subset at one threshold: all positives, plus negatives whose
-    effort exceeds theta."""
-    if theta < 0:
-        raise IwareError("threshold must be nonnegative")
-    rows = _dataset_rows(ds)
-    _, y, eff, _ = rows
-    keep = _one_sided(y, eff, theta)
-    if not keep.any():
-        raise IwareError(f"no rows survive filtering at threshold {theta}")
-    return _subset(rows, keep)
-
-
 def _clamp_probs(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     p = np.where(np.isfinite(p), p, 0.5)
@@ -209,8 +198,10 @@ class IWareEnsemble:
         w = np.asarray(self.weights, dtype=float)
         if len(self.learners) != self.thresholds.count or w.shape != (self.thresholds.count,):
             raise IwareError("learners, thresholds and weights must align")
-        if np.any(w < -1e-9) or abs(w.sum() - 1.0) > 1e-9:
+        if not np.all(np.isfinite(w)) or np.any(w < -1e-9) or abs(w.sum() - 1.0) > 1e-9:
             raise IwareError("weights must lie on the probability simplex")
+        if not (np.isfinite(self.squash_scale) and self.squash_scale > 0):
+            raise IwareError("squash_scale must be finite and positive")
         self.weights = w
 
     # -- batched prediction ------------------------------------------------

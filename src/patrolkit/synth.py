@@ -104,8 +104,8 @@ def generate_park(width: int, height: int, k: int, num_posts: int, seed: int) ->
 def make_ground_truth(
     grid: ParkGrid,
     seed: int,
-    target_rate: float | None = None,
-    effort_policy: np.ndarray | None = None,
+    target_rate: float,
+    effort_policy: np.ndarray,
     detect_rate_span: tuple[float, float] = (0.4, 1.6),
     attack_features: list[int] | None = None,
 ) -> GroundTruth:
@@ -116,10 +116,10 @@ def make_ground_truth(
     columns driving patrol effort so that historical-patrol bias is pure
     noise with respect to the attack pattern.
 
-    When ``target_rate`` is given together with the effort policy that will
-    be used for sampling, the attack-probability intercept is calibrated by
-    bisection so that the expected positive-label fraction over all
-    (window, cell) rows equals the target.
+    The attack-probability intercept is calibrated by bisection so that,
+    under ``effort_policy`` (the (T, n_cells) effort that sampling will
+    use), the expected positive-label fraction over all (window, cell) rows
+    equals ``target_rate``.
     """
     rng = np.random.default_rng([seed, 0x7287])
     cols = list(range(grid.num_features)) if attack_features is None else list(attack_features)
@@ -134,21 +134,16 @@ def make_ground_truth(
         det = -np.expm1(-lam[None, :] * effort_policy)
         return float((p[None, :] * det).mean())
 
-    intercept = 0.0
-    if target_rate is not None:
-        if effort_policy is None:
-            raise SynthError("calibration needs the effort policy")
-        a, b = -30.0, 30.0
-        if not (rate_at(a) <= target_rate <= rate_at(b)):
-            raise SynthError("target rate unreachable under this policy")
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            if rate_at(mid) < target_rate:
-                a = mid
-            else:
-                b = mid
-        intercept = 0.5 * (a + b)
-    return GroundTruth(attack_prob=_sigmoid(z + intercept), detect_rate=lam, seed=seed)
+    a, b = -30.0, 30.0
+    if not (rate_at(a) <= target_rate <= rate_at(b)):
+        raise SynthError("target rate unreachable under this policy")
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        if rate_at(mid) < target_rate:
+            a = mid
+        else:
+            b = mid
+    return GroundTruth(attack_prob=_sigmoid(z + 0.5 * (a + b)), detect_rate=lam, seed=seed)
 
 
 def _sigmoid(x):
@@ -159,19 +154,13 @@ def sample_dataset(
     grid: ParkGrid,
     truth: GroundTruth,
     T: int,
-    effort_policy,
+    effort_policy: np.ndarray,
     seed: int,
 ) -> PatrolDataset:
-    """Sample labels ~ Bernoulli(attack_prob * detection(effort)) per row.
-
-    ``effort_policy`` is a (T, n_cells) array of km, or a callable
-    ``(grid, T, rng) -> array`` evaluated with an rng derived from seed.
-    """
+    """Sample labels ~ Bernoulli(attack_prob * detection(effort)) per row;
+    ``effort_policy`` is the (T, n_cells) effort in km."""
     rng = np.random.default_rng([seed, 0x5A9])
-    if callable(effort_policy):
-        effort = np.asarray(effort_policy(grid, T, rng), dtype=float)
-    else:
-        effort = np.asarray(effort_policy, dtype=float)
+    effort = np.asarray(effort_policy, dtype=float)
     if effort.shape != (T, grid.n_cells):
         raise SynthError(f"effort policy must have shape ({T}, {grid.n_cells})")
     if np.any(effort < 0):
@@ -248,14 +237,10 @@ class PresetSpec:
     # the regime in which threshold filtering has something to correct.
     accessibility_features: tuple[int, ...] | None = None
     attack_features: tuple[int, ...] | None = None
-    # ensemble size that works well at this imbalance level: more
-    # thresholds for well-behaved label rates, fewer when positives are rare
-    recommended_thresholds: int = 10
 
 
 _PRESETS = {
-    "mfnp-like": PresetSpec(24, 20, 8, 12, 0.143, 1.75, 0.7,
-                            recommended_thresholds=20),
+    "mfnp-like": PresetSpec(24, 20, 8, 12, 0.143, 1.75, 0.7),
     "sws-like": PresetSpec(48, 36, 8, 30, 0.0036, 3.96, 0.6,
                            accessibility_features=(0, 1),
                            attack_features=(2, 3, 4, 5, 6, 7)),
@@ -272,12 +257,6 @@ _PRESETS = {
 
 def preset_names() -> list[str]:
     return sorted(_PRESETS)
-
-
-def recommended_threshold_count(name: str) -> int:
-    if name not in _PRESETS:
-        raise SynthError(f"unknown preset {name!r}; choose from {preset_names()}")
-    return _PRESETS[name].recommended_thresholds
 
 
 def generate_preset(name: str, seed: int) -> SynthBundle:

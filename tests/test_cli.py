@@ -72,6 +72,12 @@ class TestConfig:
         ("--riskmap.levels=0.5", "takes a list"),
         ("--ensemble.gp_lengthscale=wide", "takes a number or null, not 'wide'"),
         ("--ensemble.gp_lengthscale=false", "takes a number or null"),
+        # fractions of integer keys were truncated: --planner.T=2.5 planned at T=2
+        ("--planner.T=2.5", "'planner.T' takes an integer, not '2.5'"),
+        ("--planner.K=1.5", "'planner.K' takes an integer"),
+        ("--ensemble.num_trees=2.5", "'ensemble.num_trees' takes an integer"),
+        ("--seed=7.5", "'seed' takes an integer"),
+        ("--planner.post=NaN", "'planner.post' takes an integer"),
     ])
     def test_value_of_the_wrong_kind_rejected(self, override, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -88,6 +94,20 @@ class TestConfig:
         (workdir / "run.conf").write_text("planner.T = true\n")
         with pytest.raises(ConfigError, match="takes a number"):
             load_config(workdir / "run.conf", [])
+
+    def test_integer_key_keeps_an_integral_number_as_an_int(self, workdir, capsys):
+        cfg = load_config(None, ["--planner.T=6.0", "--seed=7", "--riskmap.c_max=2"])
+        assert cfg["planner"]["T"] == 6 and type(cfg["planner"]["T"]) is int
+        assert type(cfg["seed"]) is int and cfg["riskmap"]["c_max"] == 2
+        assert run(["plan", "--planner.K=1.5", "--output_dir=r"]) == 2
+        assert "'planner.K' takes an integer, not '1.5'" in capsys.readouterr().err
+
+    def test_kind_read_from_defaults_not_from_the_file(self, workdir):
+        # a file value does not narrow what an override may set
+        (workdir / "run.conf").write_text("riskmap.c_max = 2\nensemble.gp_lengthscale = 0.7\n")
+        cfg = load_config(workdir / "run.conf", ["--riskmap.c_max=2.5",
+                                                 "--ensemble.gp_lengthscale=null"])
+        assert cfg["riskmap"]["c_max"] == 2.5 and cfg["ensemble"]["gp_lengthscale"] is None
 
     def test_values_of_the_default_kind_kept(self):
         cfg = load_config(None, ["--simulate.preset=2019", "--output_dir=null",
@@ -259,6 +279,29 @@ class TestMalformedInputs:
         path.write_text(json.dumps({**doc, key: None}) + "\n")
         assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
 
+    @pytest.mark.parametrize("key, index, value", [
+        ("thresholds", 1, float("nan")),
+        ("weights", 0, float("nan")),
+        ("squash_scale", None, 0.0),
+        ("squash_scale", None, -1.0),
+        ("squash_scale", None, float("inf")),
+    ])
+    def test_model_with_unusable_number(self, workdir, capsys, key, index, value):
+        # before, riskmap wrote negative or NaN var values, or a NaN weight
+        # became a uniform mixture, all with exit 0
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        assert run(["train", *SMALL, "--output_dir=r"]) == 0
+        path = workdir / "r" / "model.json"
+        doc = json.loads(path.read_text())
+        if index is None:
+            doc[key] = value
+        else:
+            doc[key][index] = value
+        path.write_text(json.dumps(doc) + "\n")
+        capsys.readouterr()
+        assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
+        assert key in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("kind", ["trees", "gp"])
 def test_cli_defaults_are_library_defaults(workdir, kind):
@@ -282,6 +325,16 @@ def test_cli_import_leaves_out_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_data_modules_import_without_scipy():
+    # the package root re-exports nothing, so these load numpy alone
+    code = ("import sys, patrolkit.grid, patrolkit.io, patrolkit.synth; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestDeterminism:

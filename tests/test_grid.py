@@ -11,7 +11,6 @@ from patrolkit.grid import (
     WaypointTrack,
     assemble_dataset,
     build_labels,
-    positive_rate_by_effort,
     reconstruct_effort,
 )
 
@@ -159,30 +158,3 @@ class TestAssembleDataset:
         g = flat_grid(2, 1)
         with pytest.raises(GridError):
             assemble_dataset(g, np.zeros((1, 3)), np.zeros((1, 3), int))
-
-
-class TestPositiveRate:
-    def test_all_zero_labels(self):
-        g = flat_grid(3, 1)
-        ds = assemble_dataset(g, np.array([[1.0, 2.0, 0.5]]), np.zeros((1, 3), int))
-        assert positive_rate_by_effort(ds, [0.0, 1.0]) == [(0.0, 0.0), (1.0, 0.0)]
-
-    def test_hand_count(self):
-        g = flat_grid(4, 1)
-        ds = assemble_dataset(g, np.array([[1.0, 1.0, 3.0, 3.0]]), np.array([[1, 0, 1, 1]]))
-        rates = dict(positive_rate_by_effort(ds, [2.0]))
-        assert rates[2.0] == pytest.approx(1.0)  # rows with effort >= 2: two positives
-
-    def test_empty_bucket_is_none(self):
-        g = flat_grid(2, 1)
-        ds = assemble_dataset(g, np.array([[1.0, 1.0]]), np.zeros((1, 2), int))
-        assert positive_rate_by_effort(ds, [5.0]) == [(5.0, None)]
-
-    def test_nested_row_sets(self):
-        rng = np.random.default_rng(0)
-        g = flat_grid(10, 1)
-        eff = rng.random((3, 10)) * 4
-        ds = assemble_dataset(g, eff, (rng.random((3, 10)) < 0.3 * (eff > 0)).astype(int))
-        flat = ds.effort.ravel()
-        for lo, hi in [(0.5, 1.0), (1.0, 2.5)]:
-            assert np.all((flat >= hi) <= (flat >= lo))

@@ -10,7 +10,6 @@ from patrolkit.iware import (
     IwareError,
     RiskQuery,
     ThresholdSet,
-    filter_dataset,
     log_loss,
     optimize_weights_from_probs,
     predict_effort_conditioned,
@@ -18,7 +17,7 @@ from patrolkit.iware import (
     squash_uncertainty,
     train_iware,
 )
-from patrolkit.learners import TrainMatrix, train_bagged
+from patrolkit.learners import LearnerError, TrainMatrix, train_bagged
 
 from conftest import dataset_from_rows, flat_grid
 
@@ -69,41 +68,47 @@ class TestSelectThresholds:
         assert select_thresholds(ds, 3).thresholds[0] == 0.0
 
 
+def one_sided_subset(ds, theta):
+    """The training subset train_iware fits at threshold theta."""
+    rows = iware._dataset_rows(ds)
+    return iware._subset(rows, iware._one_sided(rows[1], rows[2], theta))
+
+
 class TestFilterDataset:
     def test_rule_application(self):
         ds = dataset_from_rows([(0.2, 1), (0.2, 0), (1.0, 0), (2.0, 1)])
-        kept = filter_dataset(ds, 0.5)
+        kept = one_sided_subset(ds, 0.5)
         assert sorted(zip(kept.labels.tolist(),
                           [round(v, 3) for v in ds.effort.ravel()[kept.row_ids]])) == [
             (False, 1.0), (True, 0.2), (True, 2.0)]
 
     def test_zero_threshold_drops_zero_effort_negatives(self):
         ds = dataset_from_rows([(0.0, 0), (1.0, 0), (0.5, 1)])
-        kept = filter_dataset(ds, 0.0)
+        kept = one_sided_subset(ds, 0.0)
         assert kept.n == 2
 
     def test_max_threshold_keeps_only_positives(self):
         ds = dataset_from_rows([(1.0, 0), (2.0, 0), (0.5, 1)])
-        kept = filter_dataset(ds, 2.0)
+        kept = one_sided_subset(ds, 2.0)
         assert kept.n == 1 and kept.labels.all()
 
     def test_empty_result_rejected(self):
         ds = dataset_from_rows([(0.5, 0), (1.0, 0)])
-        with pytest.raises(IwareError):
-            filter_dataset(ds, 2.0)
+        with pytest.raises(LearnerError, match="nonempty"):
+            one_sided_subset(ds, 2.0)
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.floats(0, 5), st.booleans()), min_size=1, max_size=20),
            st.floats(0, 5))
     def test_positives_always_preserved(self, rows, theta):
         rows = [(e, int(y)) for e, y in rows]
-        # at least one row must survive the filter for the call to be legal;
+        # at least one row must survive the filter for the subset to be legal;
         # assemble_dataset coerces zero-effort positives to 0, so a positive
         # survives only with positive effort
         if not any((y and e > 0) or e > theta for e, y in rows):
             rows.append((theta + 1.0, 0))
         ds = dataset_from_rows(rows)
-        kept = filter_dataset(ds, theta)
+        kept = one_sided_subset(ds, theta)
         assert int(kept.labels.sum()) == int(ds.labels.sum())
 
 
@@ -293,8 +298,8 @@ class TestTrainIware:
         ds = _toy_training_dataset(seed=3)
         ens = train_iware(ds, I=1, learner_kind="trees", rng=11, num_trees=8)
         assert ens.weights == pytest.approx([1.0])
-        from patrolkit.iware import filter_dataset as fd
-        plain = train_bagged(fd(ds, 0.0), num_trees=8, rng=np.random.default_rng([11, 1, 0]))
+        plain = train_bagged(one_sided_subset(ds, 0.0), num_trees=8,
+                             rng=np.random.default_rng([11, 1, 0]))
         X = ds.design_matrix.reshape(-1, 3)
         g, _ = ens.predict_rows(X, 2.0)
         p, _ = plain.predict_proba(X)

@@ -83,11 +83,3 @@ class TestPresets:
         d = b.truth.to_dict()
         assert len(d["attack_prob"]) == b.grid.n_cells
         assert all(v >= 0 for v in d["detect_rate"])
-
-    def test_recommended_threshold_counts(self):
-        # more thresholds for the mildly imbalanced preset, fewer when
-        # positives are rare
-        assert synth.recommended_threshold_count("mfnp-like") == 20
-        assert synth.recommended_threshold_count("sws-like") == 10
-        with pytest.raises(synth.SynthError):
-            synth.recommended_threshold_count("nope")
