@@ -31,7 +31,8 @@ from .planner import (
     improvement_ratio,
     solve,
 )
-from .riskmap import build_pwl, default_c_max, select_field_test_blocks, sweep_riskmap
+from .riskmap import (RiskMap, build_pwl, default_c_max, select_field_test_blocks,
+                      sweep_riskmap)
 from .synth import SynthError
 
 
@@ -185,12 +186,15 @@ def cmd_riskmap(cfg) -> int:
     grid, ds = _load_grid_dataset(cfg)
     ens = IWareEnsemble.from_dict(io.read_json(out / "model.json"))
     levels = [float(v) for v in cfg["riskmap"]["levels"]]
-    rm = sweep_riskmap(ens, grid, ds, levels)
+    nominal = _nominal_effort(cfg, ds)
+    # one sweep, so one set of member outputs, serves the levels and the nominal effort
+    swept = sorted({*levels, nominal})
+    full = sweep_riskmap(ens, grid, ds, swept)
+    rows = [swept.index(c) for c in levels]
+    rm = RiskMap(grid=grid, effort_levels=levels, prob=full.prob[rows], var=full.var[rows])
     io.write_riskmap_csv(out / "riskmap.csv", rm)
 
-    nominal = _nominal_effort(cfg, ds)
-    nominal_rm = sweep_riskmap(ens, grid, ds, [nominal])
-    risk = np.where(grid.mask, np.nan_to_num(nominal_rm.prob[0], nan=0.0), 0.0)
+    risk = np.where(grid.mask, np.nan_to_num(full.prob[swept.index(nominal)], nan=0.0), 0.0)
     try:
         blocks = select_field_test_blocks(
             grid, risk, ds.effort.sum(axis=0),

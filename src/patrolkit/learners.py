@@ -9,7 +9,10 @@ GP.
 
 * CART decision trees with Gini splits; leaves store positive fractions.
   Ties are broken by lowest feature index, then lowest threshold, so
-  training is deterministic under a fixed rng.
+  training is deterministic under a fixed rng. Each tree grows
+  depth-first; the trees of a bag grow in lock-step, one batched split
+  search per pass over the node each tree reached, so they are the trees
+  that fitting each alone gives. A bag's trees also predict together.
 * Balanced bagging: each tree sees a bootstrap of the positives plus an
   undersample of the negatives. Bootstrap membership counts are recorded
   so the infinitesimal-jackknife variance of the bagged prediction can be
@@ -95,17 +98,7 @@ class DecisionTree:
     min_leaf: int
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        node = np.zeros(X.shape[0], dtype=np.int32)
-        while True:
-            feats = self.feature[node]
-            active = np.flatnonzero(feats >= 0)
-            if active.size == 0:
-                break
-            f = feats[active]
-            goleft = X[active, f] <= self.threshold[node[active]]
-            node[active] = np.where(goleft, self.left[node[active]], self.right[node[active]])
-        return self.value[node]
+        return _predict_trees([self], X)[0]
 
     def to_dict(self) -> dict:
         return {
@@ -131,31 +124,175 @@ class DecisionTree:
         )
 
 
-def _best_split(X, y, feat_ids, min_leaf):
-    """Lowest weighted-Gini split; returns (gini, feature, threshold) or None.
+def _predict_trees(trees: list[DecisionTree], X: np.ndarray) -> np.ndarray:
+    """Each tree's leaf value for each row of X, shape (trees, rows). Every
+    (tree, row) pair descends one level per step, all trees together."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    q, d = X.shape
+    base = np.cumsum([0] + [t.feature.size for t in trees[:-1]])
+    feature = np.concatenate([t.feature for t in trees])
+    threshold = np.concatenate([t.threshold for t in trees])
+    left = np.concatenate([t.left + b for t, b in zip(trees, base)])
+    right = np.concatenate([t.right + b for t, b in zip(trees, base)])
+    # pair i is tree i // q at row i % q, whose row starts at x[row_at[i]]
+    x = X.ravel()
+    node = np.repeat(base, q)
+    row_at = np.tile(np.arange(0, q * d, d), len(trees))
+    pair = np.arange(node.size)  # the pairs still at an inner node
+    while pair.size:
+        at = node[pair]
+        f = feature[at]
+        inner = f >= 0
+        pair, at, f = pair[inner], at[inner], f[inner]
+        goleft = x[row_at[pair] + f] <= threshold[at]
+        node[pair] = np.where(goleft, left[at], right[at])
+    return np.concatenate([t.value for t in trees])[node].reshape(len(trees), q)
 
-    One Gini table over (threshold, feature) pairs. Its first minimum in
-    feature-major order implements the tie-break: lowest feature index,
-    then lowest threshold.
+
+def _sorted_columns(X: np.ndarray, y: np.ndarray):
+    """Each column of X in a stable sort: (rank, x, label), where rank[i, f]
+    is row i's place in column f's order, and x[r, f] and label[r, f] are
+    the value and label of the row at place r. Ordering a set of rows by
+    rank orders them by value."""
+    order = np.argsort(X, axis=0, kind="stable")
+    rank = np.empty(X.shape, dtype=np.int64)
+    np.put_along_axis(rank, order, np.arange(X.shape[0])[:, None], axis=0)
+    return rank, np.take_along_axis(X, order, axis=0), y[order]
+
+
+def _best_splits(columns, rows, sizes, feats, min_leaf):
+    """Lowest weighted-Gini split of every node of a batch.
+
+    ``columns`` is ``_sorted_columns(X, y)``. Node c holds the next
+    ``sizes[c]`` entries of ``rows`` (indices into X) and searches the
+    features ``feats[c]``, F of them for every node. One Gini table covers
+    every (node, feature, threshold) triple, its entries ordered by node,
+    then feature, then value. A node's first minimum in that feature-major
+    order implements the tie-break: lowest feature index, then lowest
+    threshold. Returns (gini, feature, threshold) arrays with one entry per
+    node; gini is inf where no split is allowed.
     """
-    n = y.shape[0]
-    Xf = X[:, feat_ids]                                          # (n, F)
-    order = np.argsort(Xf, axis=0, kind="stable")
-    xs = np.take_along_axis(Xf, order, axis=0)
-    cum_pos = np.cumsum(y[order], axis=0)
-    left_n = np.arange(1, n)[:, None]
-    right_n = n - left_n
-    valid = (xs[:-1] < xs[1:]) & (left_n >= min_leaf) & (right_n >= min_leaf)
-    left_pos = cum_pos[:-1]
-    right_pos = cum_pos[-1] - left_pos
+    rank, x_sorted, y_sorted = columns
+    R, d = rank.shape
+    C, F = feats.shape
+    gini_out = np.full(C, np.inf)
+    feat_out = np.full(C, -1, dtype=np.int64)
+    thr_out = np.full(C, np.nan)
+    # segment s = one (node, feature) pair, table entries start[s]..end[s]-1
+    seg_n = np.repeat(sizes, F)
+    end = np.cumsum(seg_n)
+    start = end - seg_n
+    seg = np.repeat(np.arange(C * F), seg_n)
+    node = np.repeat(np.arange(C), sizes)
+    cols = feats[node]                                              # (rows, F)
+    key = (node[:, None] * F + np.arange(F)) * R + rank.ravel()[rows[:, None] * d + cols]
+    place = np.sort(key, axis=None) - seg * R                      # sorted by segment, then rank
+    at = place * d + feats.ravel()[seg]
+    xs = x_sorted.ravel()[at]
+    cum = np.concatenate(([0], np.cumsum(y_sorted.ravel()[at])))
+    # entry k splits off the first left_n entries of its segment
+    left_n = np.arange(1, end[-1] + 1) - start[seg]
+    right_n = seg_n[seg] - left_n
+    valid = (left_n >= min_leaf) & (right_n >= max(min_leaf, 1))
+    valid[:-1] &= xs[:-1] < xs[1:]
+    k = np.flatnonzero(valid)
+    if k.size == 0:
+        return gini_out, feat_out, thr_out
+    s = seg[k]
+    left_n, right_n, n = left_n[k], right_n[k], seg_n[s]
+    left_pos = cum[k + 1] - cum[start[s]]
+    right_pos = cum[end[s]] - cum[start[s]] - left_pos
     pl = left_pos / left_n
     pr = right_pos / right_n
     gini = (left_n * 2 * pl * (1 - pl) + right_n * 2 * pr * (1 - pr)) / n
-    gini = np.where(valid, gini, np.inf).T                       # (F, n - 1)
-    f, i = divmod(int(np.argmin(gini)), n - 1)
-    if not valid[i, f]:
-        return None
-    return float(gini[f, i]), int(feat_ids[f]), float(0.5 * (xs[i, f] + xs[i + 1, f]))
+    c = s // F
+    first = np.flatnonzero(np.diff(c, prepend=-1))
+    low = np.minimum.reduceat(gini, first)
+    hit = np.flatnonzero(gini == np.repeat(low, np.diff(first, append=c.size)))
+    hit = hit[np.diff(c[hit], prepend=-1) != 0]
+    best, c = k[hit], c[hit]
+    gini_out[c] = gini[hit]
+    feat_out[c] = feats.ravel()[seg[best]]
+    thr_out[c] = 0.5 * (xs[best] + xs[best + 1])
+    return gini_out, feat_out, thr_out
+
+
+def _grow_trees(X, y, samples, rngs, max_depth, min_leaf, feature_subsample):
+    """Greedy CART fits of one tree per sample, grown in lock-step.
+
+    Tree t fits the rows ``X[samples[t]]`` and draws the candidate
+    features of each node from ``rngs[t]``. Every tree grows depth-first,
+    in the order a lone fit would: each pass, every unfinished tree pops
+    nodes off its own stack until it reaches one it may split, settling
+    leaves from their carried positive counts, and one ``_best_splits``
+    call then splits the nodes all trees reached.
+    """
+    if min(len(s) for s in samples) < min_leaf:
+        raise LearnerError(f"need at least min_leaf={min_leaf} rows")
+    rows = np.concatenate(samples)
+    X, y = X[rows], y[rows]
+    columns = _sorted_columns(X, y)
+    d = X.shape[1]
+    draw = feature_subsample is not None and feature_subsample < d
+    every = list(range(d))
+
+    # per tree: its node table (feature, threshold, left, right, value) and
+    # its stack of (node, rows, depth, row count, positive count)
+    tables, stacks = [], []
+    for root in np.split(np.arange(rows.size), np.cumsum([len(s) for s in samples])[:-1]):
+        tables.append(([-1], [0.0], [-1], [-1], [0.0]))
+        stacks.append([(0, root, 0, root.size, int(y[root].sum()))])
+    while True:
+        todo, feats = [], []
+        for t, stack in enumerate(stacks):
+            while stack:
+                node, idx, depth, n, pos = stack.pop()
+                # a split at two adjacent doubles can leave a side empty
+                tables[t][4][node] = pos / n if n else math.nan
+                if depth >= max_depth or n < 2 * min_leaf or pos in (0, n):
+                    continue
+                feats.append(np.sort(rngs[t].choice(d, size=feature_subsample, replace=False))
+                             if draw else every)
+                todo.append((t, node, idx, depth, n, pos))
+                break
+        if not todo:
+            break
+        part = np.concatenate([job[2] for job in todo])
+        sizes = np.array([job[4] for job in todo])
+        gini, feat, thr = _best_splits(columns, part, sizes, np.array(feats), min_leaf)
+        node_of = np.repeat(np.arange(len(todo)), sizes)
+        goleft = X[part, feat[node_of]] <= thr[node_of]  # all False at a NaN threshold: no split
+        n_left = np.bincount(node_of[goleft], minlength=len(todo)).tolist()
+        pos_left = np.bincount(node_of[goleft & y[part]], minlength=len(todo)).tolist()
+        lefts, rights = part[goleft], part[~goleft]
+        lo = ro = 0
+        for c, (t, node, _, depth, n, pos) in enumerate(todo):
+            nl = n_left[c]
+            left_rows, right_rows = lefts[lo:lo + nl], rights[ro:ro + n - nl]
+            lo, ro = lo + nl, ro + n - nl
+            if not np.isfinite(gini[c]):
+                continue
+            feature, threshold, left, right, value = tables[t]
+            li, ri = len(feature), len(feature) + 1
+            feature[node], threshold[node] = int(feat[c]), float(thr[c])
+            left[node], right[node] = li, ri
+            for column, blank in zip(tables[t], (-1, 0.0, -1, -1, 0.0)):
+                column.extend((blank, blank))
+            stacks[t].append((li, left_rows, depth + 1, nl, pos_left[c]))
+            stacks[t].append((ri, right_rows, depth + 1, n - nl, pos - pos_left[c]))
+
+    return [
+        DecisionTree(
+            feature=np.asarray(feature, dtype=np.int32),
+            threshold=np.asarray(threshold, dtype=float),
+            left=np.asarray(left, dtype=np.int32),
+            right=np.asarray(right, dtype=np.int32),
+            value=np.asarray(value, dtype=float),
+            max_depth=max_depth,
+            min_leaf=min_leaf,
+        )
+        for feature, threshold, left, right, value in tables
+    ]
 
 
 def train_tree(
@@ -167,58 +304,8 @@ def train_tree(
 ) -> DecisionTree:
     """Greedy CART fit. ``feature_subsample`` draws that many candidate
     features per node from rng (all features when None)."""
-    if data.n < min_leaf:
-        raise LearnerError(f"need at least min_leaf={min_leaf} rows")
-    rng = ensure_rng(rng)
-    X, y = data.rows, data.labels
-    d = data.d
-
-    feature = [0]
-    threshold = [0.0]
-    left = [-1]
-    right = [-1]
-    value = [0.0]
-
-    stack = [(0, np.arange(data.n), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        ysub = y[idx]
-        pos_frac = float(ysub.mean())
-        value[node] = pos_frac
-        if depth >= max_depth or idx.size < 2 * min_leaf or pos_frac in (0.0, 1.0):
-            feature[node] = -1
-            continue
-        if feature_subsample is not None and feature_subsample < d:
-            feats = np.sort(rng.choice(d, size=feature_subsample, replace=False))
-        else:
-            feats = np.arange(d)
-        split = _best_split(X[idx], ysub, feats, min_leaf)
-        if split is None:
-            feature[node] = -1
-            continue
-        _, f, thr = split
-        goleft = X[idx, f] <= thr
-        li, ri = len(feature), len(feature) + 1
-        feature[node], threshold[node] = f, thr
-        left[node], right[node] = li, ri
-        for _ in range(2):
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(0.0)
-        stack.append((li, idx[goleft], depth + 1))
-        stack.append((ri, idx[~goleft], depth + 1))
-
-    return DecisionTree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=float),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        value=np.asarray(value, dtype=float),
-        max_depth=max_depth,
-        min_leaf=min_leaf,
-    )
+    return _grow_trees(data.rows, data.labels, [np.arange(data.n)], [ensure_rng(rng)],
+                       max_depth, min_leaf, feature_subsample)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +330,7 @@ class BaggedClassifier:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.n_features:
             raise LearnerError(f"expected {self.n_features} features, got {X.shape[1]}")
-        return np.stack([t.predict(X) for t in self.trees])  # (B, nq)
+        return _predict_trees(self.trees, X)  # (B, nq)
 
     def predict_proba(self, X: np.ndarray):
         votes = self.tree_votes(X)
@@ -309,6 +396,8 @@ def train_bagged(
     rng = ensure_rng(rng)
     if num_trees < 1:
         raise LearnerError("num_trees must be >= 1")
+    if not (math.isfinite(undersample_ratio) and undersample_ratio > 0):
+        raise LearnerError(f"undersample_ratio must be finite and > 0, got {undersample_ratio}")
     pos = np.flatnonzero(data.labels)
     neg = np.flatnonzero(~data.labels)
     if balanced and pos.size == 0:
@@ -316,9 +405,10 @@ def train_bagged(
     if feature_subsample == "sqrt":
         feature_subsample = max(1, math.ceil(math.sqrt(data.d)))
 
-    trees = []
+    children = rng.spawn(num_trees)
+    samples = []
     memberships = np.zeros((num_trees, data.n), dtype=np.int32)
-    for b, child in enumerate(rng.spawn(num_trees)):
+    for b, child in enumerate(children):
         if balanced:
             take_pos = child.choice(pos, size=pos.size, replace=True)
             n_neg = min(neg.size, max(1, round(undersample_ratio * pos.size)))
@@ -327,10 +417,9 @@ def train_bagged(
         else:
             sample = child.choice(data.n, size=data.n, replace=True)
         memberships[b] = np.bincount(sample, minlength=data.n)
-        sub = TrainMatrix(rows=data.rows[sample], labels=data.labels[sample],
-                          row_ids=data.row_ids[sample])
-        trees.append(train_tree(sub, max_depth=max_depth, min_leaf=min_leaf,
-                                feature_subsample=feature_subsample, rng=child))
+        samples.append(sample)
+    trees = _grow_trees(data.rows, data.labels, samples, children,
+                        max_depth, min_leaf, feature_subsample)
     return BaggedClassifier(trees=trees, memberships=memberships,
                             undersample_ratio=undersample_ratio, balanced=balanced,
                             n_features=data.d)
@@ -573,6 +662,10 @@ def train_gp(
     """
     if lengthscale is not None and not lengthscale > 0:
         raise LearnerError(f"lengthscale must be > 0, got {lengthscale}")
+    if not (math.isfinite(signal_var) and signal_var > 0):
+        raise LearnerError(f"signal_var must be finite and > 0, got {signal_var}")
+    if not (math.isfinite(jitter) and jitter >= 0):
+        raise LearnerError(f"jitter must be finite and >= 0, got {jitter}")
     rng = ensure_rng(rng)
     keep = _stratified_cap(data.labels, max_points, rng)
     if keep.size < 2:

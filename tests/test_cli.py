@@ -253,6 +253,20 @@ class TestMalformedInputs:
         assert run(["ingest", "--output_dir=ing",
                     '--ingest.windows=["2017-01-01T00:00:00,2017-04-01T00:00:00"]']) == 2
 
+    @pytest.mark.parametrize("setting, name", [
+        (["--ensemble.undersample_ratio=-1"], "undersample_ratio"),
+        (["--ensemble.undersample_ratio=0"], "undersample_ratio"),
+        (["--ensemble.learner=gp", "--ensemble.gp_signal_var=0"], "signal_var"),
+        (["--ensemble.learner=gp", "--ensemble.gp_jitter=-1"], "jitter"),
+    ])
+    def test_unusable_learner_setting(self, workdir, capsys, setting, name):
+        # before, each trained with exit 0: one negative per tree, a
+        # constant GP, or a negative jitter escalated from
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        capsys.readouterr()
+        assert run(["train", *SMALL, "--output_dir=r", *setting]) == 2
+        assert name in capsys.readouterr().err
+
     def test_model_with_version_only(self, workdir):
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
         (workdir / "r" / "model.json").write_text('{"version": 1}\n')

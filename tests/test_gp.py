@@ -142,6 +142,17 @@ class TestTraining:
             with pytest.raises(LearnerError, match="lengthscale"):
                 train_gp(matrix([[0.0], [1.0]], [0, 1]), lengthscale=ell, rng=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("signal_var", 0.0), ("signal_var", -1.0), ("signal_var", float("inf")),
+        ("signal_var", float("nan")), ("jitter", -1e-6), ("jitter", float("inf")),
+        ("jitter", float("nan")),
+    ])
+    def test_rejects_unusable_signal_var_and_jitter(self, name, value):
+        # before, signal_var 0 fit a constant predictor and a negative jitter
+        # was escalated from, both without an error
+        with pytest.raises(LearnerError, match=name):
+            train_gp(matrix([[0.0], [1.0]], [0, 1]), rng=0, **{name: value})
+
     def test_subsample_preserves_positives(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(500, 2))

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,8 @@ from patrolkit.learners import (
     DecisionTree,
     LearnerError,
     TrainMatrix,
-    _best_split,
+    _best_splits,
+    _sorted_columns,
     deserialize_learner,
     jackknife_variance_batch,
     train_bagged,
@@ -70,7 +74,7 @@ class TestTrainTree:
         np.testing.assert_array_equal(t.predict(X), t2.predict(X))
 
     def test_split_table_equals_per_feature_loop(self):
-        # the per-feature scan _best_split's one table replaces; same
+        # the per-feature scan that _best_splits's one table replaces; same
         # arithmetic, so the results must be equal, not close
         def loop_split(X, y, feat_ids, min_leaf):
             n, total_pos, best = y.shape[0], int(y.sum()), None
@@ -101,15 +105,190 @@ class TestTrainTree:
             if case % 3 == 0:
                 X[:, 0] = X[:, -1]
             y = rng.random(n) < rng.random()
-            feats = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
             min_leaf = int(rng.integers(1, 5))
-            assert _best_split(X, y, feats, min_leaf) == loop_split(X, y, feats, min_leaf)
+            # one batch of up to three nodes on disjoint rows, each with its
+            # own features, as a pass of the lock-step builder makes
+            nodes = np.array_split(rng.permutation(n), int(rng.integers(1, min(n, 3) + 1)))
+            nodes = [np.sort(rows) for rows in nodes]
+            F = int(rng.integers(1, d + 1))
+            feats = np.array([np.sort(rng.choice(d, size=F, replace=False)) for _ in nodes])
+            gini, feat, thr = _best_splits(_sorted_columns(X, y), np.concatenate(nodes),
+                                           np.array([rows.size for rows in nodes]), feats,
+                                           min_leaf)
+            for c, rows in enumerate(nodes):
+                got = None if gini[c] == np.inf else (gini[c], feat[c], thr[c])
+                assert got == loop_split(X[rows], y[rows], feats[c], min_leaf)
+
+
+def depth_first_tree(data, max_depth=10, min_leaf=1, feature_subsample=None, rng=None):
+    """The builder that the lock-step one replaced: one tree, one node and
+    one split search at a time. The oracle for the trees train_tree and
+    train_bagged grow."""
+    rng = np.random.default_rng(rng)  # a Generator passes through
+    X, y, d = data.rows, data.labels, data.d
+
+    def best_split(X, y, feat_ids):
+        n = y.shape[0]
+        Xf = X[:, feat_ids]
+        order = np.argsort(Xf, axis=0, kind="stable")
+        xs = np.take_along_axis(Xf, order, axis=0)
+        cum_pos = np.cumsum(y[order], axis=0)
+        left_n = np.arange(1, n)[:, None]
+        right_n = n - left_n
+        valid = (xs[:-1] < xs[1:]) & (left_n >= min_leaf) & (right_n >= min_leaf)
+        left_pos = cum_pos[:-1]
+        right_pos = cum_pos[-1] - left_pos
+        pl = left_pos / left_n
+        pr = right_pos / right_n
+        gini = (left_n * 2 * pl * (1 - pl) + right_n * 2 * pr * (1 - pr)) / n
+        gini = np.where(valid, gini, np.inf).T
+        f, i = divmod(int(np.argmin(gini)), n - 1)
+        if not valid[i, f]:
+            return None
+        return int(feat_ids[f]), float(0.5 * (xs[i, f] + xs[i + 1, f]))
+
+    feature, threshold, left, right, value = [0], [0.0], [-1], [-1], [0.0]
+    stack = [(0, np.arange(data.n), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        ysub = y[idx]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # an empty node's mean is NaN
+            pos_frac = float(ysub.mean())
+        value[node] = pos_frac
+        if depth >= max_depth or idx.size < 2 * min_leaf or pos_frac in (0.0, 1.0):
+            feature[node] = -1
+            continue
+        if feature_subsample is not None and feature_subsample < d:
+            feats = np.sort(rng.choice(d, size=feature_subsample, replace=False))
+        else:
+            feats = np.arange(d)
+        split = best_split(X[idx], ysub, feats)
+        if split is None:
+            feature[node] = -1
+            continue
+        f, thr = split
+        goleft = X[idx, f] <= thr
+        li, ri = len(feature), len(feature) + 1
+        feature[node], threshold[node] = f, thr
+        left[node], right[node] = li, ri
+        for column, blank in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1),
+                              (value, 0.0)):
+            column.extend((blank, blank))
+        stack.append((li, idx[goleft], depth + 1))
+        stack.append((ri, idx[~goleft], depth + 1))
+    return DecisionTree(feature=np.asarray(feature, np.int32), threshold=np.asarray(threshold),
+                        left=np.asarray(left, np.int32), right=np.asarray(right, np.int32),
+                        value=np.asarray(value), max_depth=max_depth, min_leaf=min_leaf)
+
+
+def depth_first_bag(data, num_trees, balanced, rng, max_depth, min_leaf, feature_subsample):
+    """train_bagged's draws, with each tree fit on its own by depth_first_tree."""
+    rng = np.random.default_rng(rng)
+    pos, neg = np.flatnonzero(data.labels), np.flatnonzero(~data.labels)
+    if feature_subsample == "sqrt":
+        feature_subsample = max(1, math.ceil(math.sqrt(data.d)))
+    trees, memberships = [], []
+    for child in rng.spawn(num_trees):
+        if balanced:
+            take_pos = child.choice(pos, size=pos.size, replace=True)
+            take_neg = child.choice(neg, size=min(neg.size, pos.size), replace=False)
+            sample = np.concatenate([take_pos, take_neg])
+        else:
+            sample = child.choice(data.n, size=data.n, replace=True)
+        memberships.append(np.bincount(sample, minlength=data.n))
+        sub = TrainMatrix(data.rows[sample], data.labels[sample], data.row_ids[sample])
+        trees.append(depth_first_tree(sub, max_depth, min_leaf, feature_subsample, child))
+    return trees, np.array(memberships)
+
+
+def tied_matrix(seed, n=150):
+    """Columns with heavy ties: integer-valued, mostly zero, two levels, and
+    one continuous column; labels depend on the tied columns."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([
+        rng.integers(0, 5, n),
+        np.where(rng.random(n) < 0.8, 0.0, rng.random(n)),
+        rng.integers(0, 2, n),
+        rng.random(n),
+        rng.integers(0, 3, n),
+    ]).astype(float)
+    y = rng.random(n) < 0.15 + 0.1 * X[:, 0] + 0.3 * (X[:, 1] > 0)
+    return matrix(X, y)
+
+
+def assert_same_tree(got, want):
+    for name in ("feature", "threshold", "left", "right", "value"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
+class TestLockStepBuilder:
+    @pytest.mark.parametrize("feature_subsample", [None, 1, 3])
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @pytest.mark.parametrize("max_depth", [2, 10])
+    def test_tree_equals_depth_first(self, feature_subsample, min_leaf, max_depth):
+        for seed in range(3):
+            data = tied_matrix(seed)
+            kw = dict(max_depth=max_depth, min_leaf=min_leaf,
+                      feature_subsample=feature_subsample)
+            assert_same_tree(train_tree(data, rng=seed, **kw),
+                             depth_first_tree(data, rng=seed, **kw))
+
+    @pytest.mark.parametrize("balanced", [True, False])
+    @pytest.mark.parametrize("feature_subsample", [None, 1, "sqrt"])
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @pytest.mark.parametrize("max_depth", [2, 10])
+    def test_bag_equals_depth_first(self, balanced, feature_subsample, min_leaf, max_depth):
+        data = tied_matrix(7)
+        kw = dict(max_depth=max_depth, min_leaf=min_leaf, feature_subsample=feature_subsample)
+        model = train_bagged(data, num_trees=6, balanced=balanced, rng=5, **kw)
+        trees, memberships = depth_first_bag(data, 6, balanced, 5, **kw)
+        np.testing.assert_array_equal(model.memberships, memberships)
+        for got, want in zip(model.trees, trees, strict=True):
+            assert_same_tree(got, want)
+
+    def test_votes_equal_one_tree_at_a_time(self):
+        def descend(tree, X):  # the one-tree walk that _predict_trees replaces
+            node = np.zeros(X.shape[0], dtype=np.int32)
+            while True:
+                feats = tree.feature[node]
+                active = np.flatnonzero(feats >= 0)
+                if active.size == 0:
+                    return tree.value[node]
+                goleft = X[active, feats[active]] <= tree.threshold[node[active]]
+                node[active] = np.where(goleft, tree.left[node[active]],
+                                        tree.right[node[active]])
+
+        data = tied_matrix(3)
+        model = train_bagged(data, num_trees=7, rng=2, max_depth=6)
+        X = np.asfortranarray(tied_matrix(4, n=60).rows[:, ::-1])[:, ::-1]  # not C-contiguous
+        votes = model.tree_votes(X)
+        np.testing.assert_array_equal(votes, np.stack([descend(t, X) for t in model.trees]))
+        np.testing.assert_array_equal(model.trees[0].predict(X), votes[0])
+        assert model.tree_votes(X[:0]).shape == (7, 0)
+
+    def test_split_between_adjacent_doubles(self):
+        # the midpoint of 1 + 2**-52 and the next double rounds up to the
+        # larger value, so the split sends every row left and leaves an
+        # empty right node, whose value is NaN in both builders
+        a = np.nextafter(1.0, 2.0)
+        data = matrix([[a], [np.nextafter(a, 2.0)]], [0, 1])
+        got, want = train_tree(data, max_depth=3, rng=0), depth_first_tree(data, 3, rng=0)
+        assert_same_tree(got, want)
+        assert np.isnan(got.value).any()
 
 
 class TestBagging:
     def test_needs_positive_for_balanced(self):
         with pytest.raises(LearnerError):
             train_bagged(matrix([[0.0], [1.0]], [0, 0]), num_trees=3, balanced=True, rng=0)
+
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, float("inf"), float("nan")])
+    def test_rejects_unusable_undersample_ratio(self, ratio):
+        # before, a ratio <= 0 silently drew one negative per tree
+        with pytest.raises(LearnerError, match="undersample_ratio"):
+            train_bagged(matrix([[0.0], [1.0]], [0, 1]), num_trees=3, rng=0,
+                         undersample_ratio=ratio)
 
     def test_balanced_bags_are_one_to_one(self):
         rng = np.random.default_rng(0)
