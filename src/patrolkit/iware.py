@@ -273,7 +273,7 @@ class IWareEnsemble:
             raise IwareError(f"ensemble document lacks key {err}") from None
         except IwareError:
             raise
-        except (TypeError, ValueError) as err:
+        except (IndexError, TypeError, ValueError) as err:
             raise IwareError(f"ensemble document has a malformed field: {err}") from None
 
 

@@ -24,6 +24,9 @@ GP.
   which vanishes at training points and reverts to the signal variance far
   from data.
 
+Only the GP uses scipy, and each GP function imports the part it calls
+when it runs, so a process that loads trees alone never loads scipy.
+
 Each learner's settings and their defaults are the keyword arguments of
 its training function (``train_bagged``, ``train_gp``) and are written
 nowhere else: the ensemble and the command line pass settings through
@@ -36,8 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.spatial.distance import pdist
 
 
 class LearnerError(ValueError):
@@ -103,10 +104,10 @@ class DecisionTree:
     def to_dict(self) -> dict:
         return {
             "feature": self.feature.tolist(),
-            "threshold": [float(v) for v in self.threshold],
+            "threshold": self.threshold.tolist(),
             "left": self.left.tolist(),
             "right": self.right.tolist(),
-            "value": [float(v) for v in self.value],
+            "value": self.value.tolist(),
             "max_depth": self.max_depth,
             "min_leaf": self.min_leaf,
         }
@@ -170,7 +171,10 @@ def _best_splits(columns, rows, sizes, feats, min_leaf):
     then feature, then value. A node's first minimum in that feature-major
     order implements the tie-break: lowest feature index, then lowest
     threshold. Returns (gini, feature, threshold) arrays with one entry per
-    node; gini is inf where no split is allowed.
+    node; gini is inf where no split is allowed. The threshold is the
+    midpoint of the two values the split falls between, or the lower value
+    where the midpoint of two adjacent doubles rounds up to the upper one,
+    so that each side keeps the rows it was scored with.
     """
     rank, x_sorted, y_sorted = columns
     R, d = rank.shape
@@ -213,7 +217,9 @@ def _best_splits(columns, rows, sizes, feats, min_leaf):
     best, c = k[hit], c[hit]
     gini_out[c] = gini[hit]
     feat_out[c] = feats.ravel()[seg[best]]
-    thr_out[c] = 0.5 * (xs[best] + xs[best + 1])
+    lower, upper = xs[best], xs[best + 1]
+    mid = 0.5 * (lower + upper)
+    thr_out[c] = np.where(mid < upper, mid, lower)
     return gini_out, feat_out, thr_out
 
 
@@ -247,8 +253,7 @@ def _grow_trees(X, y, samples, rngs, max_depth, min_leaf, feature_subsample):
         for t, stack in enumerate(stacks):
             while stack:
                 node, idx, depth, n, pos = stack.pop()
-                # a split at two adjacent doubles can leave a side empty
-                tables[t][4][node] = pos / n if n else math.nan
+                tables[t][4][node] = pos / n
                 if depth >= max_depth or n < 2 * min_leaf or pos in (0, n):
                     continue
                 feats.append(np.sort(rngs[t].choice(d, size=feature_subsample, replace=False))
@@ -346,10 +351,11 @@ class BaggedClassifier:
         return np.arange(out.shape[1]), prob
 
     def to_dict(self) -> dict:
-        sparse = []
-        for row in self.memberships:
-            nz = np.flatnonzero(row)
-            sparse.append([[int(j), int(row[j])] for j in nz])
+        # each bag's memberships as [row, draws] pairs of the rows it drew
+        bag, row = np.nonzero(self.memberships)
+        pairs = np.stack([row, self.memberships[bag, row]], axis=1).tolist()
+        ends = np.cumsum(np.bincount(bag, minlength=self.num_trees)).tolist()
+        sparse = [pairs[start:end] for start, end in zip([0] + ends, ends)]
         return {
             "kind": "bagged_trees",
             "trees": [t.to_dict() for t in self.trees],
@@ -364,6 +370,7 @@ class BaggedClassifier:
     def from_dict(cls, d: dict) -> "BaggedClassifier":
         n = int(d["n_train"])
         mem = np.zeros((len(d["memberships"]), n), dtype=np.int32)
+        # a plain loop: converting the pairs to arrays first is slower
         for b, pairs in enumerate(d["memberships"]):
             for j, c in pairs:
                 mem[b, j] = c
@@ -505,6 +512,8 @@ class GpClassifier:
         noise-free GP posterior variance at the query given the training
         inputs: zero (up to jitter) at training points, signal_var far away.
         """
+        from scipy.linalg import solve_triangular
+
         Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
         ks = self.kernel(self.X, Xq)                      # (n, q)
         mean = ks.T @ self._alpha
@@ -525,6 +534,8 @@ class GpClassifier:
         is the probit approximation ``predict_proba`` uses. Rows the cap
         dropped did not enter the fit, so their plain prediction is held
         out."""
+        from scipy.linalg import solve_triangular
+
         K = self.kernel(self.X, self.X) + self.jitter * np.eye(self.X.shape[0])
         C = solve_triangular(self._L_b, self._sqrt_w[:, None] * K, lower=True)
         s = np.diag(K) - (C**2).sum(axis=0)
@@ -581,6 +592,8 @@ def _newton_mode(K: np.ndarray, y: np.ndarray):
 
     Raises on Cholesky failure; the caller escalates jitter.
     """
+    from scipy.linalg import solve_triangular
+
     n = K.shape[0]
     t = (y + 1.0) / 2.0
     f = np.zeros(n)
@@ -624,6 +637,8 @@ def _finalize_gp(model: GpClassifier, f_mode: np.ndarray | None = None) -> None:
 
 def median_heuristic_lengthscale(X: np.ndarray) -> float:
     """Median nonzero pairwise Euclidean distance; 1.0 for degenerate data."""
+    from scipy.spatial.distance import pdist
+
     if X.shape[0] < 2:
         return 1.0
     d = pdist(X)
@@ -699,6 +714,8 @@ def gp_lml_and_gradient(model: GpClassifier, lengthscale=None, signal_var=None):
     dlml/dsignal_var); the gradient accounts for the dependence of the
     mode on the hyperparameters.
     """
+    from scipy.linalg import cho_solve, solve_triangular
+
     ell = model.lengthscale if lengthscale is None else float(lengthscale)
     sv = model.signal_var if signal_var is None else float(signal_var)
     X, y = model.X, model.y_sign

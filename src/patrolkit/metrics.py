@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 
 class MetricsError(ValueError):
@@ -149,6 +148,8 @@ def chi_squared_field_test(t: FieldTestTable) -> tuple[float, int, float]:
     patrolled cells without, per risk group. dof = groups - 1; the p-value
     is the chi-squared survival function (exp(-x/2) closed form at dof 2).
     """
+    from scipy.special import chdtrc  # here, not at module load: no other metric needs scipy
+
     if len(t.rows) < 2:
         raise MetricsError("need at least two risk groups")
     obs = np.array([[r.obs_cells, r.patrolled_cells - r.obs_cells] for r in t.rows], dtype=float)

@@ -11,6 +11,7 @@ and draw candidate blocks from high/medium/low risk percentile bands.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -34,8 +35,8 @@ class RiskMap:
 
     def __post_init__(self):
         lv = tuple(float(c) for c in self.effort_levels)
-        if not lv or any(b <= a for a, b in zip(lv, lv[1:])):
-            raise IwareError("effort levels must be nonempty and strictly increasing")
+        if not lv or not all(map(math.isfinite, lv)) or any(b <= a for a, b in zip(lv, lv[1:])):
+            raise IwareError("effort levels must be nonempty, finite and strictly increasing")
         object.__setattr__(self, "effort_levels", lv)
         for name in ("prob", "var"):
             arr = np.asarray(getattr(self, name), dtype=float)

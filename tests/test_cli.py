@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from patrolkit import io
+from patrolkit import io, planner
 from patrolkit.cli import main
 from patrolkit.config import ConfigError, load_config
 from patrolkit.grid import assemble_dataset
@@ -124,7 +124,7 @@ class TestConfig:
 
 
 class TestPipeline:
-    def test_full_pipeline_exit_codes(self, workdir):
+    def test_full_pipeline_exit_codes(self, workdir, monkeypatch):
         out = ["--output_dir=run"]
         assert run(["simulate", *SMALL, *out]) == 0
         assert run(["train", *SMALL, *out]) == 0
@@ -142,6 +142,17 @@ class TestPipeline:
         sweep = (workdir / "run" / "beta_sweep.csv").read_text().splitlines()
         assert sweep[0] == "beta,ratio"
         assert sweep[1].startswith("0.0,1.0")
+
+        # plan imports the planner when it runs, and maps its errors there
+        def fail(error):
+            def solve(problem):
+                raise error("no feasible patrol plan")
+            return solve
+
+        monkeypatch.setattr(planner, "solve", fail(planner.PlanInfeasibleError))
+        assert run(["plan", *SMALL, *out]) == 3
+        monkeypatch.setattr(planner, "solve", fail(planner.PlannerError))
+        assert run(["plan", *SMALL, *out]) == 2
 
     def test_model_written_compact_and_indented_model_loads(self, workdir):
         out = ["--output_dir=run"]
@@ -316,6 +327,28 @@ class TestMalformedInputs:
         assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
         assert key in capsys.readouterr().err
 
+    def test_model_with_membership_past_the_training_rows(self, workdir, capsys):
+        # before, the IndexError ended in a traceback with exit code 1
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        assert run(["train", *SMALL, "--output_dir=r"]) == 0
+        path = workdir / "r" / "model.json"
+        doc = json.loads(path.read_text())
+        doc["learners"][0]["memberships"][0][0] = [10**6, 1]
+        path.write_text(json.dumps(doc) + "\n")
+        capsys.readouterr()
+        assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
+        assert "malformed field" in capsys.readouterr().err
+
+    def test_riskmap_nan_effort_level(self, workdir, capsys):
+        # before, riskmap wrote rows at effort level nan with exit 0
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        assert run(["train", *SMALL, "--output_dir=r"]) == 0
+        capsys.readouterr()
+        assert run(["riskmap", *SMALL, "--output_dir=r", "--riskmap.levels=[0.5,NaN]"]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (workdir / "r" / "riskmap.csv").exists()
+        assert not (workdir / "r" / "blocks.json").exists()
+
 
 @pytest.mark.parametrize("kind", ["trees", "gp"])
 def test_cli_defaults_are_library_defaults(workdir, kind):
@@ -333,22 +366,47 @@ def test_cli_defaults_are_library_defaults(workdir, kind):
     assert json.loads((workdir / "r" / "model.json").read_text()) == ens.to_dict()
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    code = "import sys, patrolkit.cli; print('scipy.stats' in sys.modules)"
+def scipy_loaded(code: str) -> set[str]:
+    """The scipy modules a fresh process holds after running ``code``."""
+    code += ("\nimport json, sys\n"
+             "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return set(json.loads(out.stdout.splitlines()[-1]))
+
+
+def command_code(*argv: str) -> str:
+    return f"from patrolkit.cli import main\nassert main({list(argv)!r}) == 0"
+
+
+def test_cli_import_loads_no_scipy():
+    assert scipy_loaded("import patrolkit.cli") == set()
 
 
 def test_data_modules_import_without_scipy():
     # the package root re-exports nothing, so these load numpy alone
-    code = ("import sys, patrolkit.grid, patrolkit.io, patrolkit.synth; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert scipy_loaded("import patrolkit.grid, patrolkit.io, patrolkit.synth") == set()
+
+
+def test_planner_import_loads_highs():
+    # its node LPs run on scipy's HiGHS binding, loaded with the module
+    assert "scipy.optimize._highspy" in scipy_loaded("from patrolkit import planner")
+
+
+def test_tree_commands_load_no_scipy(workdir):
+    assert scipy_loaded(command_code("simulate", *SMALL, "--output_dir=r")) == set()
+    assert run(["train", *SMALL, "--output_dir=r"]) == 0
+    for command in ("riskmap", "evaluate"):
+        assert scipy_loaded(command_code(command, *SMALL, "--output_dir=r")) == set(), command
+
+
+def test_gp_riskmap_loads_linalg_not_optimize(workdir):
+    gp = [*SMALL, "--ensemble.learner=gp", "--output_dir=r"]
+    assert run(["simulate", *gp]) == 0
+    assert run(["train", *gp]) == 0
+    loaded = scipy_loaded(command_code("riskmap", *gp))
+    assert "scipy.linalg" in loaded and "scipy.optimize" not in loaded
 
 
 class TestDeterminism:

@@ -1,5 +1,5 @@
+import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -145,16 +145,16 @@ def depth_first_tree(data, max_depth=10, min_leaf=1, feature_subsample=None, rng
         f, i = divmod(int(np.argmin(gini)), n - 1)
         if not valid[i, f]:
             return None
-        return int(feat_ids[f]), float(0.5 * (xs[i, f] + xs[i + 1, f]))
+        lower, upper = float(xs[i, f]), float(xs[i + 1, f])
+        mid = 0.5 * (lower + upper)
+        return int(feat_ids[f]), mid if mid < upper else lower
 
     feature, threshold, left, right, value = [0], [0.0], [-1], [-1], [0.0]
     stack = [(0, np.arange(data.n), 0)]
     while stack:
         node, idx, depth = stack.pop()
         ysub = y[idx]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # an empty node's mean is NaN
-            pos_frac = float(ysub.mean())
+        pos_frac = float(ysub.mean())
         value[node] = pos_frac
         if depth >= max_depth or idx.size < 2 * min_leaf or pos_frac in (0.0, 1.0):
             feature[node] = -1
@@ -269,13 +269,17 @@ class TestLockStepBuilder:
 
     def test_split_between_adjacent_doubles(self):
         # the midpoint of 1 + 2**-52 and the next double rounds up to the
-        # larger value, so the split sends every row left and leaves an
-        # empty right node, whose value is NaN in both builders
+        # larger value; the split then falls at the lower value, so each
+        # side keeps its row (before, every row went left and the empty
+        # right node voted NaN)
         a = np.nextafter(1.0, 2.0)
-        data = matrix([[a], [np.nextafter(a, 2.0)]], [0, 1])
+        b = np.nextafter(a, 2.0)
+        assert 0.5 * (a + b) == b
+        data = matrix([[a], [b]], [0, 1])
         got, want = train_tree(data, max_depth=3, rng=0), depth_first_tree(data, 3, rng=0)
         assert_same_tree(got, want)
-        assert np.isnan(got.value).any()
+        assert got.threshold[0] == a and not np.isnan(got.value).any()
+        np.testing.assert_array_equal(got.predict(data.rows), [0.0, 1.0])
 
 
 class TestBagging:
@@ -345,6 +349,18 @@ class TestBagging:
         back = deserialize_learner(model.to_dict())
         np.testing.assert_array_equal(model.predict_proba(X)[0], back.predict_proba(X)[0])
         np.testing.assert_array_equal(model.memberships, back.memberships)
+
+    def test_membership_round_trip_with_empty_rows(self):
+        mem = [[0, 0, 0, 0], [0, 2, 0, 1], [0, 0, 0, 0], [3, 0, 1, 0], [0, 0, 0, 0]]
+        model = manual_bag([0.1, 0.2, 0.3, 0.4, 0.5], mem)
+        d = model.to_dict()
+        # each bag's [row, draws] pairs in row order, as plain ints
+        assert d["memberships"] == [[], [[1, 2], [3, 1]], [], [[0, 3], [2, 1]], []]
+        assert {type(v) for pairs in d["memberships"] for pair in pairs for v in pair} == {int}
+        back = BaggedClassifier.from_dict(json.loads(json.dumps(d)))
+        assert back.memberships.dtype == np.int32
+        np.testing.assert_array_equal(back.memberships, mem)
+        assert back.to_dict() == d
 
 
 def manual_bag(votes, memberships):

@@ -56,7 +56,7 @@ class TestAuc:
                     want = pairwise_auc(scores, labels)
                     assert abs(got - want) <= 1e-12
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, deadline=None, derandomize=True)
     @given(st.lists(st.floats(-5, 5).map(lambda v: round(v, 3)), min_size=4, max_size=30))
     def test_invariant_under_monotone_transform(self, scores):
         # coarse score grid so the transform cannot collapse distinct values
