@@ -373,6 +373,9 @@ class BaggedClassifier:
         # a plain loop: converting the pairs to arrays first is slower
         for b, pairs in enumerate(d["memberships"]):
             for j, c in pairs:
+                if j < 0 or c < 0:
+                    raise LearnerError(f"membership row {j} and draw count {c} "
+                                       "must be non-negative")
                 mem[b, j] = c
         return cls(
             trees=[DecisionTree.from_dict(t) for t in d["trees"]],

@@ -10,11 +10,21 @@ Nodes that cannot lie on any post-to-post path (unreachable forward or
 unable to return in the remaining steps) are pruned at construction.
 Coverage counts inflow over time plus the initial presence at the post,
 so a single patrol always distributes exactly T cell-steps of presence.
+
+The graph is four int arrays, numbered so that no index is needed:
+
+- Nodes are numbered by time, then by cell. The first and last layers
+  hold only the post, so the source (post, 1) is node 0 and the sink
+  (post, T) is node ``num_nodes - 1``.
+- Edges are numbered by tail node, then by head cell. A node's out-edges
+  are therefore one range, ``out_start[u]:out_start[u + 1]``, in
+  ascending head cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,91 +39,74 @@ class PlanInfeasibleError(PlannerError):
     """No feasible patrol exists for the requested configuration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeUnrolledGraph:
     grid: ParkGrid
     post: int
     horizon: int
-    nodes: tuple[tuple[int, int], ...]          # (cell, t), t in 1..T
-    edges: tuple[tuple[int, int], ...]          # (node_idx, node_idx), time-ordered
-    node_index: dict = field(repr=False, default_factory=dict)
+    node_cell: np.ndarray            # (n_nodes,) park cell of each node
+    node_time: np.ndarray            # (n_nodes,) time step, 1..T
+    edge_tail: np.ndarray            # (n_edges,) node an edge leaves
+    edge_head: np.ndarray            # (n_edges,) node an edge enters
 
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return self.node_cell.size
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self.edge_tail.size
 
     @property
     def source(self) -> int:
-        return self.node_index[(self.post, 1)]
+        return 0
 
     @property
     def sink(self) -> int:
-        return self.node_index[(self.post, self.horizon)]
+        return self.num_nodes - 1
+
+    @cached_property
+    def edge_cell(self) -> np.ndarray:
+        """The park cell each edge enters."""
+        return self.node_cell[self.edge_head]
+
+    @cached_property
+    def out_start(self) -> np.ndarray:
+        """(n_nodes + 1,) offsets: node u's out-edges are
+        ``out_start[u]:out_start[u + 1]``."""
+        return np.searchsorted(self.edge_tail, np.arange(self.num_nodes + 1))
 
     def cells(self) -> list[int]:
         """Park cells that appear in at least one surviving node."""
-        return sorted({c for c, _ in self.nodes})
-
-    def out_edges(self, node: int) -> list[int]:
-        return self._out[node]
-
-    def __post_init__(self):
-        index = {nt: i for i, nt in enumerate(self.nodes)}
-        object.__setattr__(self, "node_index", index)
-        # edge arrays: tail and head node, and the cell the edge enters
-        ends = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2)
-        node_cell = np.asarray([c for c, _ in self.nodes], dtype=np.intp)
-        object.__setattr__(self, "edge_tail", ends[:, 0])
-        object.__setattr__(self, "edge_head", ends[:, 1])
-        object.__setattr__(self, "edge_cell", node_cell[ends[:, 1]])
-        out = [[] for _ in self.nodes]
-        for e, (u, _) in enumerate(self.edges):
-            out[u].append(e)
-        object.__setattr__(self, "_out", out)
+        return np.unique(self.node_cell).tolist()
 
     # -- path machinery ----------------------------------------------------
     def count_paths(self) -> int:
         """Exact number of source-to-sink paths."""
-        if self.horizon == 1:
-            return 1
+        heads, start = self.edge_head.tolist(), self.out_start.tolist()
         ways = [0] * self.num_nodes
         ways[self.sink] = 1
-        for i in range(self.num_nodes - 1, -1, -1):
-            if i == self.sink:
-                continue
-            ways[i] = sum(ways[self.edges[e][1]] for e in self.out_edges(i))
+        for u in range(self.sink - 1, -1, -1):
+            ways[u] = sum(ways[v] for v in heads[start[u]:start[u + 1]])
         return ways[self.source]
 
     def enumerate_paths(self, limit: int):
-        """Yield cell sequences of every source-to-sink path.
+        """Yield every source-to-sink path as a list of edge indices, in
+        lexicographic order of the cells it visits.
 
         Raises PlannerError when more than ``limit`` paths exist.
         """
         if self.count_paths() > limit:
             raise PlannerError(f"more than {limit} feasible paths")
-        if self.horizon == 1:
-            yield (self.post,)
-            return
-        stack = [(self.source, [self.post])]
+        heads, start = self.edge_head.tolist(), self.out_start.tolist()
+        stack = [(self.source, [])]
         while stack:
-            node, cells = stack.pop()
+            node, path = stack.pop()
             if node == self.sink:
-                yield tuple(cells)
+                yield path
                 continue
-            for e in reversed(self.out_edges(node)):
-                v = self.edges[e][1]
-                stack.append((v, cells + [self.nodes[v][0]]))
-
-    def coverage_of_path(self, cells: tuple[int, ...], K: float) -> np.ndarray:
-        """Per-cell coverage of a single path executed K times."""
-        cov = np.zeros(self.grid.n_cells)
-        for c in cells:
-            cov[c] += K
-        return cov
+            for e in range(start[node + 1] - 1, start[node] - 1, -1):
+                stack.append((heads[e], path + [e]))
 
     def coverage_from_flow(self, flow: np.ndarray, K: float) -> np.ndarray:
         """Coverage c_v = K * (inflow over all time layers + initial post
@@ -124,6 +117,19 @@ class TimeUnrolledGraph:
         return K * cov
 
 
+def _step(layer: np.ndarray, grid: ParkGrid) -> np.ndarray:
+    """Cells one move (stay or a 4-neighbor inside the park) away from a
+    boolean (n_cells,) layer. Moves are symmetric, so this steps both
+    forward and backward in time."""
+    at = layer.reshape(grid.height, grid.width)
+    out = at.copy()
+    out[:, 1:] |= at[:, :-1]
+    out[:, :-1] |= at[:, 1:]
+    out[1:, :] |= at[:-1, :]
+    out[:-1, :] |= at[1:, :]
+    return out.ravel() & grid.mask
+
+
 def build_graph(grid: ParkGrid, post: int, T: int) -> TimeUnrolledGraph:
     """Build and prune the time-unrolled graph for one patrol post."""
     if T < 1:
@@ -131,41 +137,28 @@ def build_graph(grid: ParkGrid, post: int, T: int) -> TimeUnrolledGraph:
     if post not in grid.patrol_posts:
         raise PlannerError(f"cell {post} is not a patrol post")
 
-    if T == 1:
-        return TimeUnrolledGraph(grid=grid, post=post, horizon=1,
-                                 nodes=((post, 1),), edges=())
-
-    moves = {post: sorted({post, *grid.neighbors(post)})}
-    reach = [set() for _ in range(T + 1)]
-    reach[1] = {post}
+    n, W = grid.n_cells, grid.width
+    reach = np.zeros((T, n), dtype=bool)       # reach[t - 1]: cells reachable at t
+    coreach = np.zeros((T, n), dtype=bool)     # cells that can return to the post by T
+    reach[0, post] = coreach[T - 1, post] = True
     for t in range(1, T):
-        nxt = set()
-        for u in reach[t]:
-            if u not in moves:
-                moves[u] = sorted({u, *grid.neighbors(u)})
-            nxt.update(moves[u])
-        reach[t + 1] = nxt
-    coreach = [set() for _ in range(T + 1)]
-    coreach[T] = {post}
-    for t in range(T - 1, 0, -1):
-        prv = set()
-        for v in coreach[t + 1]:
-            if v not in moves:
-                moves[v] = sorted({v, *grid.neighbors(v)})
-            prv.update(moves[v])  # moves are symmetric (stay + undirected adjacency)
-        coreach[t] = prv
+        reach[t] = _step(reach[t - 1], grid)
+        coreach[T - 1 - t] = _step(coreach[T - t], grid)
+    alive = reach & coreach
+    node_time, node_cell = np.nonzero(alive)   # row-major: by time, then cell
+    node_of = np.full((T, n), -1)
+    node_of[node_time, node_cell] = np.arange(node_cell.size)
 
-    nodes = []
-    for t in range(1, T + 1):
-        for c in sorted(reach[t] & coreach[t]):
-            nodes.append((c, t))
-    index = {nt: i for i, nt in enumerate(nodes)}
-    edges = []
-    for t in range(1, T):
-        layer = sorted(c for c, tt in nodes if tt == t)
-        for u in layer:
-            for v in moves[u]:
-                if (v, t + 1) in index:
-                    edges.append((index[(u, t)], index[(v, t + 1)]))
-    return TimeUnrolledGraph(grid=grid, post=post, horizon=T,
-                             nodes=tuple(nodes), edges=tuple(edges))
+    # candidate moves in ascending head cell; a move is an edge when it
+    # stays on the grid and its head survives in the next layer
+    tails = np.flatnonzero(node_time < T - 1)
+    c, t = node_cell[tails, None], node_time[tails, None]
+    x, y = c % W, c // W
+    heads = c + np.array([-W, -1, 0, 1, W])
+    on_grid = np.hstack([y > 0, x > 0, np.ones_like(c, dtype=bool), x < W - 1,
+                         y < grid.height - 1])
+    head_node = np.where(on_grid, node_of[t + 1, heads % n], -1)
+    keep = head_node >= 0
+    return TimeUnrolledGraph(
+        grid=grid, post=post, horizon=T, node_cell=node_cell, node_time=node_time + 1,
+        edge_tail=np.repeat(tails, keep.sum(axis=1)), edge_head=head_node[keep])

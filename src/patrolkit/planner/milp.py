@@ -223,7 +223,9 @@ def write_lp_file(model: MilpModel, path) -> None:
     objectives are recomputed from coverage over every park cell."""
     g = model.problem.graph
     n_seg = model.n_bp - 1
-    names = [f"f_{g.nodes[u][1]}_{g.nodes[u][0]}_{g.nodes[v][0]}" for u, v in g.edges]
+    ends = zip(g.node_time[g.edge_tail].tolist(), g.node_cell[g.edge_tail].tolist(),
+               g.edge_cell.tolist())
+    names = [f"f_{t}_{u}_{v}" for t, u, v in ends]
     names += [f"lam_{cid}_{j}" for cid in model.cells for j in range(model.n_bp)]
     selectors = [[f"z_{cid}_{s}" for s in range(1, n_seg + 1)] for cid in model.cells]
     nz = np.flatnonzero(model.obj)

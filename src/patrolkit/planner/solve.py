@@ -7,6 +7,12 @@ every cell's utility is convex in coverage (then some optimal mixed
 strategy sits at a vertex of the flow polytope, i.e. a single path), and
 it refuses nonconvex instances, where mixtures can strictly beat every
 pure path.
+
+Both solvers return an edge flow; one function (``_plan``) turns that
+flow into a ``PatrolPlan``: coverage, routes and both objectives. Edges
+are numbered by tail node, then by head cell, and nodes by time, then by
+cell (see ``graph``), so route decomposition walks each node's out-edges
+as one range of edge indices.
 """
 
 from __future__ import annotations
@@ -86,27 +92,17 @@ def solve_by_enumeration(problem: PlanProblem) -> PatrolPlan:
             "path enumeration is exact only for convex utilities; "
             "a mixed strategy could beat every single path here")
     g = problem.graph
-    best_obj, best_path = -np.inf, None
+    best_obj, best_flow = -np.inf, None
     for path in g.enumerate_paths(PATH_LIMIT):
-        cov = g.coverage_of_path(path, problem.K)
+        flow = np.zeros(g.num_edges)
+        flow[path] = 1.0
+        cov = g.coverage_from_flow(flow, problem.K)
         obj = objective_of_coverage(problem.pwl, g.grid, cov, problem.beta)
         if obj > best_obj:  # paths arrive in lexicographic order; first max kept
-            best_obj, best_path = obj, path
-    if best_path is None:
+            best_obj, best_flow = obj, flow
+    if best_flow is None:
         raise PlanInfeasibleError("no feasible path")
-    flow = np.zeros(g.num_edges)
-    if g.horizon > 1:
-        edge_index = {uv: e for e, uv in enumerate(g.edges)}
-        for t, (a, b) in enumerate(zip(best_path, best_path[1:]), start=1):
-            flow[edge_index[(g.node_index[(a, t)], g.node_index[(b, t + 1)])]] = 1.0
-    coverage = g.coverage_of_path(best_path, problem.K)
-    return PatrolPlan(
-        graph=g, K=problem.K, beta=problem.beta, flow=flow, coverage=coverage,
-        routes=((tuple(best_path), 1.0),),
-        objective=best_obj,
-        objective_nominal=objective_of_coverage(problem.pwl, g.grid, coverage, 0.0),
-        solver="enumerate",
-    )
+    return _plan(problem, best_flow, "enumerate")
 
 
 def solve(problem: PlanProblem, method: str = "bnb") -> PatrolPlan:
@@ -118,16 +114,21 @@ def solve(problem: PlanProblem, method: str = "bnb") -> PatrolPlan:
         raise PlannerError(f"unknown solve method {method!r}")
     model = assemble_milp(problem)
     x, _ = branch_and_bound(model)
-    g = problem.graph
     flow = np.clip(model.flow_values(x), 0.0, 1.0)
     flow[flow < 1e-12] = 0.0
+    return _plan(problem, flow, "bnb")
+
+
+def _plan(problem: PlanProblem, flow: np.ndarray, solver: str) -> PatrolPlan:
+    """The plan a solver's edge flow makes: coverage, routes, objectives."""
+    g = problem.graph
     coverage = g.coverage_from_flow(flow, problem.K)
     return PatrolPlan(
         graph=g, K=problem.K, beta=problem.beta, flow=flow, coverage=coverage,
         routes=decompose_flow(g, flow),
         objective=objective_of_coverage(problem.pwl, g.grid, coverage, problem.beta),
         objective_nominal=objective_of_coverage(problem.pwl, g.grid, coverage, 0.0),
-        solver="bnb",
+        solver=solver,
     )
 
 
@@ -141,27 +142,25 @@ def decompose_flow(g: TimeUnrolledGraph, flow: np.ndarray) -> tuple:
     """
     if g.horizon == 1:
         return (((g.post,), 1.0),)
-    residual = flow.astype(float).copy()
+    residual = np.asarray(flow, dtype=float).tolist()
+    start, heads, cell = g.out_start.tolist(), g.edge_head.tolist(), g.edge_cell.tolist()
     routes = []
     for _ in range(g.num_edges):
-        out_src = sum(residual[e] for e in g.out_edges(g.source))
-        if out_src <= 1e-12:
+        if sum(residual[start[g.source]:start[g.source + 1]]) <= 1e-12:
             break
-        node = g.source
-        cells = [g.post]
-        taken = []
+        node, cells, taken = g.source, [g.post], []
         while node != g.sink:
-            candidates = [e for e in g.out_edges(node) if residual[e] > 1e-12]
-            if not candidates:
+            # max keeps the first maximum: the lowest edge index
+            e = max(range(start[node], start[node + 1]), key=residual.__getitem__)
+            if residual[e] <= 1e-12:
                 raise PlannerError("flow does not decompose; conservation violated")
-            e = max(candidates, key=lambda e: (residual[e], -e))
             taken.append(e)
-            node = g.edges[e][1]
-            cells.append(g.nodes[node][0])
+            node = heads[e]
+            cells.append(cell[e])
         w = min(residual[e] for e in taken)
         for e in taken:
             residual[e] -= w
-        routes.append((tuple(cells), float(w)))
+        routes.append((tuple(cells), w))
     return tuple(routes)
 
 

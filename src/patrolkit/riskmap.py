@@ -158,8 +158,8 @@ def build_pwl(
     previous-effort covariate) taken at the breakpoints, one row per cell."""
     if m < 1:
         raise IwareError("need at least one segment")
-    if c_max <= 0:
-        raise IwareError("c_max must be positive")
+    if not (math.isfinite(c_max) and c_max > 0):
+        raise IwareError(f"c_max must be finite and positive, got {c_max}")
     br = np.linspace(0.0, float(c_max), m + 1)
     rm = sweep_riskmap(ens, grid, ds, br)
     return PwlRiskModel(grid=grid, breakpoints=br, prob_values=rm.prob.T, var_values=rm.var.T)

@@ -327,17 +327,30 @@ class TestMalformedInputs:
         assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
         assert key in capsys.readouterr().err
 
-    def test_model_with_membership_past_the_training_rows(self, workdir, capsys):
-        # before, the IndexError ended in a traceback with exit code 1
+    @pytest.mark.parametrize("pair", [[10**6, 1], [-1, 1], [0, -1]],
+                             ids=["row_past_the_end", "negative_row", "negative_count"])
+    def test_model_with_membership_past_the_training_rows(self, workdir, capsys, pair):
+        # before, a row past the end ended in a traceback with exit code 1,
+        # and a negative row or draw count loaded with exit code 0
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
         assert run(["train", *SMALL, "--output_dir=r"]) == 0
         path = workdir / "r" / "model.json"
         doc = json.loads(path.read_text())
-        doc["learners"][0]["memberships"][0][0] = [10**6, 1]
+        doc["learners"][0]["memberships"][0][0] = pair
         path.write_text(json.dumps(doc) + "\n")
         capsys.readouterr()
         assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
         assert "malformed field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c_max", ["Infinity", "NaN"])
+    def test_plan_with_non_finite_c_max(self, workdir, capsys, c_max):
+        # before, both exited 2 blaming the effort levels, and Infinity
+        # printed a numpy RuntimeWarning first
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        assert run(["train", *SMALL, "--output_dir=r"]) == 0
+        capsys.readouterr()
+        assert run(["plan", *SMALL, "--output_dir=r", f"--riskmap.c_max={c_max}"]) == 2
+        assert "c_max must be finite and positive" in capsys.readouterr().err
 
     def test_riskmap_nan_effort_level(self, workdir, capsys):
         # before, riskmap wrote rows at effort level nan with exit 0

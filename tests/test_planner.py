@@ -32,6 +32,81 @@ def pwl_from_values(grid, breakpoints, prob, var=None):
                         prob_values=prob, var_values=var)
 
 
+def graph_nodes(g):
+    """The graph's nodes as (cell, t) pairs, in node order."""
+    return tuple(zip(g.node_cell.tolist(), g.node_time.tolist()))
+
+
+def graph_edges(g):
+    """The graph's edges as (tail, head) node pairs, in edge order."""
+    return tuple(zip(g.edge_tail.tolist(), g.edge_head.tolist()))
+
+
+def edge_of(g):
+    """Edge index by its ((cell, t), (cell, t)) end nodes."""
+    nodes = graph_nodes(g)
+    return {(nodes[u], nodes[v]): e for e, (u, v) in enumerate(graph_edges(g))}
+
+
+def cell_paths(g, limit):
+    """The enumerated paths as the cell sequences they visit."""
+    for path in g.enumerate_paths(limit):
+        yield (g.post, *g.edge_cell[path].tolist())
+
+
+def path_coverage(g, path, K):
+    """Per-cell coverage of one enumerated path executed K times."""
+    flow = np.zeros(g.num_edges)
+    flow[path] = 1.0
+    return g.coverage_from_flow(flow, K)
+
+
+def set_and_tuple_graph(grid, post, T):
+    """The builder that the array one replaced: reachable and returnable
+    cell sets per time step, then (cell, t) nodes and (tail, head) edges as
+    tuples. The oracle for build_graph's numbering."""
+    if T == 1:
+        return ((post, 1),), ()
+    moves = {}
+
+    def step(c):
+        if c not in moves:
+            moves[c] = sorted({c, *grid.neighbors(c)})
+        return moves[c]
+
+    reach = [set() for _ in range(T + 1)]
+    reach[1] = {post}
+    for t in range(1, T):
+        reach[t + 1] = {v for u in reach[t] for v in step(u)}
+    coreach = [set() for _ in range(T + 1)]
+    coreach[T] = {post}
+    for t in range(T - 1, 0, -1):
+        coreach[t] = {u for v in coreach[t + 1] for u in step(v)}
+    nodes = [(c, t) for t in range(1, T + 1) for c in sorted(reach[t] & coreach[t])]
+    index = {nt: i for i, nt in enumerate(nodes)}
+    edges = [(index[(u, t)], index[(v, t + 1)])
+             for u, t in nodes if t < T for v in step(u) if (v, t + 1) in index]
+    return tuple(nodes), tuple(edges)
+
+
+def tuple_graph_paths(nodes, edges):
+    """Cell sequences of every source-to-sink path of a tuple graph, depth
+    first with out-edges in edge order."""
+    out = [[] for _ in nodes]
+    for u, v in edges:
+        out[u].append(v)
+
+    def walk(u):
+        if u == len(nodes) - 1:
+            yield (nodes[u][0],)
+            return
+        for v in out[u]:
+            for rest in walk(v):
+                yield (nodes[u][0], *rest)
+
+    return list(walk(0))
+
+
 def line_problem(beta=0.0):
     """The 1x3 park A-B-C with post A: g_B = 0.2c, g_C = 0.3c."""
     grid = flat_grid(3, 1, k=1)
@@ -138,22 +213,23 @@ class TestGraph:
     def test_horizon_one_single_node(self):
         grid = flat_grid(2, 2)
         g = build_graph(grid, 0, 1)
-        assert g.nodes == ((0, 1),) and g.num_edges == 0
+        assert graph_nodes(g) == ((0, 1),) and g.num_edges == 0
         assert g.count_paths() == 1
-        assert g.coverage_of_path((0,), K=3)[0] == 3.0
+        (path,) = g.enumerate_paths(10)
+        assert path_coverage(g, path, K=3)[0] == 3.0
 
     def test_line_of_two_stay_only(self):
         grid = flat_grid(2, 1)
         g = build_graph(grid, 0, 2)
-        paths = list(g.enumerate_paths(10))
+        paths = list(cell_paths(g, 10))
         assert paths == [(0, 0)]  # moving away leaves no time to return
 
     def test_line_of_three_pruning(self):
         grid = flat_grid(3, 1)
         g = build_graph(grid, 0, 3)
-        assert sorted(g.enumerate_paths(10)) == [(0, 0, 0), (0, 1, 0)]
-        assert (2, 2) not in [nt for nt in g.nodes]  # cell C pruned everywhere
-        assert g.nodes == ((0, 1), (0, 2), (1, 2), (0, 3))
+        assert sorted(cell_paths(g, 10)) == [(0, 0, 0), (0, 1, 0)]
+        assert (2, 2) not in graph_nodes(g)  # cell C pruned everywhere
+        assert graph_nodes(g) == ((0, 1), (0, 2), (1, 2), (0, 3))
 
     def test_invalid_inputs(self):
         grid = flat_grid(2, 2)
@@ -167,13 +243,33 @@ class TestGraph:
         g = build_graph(grid, 4, 5)
         assert g.count_paths() == len(list(g.enumerate_paths(10**6)))
 
+    def test_arrays_match_the_set_and_tuple_builder(self):
+        # random masked parks, every post, every horizon up to 8: the same
+        # nodes and edges in the same order, and the same paths
+        for seed in range(12):
+            rng = np.random.default_rng([seed, 14])
+            W, H = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            mask = rng.random(W * H) < 0.75
+            posts = rng.choice(W * H, size=min(2, W * H), replace=False)
+            mask[posts] = True
+            grid = flat_grid(W, H, mask=mask, posts=tuple(posts.tolist()))
+            for post in grid.patrol_posts:
+                for T in range(1, 9):
+                    g = build_graph(grid, post, T)
+                    nodes, edges = set_and_tuple_graph(grid, post, T)
+                    assert graph_nodes(g) == nodes
+                    assert graph_edges(g) == edges
+                    paths = list(cell_paths(g, 10**6))
+                    assert g.count_paths() == len(paths)
+                    assert paths == tuple_graph_paths(nodes, edges)
+
     def test_coverage_from_flow_matches_edge_loop(self):
         grid = flat_grid(3, 3, posts=(4,))
         g = build_graph(grid, 4, 5)
         flow = np.random.default_rng(0).random(g.num_edges)
         ref = np.zeros(grid.n_cells)
-        for e, (_, v) in enumerate(g.edges):
-            ref[g.nodes[v][0]] += flow[e]
+        for e, (_, v) in enumerate(graph_edges(g)):
+            ref[graph_nodes(g)[v][0]] += flow[e]
         ref[g.post] += 1.0
         assert np.array_equal(g.coverage_from_flow(flow, 3), 3 * ref)
 
@@ -181,7 +277,7 @@ class TestGraph:
         grid = flat_grid(3, 2, posts=(1,))
         g = build_graph(grid, 1, 4)
         for path in g.enumerate_paths(10**6):
-            assert g.coverage_of_path(path, K=2).sum() == pytest.approx(8.0)
+            assert path_coverage(g, path, K=2).sum() == pytest.approx(8.0)
 
 
 class TestSolve:
@@ -260,7 +356,7 @@ class TestSolve:
         plan = solve(p, method="bnb")
         plan.validate()
         best_path = max(
-            objective_of_coverage(p.pwl, grid, g.coverage_of_path(path, 1), 0.0)
+            objective_of_coverage(p.pwl, grid, path_coverage(g, path, 1), 0.0)
             for path in g.enumerate_paths(1000))
         assert plan.objective > best_path + 0.25  # 0.8 vs 0.5
         assert len(plan.routes) == 2
@@ -341,7 +437,7 @@ class TestValidate:
         plan = solve(line_problem(), method="bnb")
         plan.validate()
         g = plan.graph
-        edge = {(g.nodes[u], g.nodes[v]): e for e, (u, v) in enumerate(g.edges)}
+        edge = edge_of(g)
         stay, out = ((0, 1), (0, 2)), ((0, 1), (1, 2))
         back, home = ((0, 2), (0, 3)), ((1, 2), (0, 3))
         near = 0.5 - 0.9e-9  # every interior node within tolerance, the sink not
@@ -370,8 +466,9 @@ class TestDecompose:
         grid = flat_grid(2, 1)
         g = build_graph(grid, 0, 3)
         flow = np.zeros(g.num_edges)
-        for e, (u, v) in enumerate(g.edges):
-            if g.nodes[u][0] == 0 and g.nodes[v][0] == 0:
+        nodes = graph_nodes(g)
+        for e, (u, v) in enumerate(graph_edges(g)):
+            if nodes[u][0] == 0 and nodes[v][0] == 0:
                 flow[e] = 1.0
         routes = decompose_flow(g, flow)
         assert routes == (((0, 0, 0), 1.0),)
@@ -379,7 +476,7 @@ class TestDecompose:
     def test_half_half_split(self):
         grid = flat_grid(2, 2, posts=(0,))
         g = build_graph(grid, 0, 3)
-        idx = {(g.nodes[u], g.nodes[v]): e for e, (u, v) in enumerate(g.edges)}
+        idx = edge_of(g)
         flow = np.zeros(g.num_edges)
         for a, b, w in [((0, 1), (1, 2), 0.5), ((1, 2), (0, 3), 0.5),
                         ((0, 1), (2, 2), 0.5), ((2, 2), (0, 3), 0.5)]:
