@@ -175,6 +175,10 @@ def _nominal_effort(cfg, ds) -> float:
 
 
 def cmd_riskmap(cfg) -> int:
+    block_size, per_band = int(cfg["riskmap"]["block_size"]), int(cfg["riskmap"]["blocks_per_band"])
+    if block_size < 1 or per_band < 1:
+        raise ConfigError("riskmap.block_size and riskmap.blocks_per_band must be >= 1, "
+                          f"got {block_size} and {per_band}")
     out = _outdir(cfg)
     grid, ds = _load_grid_dataset(cfg)
     ens = IWareEnsemble.from_dict(io.read_json(out / "model.json"))
@@ -189,14 +193,13 @@ def cmd_riskmap(cfg) -> int:
 
     risk = np.where(grid.mask, np.nan_to_num(full.prob[swept.index(nominal)], nan=0.0), 0.0)
     try:
-        blocks = select_field_test_blocks(
-            grid, risk, ds.effort.sum(axis=0),
-            block_size=int(cfg["riskmap"]["block_size"]),
-            per_band=int(cfg["riskmap"]["blocks_per_band"]),
-        )
+        blocks = select_field_test_blocks(grid, risk, ds.effort.sum(axis=0),
+                                          block_size=block_size, per_band=per_band)
         io.write_json(out / "blocks.json", {"nominal_effort": nominal, **blocks.to_dict()})
         extra = ", blocks.json"
     except IwareError:
+        # no selection: a blocks.json of an earlier run must not sit beside this riskmap.csv
+        (out / "blocks.json").unlink(missing_ok=True)
         extra = ""
     print(f"riskmap: {len(levels)} levels -> {out}/riskmap.csv{extra}")
     return 0

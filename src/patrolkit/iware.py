@@ -32,7 +32,7 @@ PROB_CLAMP = 1e-6
 LEARNER_OPTIONS = {
     "trees": ("num_trees", "balanced", "undersample_ratio", "max_depth", "min_leaf",
               "feature_subsample"),
-    "gp": ("lengthscale", "signal_var", "jitter", "optimize_hypers", "max_points"),
+    "gp": ("lengthscale", "signal_var", "jitter", "max_points"),
 }
 
 
@@ -242,7 +242,7 @@ class IWareEnsemble:
 
     def to_dict(self) -> dict:
         return {
-            "version": 1,
+            "version": 2,
             "thresholds": [float(t) for t in self.thresholds.thresholds],
             "weights": [float(w) for w in self.weights],
             "learner_kind": self.learner_kind,
@@ -255,7 +255,7 @@ class IWareEnsemble:
     def from_dict(cls, d: dict) -> "IWareEnsemble":
         if not isinstance(d, dict):
             raise IwareError("ensemble document must be a JSON object")
-        if d.get("version") != 1:
+        if d.get("version") != 2:
             raise IwareError(f"unsupported ensemble document version {d.get('version')!r}")
         try:
             blobs = d["learners"]
@@ -273,7 +273,7 @@ class IWareEnsemble:
             raise IwareError(f"ensemble document lacks key {err}") from None
         except IwareError:
             raise
-        except (IndexError, TypeError, ValueError) as err:
+        except (IndexError, OverflowError, TypeError, ValueError) as err:
             raise IwareError(f"ensemble document has a malformed field: {err}") from None
 
 

@@ -12,7 +12,9 @@ GP.
   training is deterministic under a fixed rng. Each tree grows
   depth-first; the trees of a bag grow in lock-step, one batched split
   search per pass over the node each tree reached, so they are the trees
-  that fitting each alone gives. A bag's trees also predict together.
+  that fitting each alone gives. They are one node table (``TreeTable``):
+  it predicts all of them together, is what ``model.json`` stores, and is
+  checked when it loads, so that every walk from a root ends at a leaf.
 * Balanced bagging: each tree sees a bootstrap of the positives plus an
   undersample of the negatives. Bootstrap membership counts are recorded
   so the infinitesimal-jackknife variance of the bagged prediction can be
@@ -86,68 +88,75 @@ class TrainMatrix:
 # Decision trees
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DecisionTree:
-    """CART tree in flat-array form; feature[i] == -1 marks a leaf."""
+@dataclass(frozen=True, eq=False)
+class TreeTable:
+    """The CART trees of one bag in one flat node table.
+
+    Tree t's root is node t. An inner node i sends a row whose value of
+    ``feature[i]`` is at most ``threshold[i]`` to node ``left[i]`` and any
+    other row to node ``left[i] + 1``; both children come after i.
+    ``feature == -1`` marks a leaf, whose ``value`` is the positive fraction
+    of the rows it received (every node records that fraction, but only a
+    leaf's is read).
+    """
 
     feature: np.ndarray    # (nodes,) int32
     threshold: np.ndarray  # (nodes,) float
     left: np.ndarray       # (nodes,) int32
-    right: np.ndarray      # (nodes,) int32
-    value: np.ndarray      # (nodes,) float, positive fraction (leaves)
-    max_depth: int
-    min_leaf: int
+    value: np.ndarray      # (nodes,) float
+    num_trees: int
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return _predict_trees([self], X)[0]
+        """Each tree's leaf value for each row of X, shape (trees, rows). Every
+        (tree, row) pair descends one level per step, all trees together."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        q, d = X.shape
+        # pair i is tree i // q at row i % q, whose row starts at x[row_at[i]]
+        x = X.ravel()
+        node = np.repeat(np.arange(self.num_trees), q)
+        row_at = np.tile(np.arange(0, q * d, d), self.num_trees)
+        pair = np.arange(node.size)  # the pairs still at an inner node
+        while pair.size:
+            at = node[pair]
+            f = self.feature[at]
+            inner = f >= 0
+            pair, at, f = pair[inner], at[inner], f[inner]
+            goleft = x[row_at[pair] + f] <= self.threshold[at]
+            node[pair] = self.left[at] + ~goleft
+        return self.value[node].reshape(self.num_trees, q)
 
     def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-        }
+        return {"feature": self.feature.tolist(), "threshold": self.threshold.tolist(),
+                "left": self.left.tolist(), "value": self.value.tolist()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DecisionTree":
-        return cls(
-            feature=np.asarray(d["feature"], dtype=np.int32),
-            threshold=np.asarray(d["threshold"], dtype=float),
-            left=np.asarray(d["left"], dtype=np.int32),
-            right=np.asarray(d["right"], dtype=np.int32),
-            value=np.asarray(d["value"], dtype=float),
-            max_depth=int(d["max_depth"]),
-            min_leaf=int(d["min_leaf"]),
-        )
-
-
-def _predict_trees(trees: list[DecisionTree], X: np.ndarray) -> np.ndarray:
-    """Each tree's leaf value for each row of X, shape (trees, rows). Every
-    (tree, row) pair descends one level per step, all trees together."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    q, d = X.shape
-    base = np.cumsum([0] + [t.feature.size for t in trees[:-1]])
-    feature = np.concatenate([t.feature for t in trees])
-    threshold = np.concatenate([t.threshold for t in trees])
-    left = np.concatenate([t.left + b for t, b in zip(trees, base)])
-    right = np.concatenate([t.right + b for t, b in zip(trees, base)])
-    # pair i is tree i // q at row i % q, whose row starts at x[row_at[i]]
-    x = X.ravel()
-    node = np.repeat(base, q)
-    row_at = np.tile(np.arange(0, q * d, d), len(trees))
-    pair = np.arange(node.size)  # the pairs still at an inner node
-    while pair.size:
-        at = node[pair]
-        f = feature[at]
-        inner = f >= 0
-        pair, at, f = pair[inner], at[inner], f[inner]
-        goleft = x[row_at[pair] + f] <= threshold[at]
-        node[pair] = np.where(goleft, left[at], right[at])
-    return np.concatenate([t.value for t in trees])[node].reshape(len(trees), q)
+    def from_dict(cls, d: dict, num_trees: int, n_features: int) -> "TreeTable":
+        """The table of ``num_trees`` trees over ``n_features`` features,
+        checked so that every walk from a root ends, at a leaf whose value is
+        a probability: children lie after their parent and inside the table."""
+        table = cls(feature=np.asarray(d["feature"], dtype=np.int32),
+                    threshold=np.asarray(d["threshold"], dtype=float),
+                    left=np.asarray(d["left"], dtype=np.int32),
+                    value=np.asarray(d["value"], dtype=float),
+                    num_trees=num_trees)
+        nodes = table.feature.size
+        if not (all(a.shape == (nodes,) for a in (table.threshold, table.left, table.value))
+                and 1 <= num_trees <= nodes):
+            raise LearnerError(f"a table of {num_trees} trees needs feature, threshold, left "
+                               f"and value arrays of one length, at least {num_trees}")
+        inner = table.feature >= 0
+        at, leaf = np.flatnonzero(inner), table.value[~inner]
+        for bad, what in (
+            (np.any(table.feature < -1) or np.any(table.feature >= n_features),
+             f"features must lie in [-1, {n_features})"),
+            (np.any(table.left[at] <= at) or np.any(table.left[at] > nodes - 2),
+             f"an inner node's children must come after it, within the {nodes} nodes"),
+            (not np.all(np.isfinite(table.threshold[at])), "inner thresholds must be finite"),
+            (not np.all((leaf >= 0) & (leaf <= 1)), "leaf values must lie in [0, 1]"),
+        ):
+            if bad:
+                raise LearnerError(f"tree table: {what}")
+        return table
 
 
 def _sorted_columns(X: np.ndarray, y: np.ndarray):
@@ -231,7 +240,8 @@ def _grow_trees(X, y, samples, rngs, max_depth, min_leaf, feature_subsample):
     in the order a lone fit would: each pass, every unfinished tree pops
     nodes off its own stack until it reaches one it may split, settling
     leaves from their carried positive counts, and one ``_best_splits``
-    call then splits the nodes all trees reached.
+    call then splits the nodes all trees reached. Returns one ``TreeTable``:
+    the roots first, then each split's two children as it is made.
     """
     if min(len(s) for s in samples) < min_leaf:
         raise LearnerError(f"need at least min_leaf={min_leaf} rows")
@@ -242,18 +252,18 @@ def _grow_trees(X, y, samples, rngs, max_depth, min_leaf, feature_subsample):
     draw = feature_subsample is not None and feature_subsample < d
     every = list(range(d))
 
-    # per tree: its node table (feature, threshold, left, right, value) and
+    # the bag's node table (feature, threshold, left, value), and per tree
     # its stack of (node, rows, depth, row count, positive count)
-    tables, stacks = [], []
-    for root in np.split(np.arange(rows.size), np.cumsum([len(s) for s in samples])[:-1]):
-        tables.append(([-1], [0.0], [-1], [-1], [0.0]))
-        stacks.append([(0, root, 0, root.size, int(y[root].sum()))])
+    T = len(samples)
+    feature, threshold, left, value = [-1] * T, [0.0] * T, [-1] * T, [0.0] * T
+    stacks = [[(t, root, 0, root.size, int(y[root].sum()))] for t, root in
+              enumerate(np.split(np.arange(rows.size), np.cumsum([len(s) for s in samples])[:-1]))]
     while True:
         todo, feats = [], []
         for t, stack in enumerate(stacks):
             while stack:
                 node, idx, depth, n, pos = stack.pop()
-                tables[t][4][node] = pos / n
+                value[node] = pos / n
                 if depth >= max_depth or n < 2 * min_leaf or pos in (0, n):
                     continue
                 feats.append(np.sort(rngs[t].choice(d, size=feature_subsample, replace=False))
@@ -277,27 +287,17 @@ def _grow_trees(X, y, samples, rngs, max_depth, min_leaf, feature_subsample):
             lo, ro = lo + nl, ro + n - nl
             if not np.isfinite(gini[c]):
                 continue
-            feature, threshold, left, right, value = tables[t]
-            li, ri = len(feature), len(feature) + 1
-            feature[node], threshold[node] = int(feat[c]), float(thr[c])
-            left[node], right[node] = li, ri
-            for column, blank in zip(tables[t], (-1, 0.0, -1, -1, 0.0)):
+            li = len(feature)
+            feature[node], threshold[node], left[node] = int(feat[c]), float(thr[c]), li
+            for column, blank in ((feature, -1), (threshold, 0.0), (left, -1), (value, 0.0)):
                 column.extend((blank, blank))
             stacks[t].append((li, left_rows, depth + 1, nl, pos_left[c]))
-            stacks[t].append((ri, right_rows, depth + 1, n - nl, pos - pos_left[c]))
+            stacks[t].append((li + 1, right_rows, depth + 1, n - nl, pos - pos_left[c]))
 
-    return [
-        DecisionTree(
-            feature=np.asarray(feature, dtype=np.int32),
-            threshold=np.asarray(threshold, dtype=float),
-            left=np.asarray(left, dtype=np.int32),
-            right=np.asarray(right, dtype=np.int32),
-            value=np.asarray(value, dtype=float),
-            max_depth=max_depth,
-            min_leaf=min_leaf,
-        )
-        for feature, threshold, left, right, value in tables
-    ]
+    return TreeTable(feature=np.asarray(feature, dtype=np.int32),
+                     threshold=np.asarray(threshold, dtype=float),
+                     left=np.asarray(left, dtype=np.int32),
+                     value=np.asarray(value, dtype=float), num_trees=T)
 
 
 def train_tree(
@@ -306,11 +306,11 @@ def train_tree(
     min_leaf: int = 1,
     feature_subsample: int | None = None,
     rng=None,
-) -> DecisionTree:
-    """Greedy CART fit. ``feature_subsample`` draws that many candidate
-    features per node from rng (all features when None)."""
+) -> TreeTable:
+    """Greedy CART fit of one tree. ``feature_subsample`` draws that many
+    candidate features per node from rng (all features when None)."""
     return _grow_trees(data.rows, data.labels, [np.arange(data.n)], [ensure_rng(rng)],
-                       max_depth, min_leaf, feature_subsample)[0]
+                       max_depth, min_leaf, feature_subsample)
 
 
 # ---------------------------------------------------------------------------
@@ -319,23 +319,21 @@ def train_tree(
 
 @dataclass
 class BaggedClassifier:
-    """Bag of trees with recorded bootstrap memberships."""
+    """Bag of trees, one node table, with recorded bootstrap memberships."""
 
-    trees: list[DecisionTree]
+    trees: TreeTable
     memberships: np.ndarray         # (B, n_train) int32 draw counts
-    undersample_ratio: float
-    balanced: bool
     n_features: int
 
     @property
     def num_trees(self) -> int:
-        return len(self.trees)
+        return self.trees.num_trees
 
     def tree_votes(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.n_features:
             raise LearnerError(f"expected {self.n_features} features, got {X.shape[1]}")
-        return _predict_trees(self.trees, X)  # (B, nq)
+        return self.trees.predict(X)  # (B, nq)
 
     def predict_proba(self, X: np.ndarray):
         votes = self.tree_votes(X)
@@ -358,17 +356,15 @@ class BaggedClassifier:
         sparse = [pairs[start:end] for start, end in zip([0] + ends, ends)]
         return {
             "kind": "bagged_trees",
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": self.trees.to_dict(),
             "n_train": int(self.memberships.shape[1]),
             "memberships": sparse,
-            "undersample_ratio": float(self.undersample_ratio),
-            "balanced": bool(self.balanced),
             "n_features": int(self.n_features),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "BaggedClassifier":
-        n = int(d["n_train"])
+        n, n_features = int(d["n_train"]), int(d["n_features"])
         mem = np.zeros((len(d["memberships"]), n), dtype=np.int32)
         # a plain loop: converting the pairs to arrays first is slower
         for b, pairs in enumerate(d["memberships"]):
@@ -377,13 +373,8 @@ class BaggedClassifier:
                     raise LearnerError(f"membership row {j} and draw count {c} "
                                        "must be non-negative")
                 mem[b, j] = c
-        return cls(
-            trees=[DecisionTree.from_dict(t) for t in d["trees"]],
-            memberships=mem,
-            undersample_ratio=float(d["undersample_ratio"]),
-            balanced=bool(d["balanced"]),
-            n_features=int(d["n_features"]),
-        )
+        return cls(trees=TreeTable.from_dict(d["trees"], mem.shape[0], n_features),
+                   memberships=mem, n_features=n_features)
 
 
 def train_bagged(
@@ -430,9 +421,7 @@ def train_bagged(
         samples.append(sample)
     trees = _grow_trees(data.rows, data.labels, samples, children,
                         max_depth, min_leaf, feature_subsample)
-    return BaggedClassifier(trees=trees, memberships=memberships,
-                            undersample_ratio=undersample_ratio, balanced=balanced,
-                            n_features=data.d)
+    return BaggedClassifier(trees=trees, memberships=memberships, n_features=data.d)
 
 
 def jackknife_variance_batch(model: BaggedClassifier, X: np.ndarray) -> np.ndarray | None:
@@ -501,7 +490,6 @@ class GpClassifier:
     _sqrt_w: np.ndarray = field(repr=False, default=None)
     _L_b: np.ndarray = field(repr=False, default=None)
     _L_k: np.ndarray = field(repr=False, default=None)
-    log_marginal_likelihood: float = 0.0
     kept_rows: np.ndarray = field(repr=False, default=None)
 
     def kernel(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -632,9 +620,8 @@ def _finalize_gp(model: GpClassifier, f_mode: np.ndarray | None = None) -> None:
     """Prediction state at the given latent mode, found by Newton when None."""
     K = model.kernel(model.X, model.X) + model.jitter * np.eye(model.X.shape[0])
     f = _newton_mode(K, model.y_sign) if f_mode is None else f_mode
-    _, sw, L, alpha, lml = _mode_state(K, model.y_sign, f)
+    _, sw, L, alpha, _ = _mode_state(K, model.y_sign, f)
     model.f_mode, model._sqrt_w, model._L_b, model._alpha = f, sw, L, alpha
-    model.log_marginal_likelihood = lml
     model._L_k = np.linalg.cholesky(K)
 
 
@@ -666,7 +653,6 @@ def train_gp(
     lengthscale: float | None = None,
     signal_var: float = 1.0,
     jitter: float = 1e-6,
-    optimize_hypers: bool = False,
     max_points: int = 400,
     rng=None,
 ) -> GpClassifier:
@@ -675,8 +661,7 @@ def train_gp(
     ``lengthscale`` None takes the median pairwise distance of the kept
     rows. Newton iterations run until the mode moves by less than 1e-6 or
     100 iterations. On Cholesky failure the jitter is escalated tenfold up
-    to 1e-2 before giving up. ``optimize_hypers`` refines the fitted
-    lengthscale and signal variance by ML-II.
+    to 1e-2 before giving up.
     """
     if lengthscale is not None and not lengthscale > 0:
         raise LearnerError(f"lengthscale must be > 0, got {lengthscale}")
@@ -702,8 +687,6 @@ def train_gp(
             last_err = err
             jitter = jitter * 10 if jitter > 0 else 1e-8
             continue
-        if optimize_hypers:
-            _optimize_hypers(model)
         model.kept_rows = keep
         return model
     raise LearnerError(f"kernel matrix not positive definite up to jitter 1e-2: {last_err}")
@@ -743,24 +726,6 @@ def gp_lml_and_gradient(model: GpClassifier, lengthscale=None, signal_var=None):
         s3 = b - K @ (R @ b)
         grads.append(float(s1 + s2 @ s3))
     return lml, grads[0], grads[1]
-
-
-def _optimize_hypers(model: GpClassifier) -> None:
-    """ML-II on (log lengthscale, log signal variance) via L-BFGS-B."""
-    from scipy.optimize import minimize
-
-    def objective(theta):
-        ell, sv = np.exp(theta)
-        lml, g_ell, g_sv = gp_lml_and_gradient(model, ell, sv)
-        return -lml, -np.array([g_ell * ell, g_sv * sv])
-
-    x0 = np.log([model.lengthscale, model.signal_var])
-    res = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                   bounds=[(-5, 8), (-6, 6)], options={"maxiter": 50})
-    ell, sv = np.exp(res.x)
-    model.lengthscale = float(ell)
-    model.signal_var = float(sv)
-    _finalize_gp(model)
 
 
 def deserialize_learner(blob: dict):

@@ -167,6 +167,18 @@ class TestPipeline:
         assert run(["riskmap", *SMALL, *out]) == 0
         assert risk.read_bytes() == first
 
+    def test_no_blocks_left_from_an_earlier_run(self, workdir):
+        # before, a riskmap run that could select no blocks left the earlier
+        # run's blocks.json beside its new riskmap.csv
+        out = ["--output_dir=run"]
+        assert run(["simulate", *SMALL, *out]) == 0
+        assert run(["train", *SMALL, *out]) == 0
+        assert run(["riskmap", *SMALL, *out]) == 0
+        assert (workdir / "run" / "blocks.json").exists()
+        assert run(["riskmap", *SMALL, *out, "--riskmap.block_size=13"]) == 0  # the park is 12x12
+        assert (workdir / "run" / "riskmap.csv").exists()
+        assert not (workdir / "run" / "blocks.json").exists()
+
     def test_missing_output_dir_parent_is_config_error(self, workdir):
         assert run(["simulate", *SMALL, "--output_dir=gone/deeper/run"]) == 2
 
@@ -280,8 +292,18 @@ class TestMalformedInputs:
 
     def test_model_with_version_only(self, workdir):
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
-        (workdir / "r" / "model.json").write_text('{"version": 1}\n')
+        (workdir / "r" / "model.json").write_text('{"version": 2}\n')
         assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
+
+    def test_model_of_version_one(self, workdir, capsys):
+        # version 1 stored a list of per-tree tables, each with a right array
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        assert run(["train", *SMALL, "--output_dir=r"]) == 0
+        path = workdir / "r" / "model.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "version": 1}) + "\n")
+        capsys.readouterr()
+        assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
+        assert "unsupported ensemble document version 1" in capsys.readouterr().err
 
     def test_model_not_an_object(self, workdir):
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
@@ -290,7 +312,7 @@ class TestMalformedInputs:
 
     def test_model_with_null_learners(self, workdir):
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
-        doc = {"version": 1, "thresholds": [0.0], "learners": None, "weights": [1.0],
+        doc = {"version": 2, "thresholds": [0.0], "learners": None, "weights": [1.0],
                "learner_kind": "trees", "squash_scale": 1.0, "n_features": 3}
         (workdir / "r" / "model.json").write_text(json.dumps(doc) + "\n")
         assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
@@ -341,6 +363,35 @@ class TestMalformedInputs:
         capsys.readouterr()
         assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
         assert "malformed field" in capsys.readouterr().err
+
+    def test_model_with_self_looping_tree(self, workdir, capsys):
+        # before, riskmap never finished: the root's walk stayed at the root
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        assert run(["train", *SMALL, "--output_dir=r"]) == 0
+        path = workdir / "r" / "model.json"
+        doc = json.loads(path.read_text())
+        trees = doc["learners"][0]["trees"]
+        assert trees["feature"][0] >= 0
+        trees["left"][0] = 0
+        path.write_text(json.dumps(doc) + "\n")
+        capsys.readouterr()
+        assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
+        assert "children must come after it" in capsys.readouterr().err
+        assert not (workdir / "r" / "riskmap.csv").exists()
+
+    @pytest.mark.parametrize("setting", ["block_size=0", "block_size=-1",
+                                         "blocks_per_band=0", "blocks_per_band=-2"])
+    def test_riskmap_unusable_block_setting(self, workdir, capsys, setting):
+        # before, block_size=0 selected nothing with two numpy RuntimeWarnings,
+        # and blocks_per_band=-2 kept all but two blocks of each band, both
+        # with exit 0
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        assert run(["train", *SMALL, "--output_dir=r"]) == 0
+        capsys.readouterr()
+        assert run(["riskmap", *SMALL, "--output_dir=r", f"--riskmap.{setting}"]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        assert not (workdir / "r" / "riskmap.csv").exists()
+        assert not (workdir / "r" / "blocks.json").exists()
 
     @pytest.mark.parametrize("c_max", ["Infinity", "NaN"])
     def test_plan_with_non_finite_c_max(self, workdir, capsys, c_max):

@@ -6,9 +6,9 @@ import pytest
 
 from patrolkit.learners import (
     BaggedClassifier,
-    DecisionTree,
     LearnerError,
     TrainMatrix,
+    TreeTable,
     _best_splits,
     _sorted_columns,
     deserialize_learner,
@@ -16,6 +16,7 @@ from patrolkit.learners import (
     train_bagged,
     train_tree,
 )
+from patrolkit.iware import IWareEnsemble, IwareError, ThresholdSet
 from patrolkit.metrics import ScoredSet, auc
 
 
@@ -25,10 +26,20 @@ def matrix(rows, labels):
                        row_ids=np.arange(len(rows)))
 
 
-def leaf_tree(value: float) -> DecisionTree:
-    return DecisionTree(feature=np.array([-1], np.int32), threshold=np.zeros(1),
-                        left=np.array([-1], np.int32), right=np.array([-1], np.int32),
-                        value=np.array([float(value)]), max_depth=0, min_leaf=1)
+def canonical(feature, threshold, left, right, value, node):
+    """The tree below ``node`` as nested (feature, threshold, left, right)
+    tuples with leaf values: equal for equal trees however they are numbered."""
+    if feature[node] < 0:
+        return float(value[node])
+    return (int(feature[node]), float(threshold[node]),
+            canonical(feature, threshold, left, right, value, left[node]),
+            canonical(feature, threshold, left, right, value, right[node]))
+
+
+def table_tree(table: TreeTable, t: int = 0):
+    """Tree t of a table, in canonical form."""
+    return canonical(table.feature, table.threshold, table.left, table.left + 1,
+                     table.value, t)
 
 
 class TestTrainTree:
@@ -39,13 +50,13 @@ class TestTrainTree:
     def test_perfect_split_one_dim(self):
         t = train_tree(matrix([[0.0], [1.0]], [0, 1]), rng=0)
         assert t.feature[0] == 0 and 0.0 < t.threshold[0] < 1.0
-        assert t.predict(np.array([[0.0], [1.0]])) == pytest.approx([0.0, 1.0])
+        assert t.predict(np.array([[0.0], [1.0]]))[0] == pytest.approx([0.0, 1.0])
 
     def test_xor_depth_two_perfect(self):
         X = [[0, 0], [0, 1], [1, 0], [1, 1]]
         y = [0, 1, 1, 0]
         t = train_tree(matrix(X, y), max_depth=2, min_leaf=1, rng=0)
-        assert t.predict(np.asarray(X, float)) == pytest.approx(y)
+        assert t.predict(np.asarray(X, float))[0] == pytest.approx(y)
 
     def test_min_leaf_respected(self):
         X = [[i] for i in range(10)]
@@ -56,7 +67,7 @@ class TestTrainTree:
             if t.feature[node] < 0:
                 return [len(idx)]
             go = np.asarray(X, float)[idx, t.feature[node]] <= t.threshold[node]
-            return leaf_sizes(t.left[node], idx[go]) + leaf_sizes(t.right[node], idx[~go])
+            return leaf_sizes(t.left[node], idx[go]) + leaf_sizes(t.left[node] + 1, idx[~go])
         assert min(leaf_sizes(0, np.arange(10))) >= 3
 
     def test_deterministic_tie_break_prefers_low_feature(self):
@@ -70,7 +81,8 @@ class TestTrainTree:
         X = rng.random((40, 3))
         y = X[:, 1] > 0.6
         t = train_tree(matrix(X, y), max_depth=4, rng=1)
-        t2 = DecisionTree.from_dict(t.to_dict())
+        t2 = TreeTable.from_dict(json.loads(json.dumps(t.to_dict())), 1, 3)
+        assert table_tree(t2) == table_tree(t)
         np.testing.assert_array_equal(t.predict(X), t2.predict(X))
 
     def test_split_table_equals_per_feature_loop(self):
@@ -122,8 +134,9 @@ class TestTrainTree:
 
 def depth_first_tree(data, max_depth=10, min_leaf=1, feature_subsample=None, rng=None):
     """The builder that the lock-step one replaced: one tree, one node and
-    one split search at a time. The oracle for the trees train_tree and
-    train_bagged grow."""
+    one split search at a time, numbering each tree's nodes from 0 and
+    keeping a right-child array. The oracle, in canonical form, for the
+    trees train_tree and train_bagged grow."""
     rng = np.random.default_rng(rng)  # a Generator passes through
     X, y, d = data.rows, data.labels, data.d
 
@@ -177,9 +190,7 @@ def depth_first_tree(data, max_depth=10, min_leaf=1, feature_subsample=None, rng
             column.extend((blank, blank))
         stack.append((li, idx[goleft], depth + 1))
         stack.append((ri, idx[~goleft], depth + 1))
-    return DecisionTree(feature=np.asarray(feature, np.int32), threshold=np.asarray(threshold),
-                        left=np.asarray(left, np.int32), right=np.asarray(right, np.int32),
-                        value=np.asarray(value), max_depth=max_depth, min_leaf=min_leaf)
+    return canonical(feature, threshold, left, right, value, 0)
 
 
 def depth_first_bag(data, num_trees, balanced, rng, max_depth, min_leaf, feature_subsample):
@@ -217,11 +228,6 @@ def tied_matrix(seed, n=150):
     return matrix(X, y)
 
 
-def assert_same_tree(got, want):
-    for name in ("feature", "threshold", "left", "right", "value"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
-
-
 class TestLockStepBuilder:
     @pytest.mark.parametrize("feature_subsample", [None, 1, 3])
     @pytest.mark.parametrize("min_leaf", [1, 3])
@@ -231,8 +237,8 @@ class TestLockStepBuilder:
             data = tied_matrix(seed)
             kw = dict(max_depth=max_depth, min_leaf=min_leaf,
                       feature_subsample=feature_subsample)
-            assert_same_tree(train_tree(data, rng=seed, **kw),
-                             depth_first_tree(data, rng=seed, **kw))
+            assert table_tree(train_tree(data, rng=seed, **kw)) == \
+                depth_first_tree(data, rng=seed, **kw)
 
     @pytest.mark.parametrize("balanced", [True, False])
     @pytest.mark.parametrize("feature_subsample", [None, 1, "sqrt"])
@@ -244,27 +250,24 @@ class TestLockStepBuilder:
         model = train_bagged(data, num_trees=6, balanced=balanced, rng=5, **kw)
         trees, memberships = depth_first_bag(data, 6, balanced, 5, **kw)
         np.testing.assert_array_equal(model.memberships, memberships)
-        for got, want in zip(model.trees, trees, strict=True):
-            assert_same_tree(got, want)
+        assert [table_tree(model.trees, t) for t in range(model.num_trees)] == trees
 
     def test_votes_equal_one_tree_at_a_time(self):
-        def descend(tree, X):  # the one-tree walk that _predict_trees replaces
-            node = np.zeros(X.shape[0], dtype=np.int32)
-            while True:
-                feats = tree.feature[node]
-                active = np.flatnonzero(feats >= 0)
-                if active.size == 0:
-                    return tree.value[node]
-                goleft = X[active, feats[active]] <= tree.threshold[node[active]]
-                node[active] = np.where(goleft, tree.left[node[active]],
-                                        tree.right[node[active]])
+        def descend(table, t, X):  # one tree's walk, one row at a time
+            out = []
+            for x in X:
+                node = t
+                while table.feature[node] >= 0:
+                    goleft = x[table.feature[node]] <= table.threshold[node]
+                    node = table.left[node] + (0 if goleft else 1)
+                out.append(table.value[node])
+            return out
 
         data = tied_matrix(3)
         model = train_bagged(data, num_trees=7, rng=2, max_depth=6)
         X = np.asfortranarray(tied_matrix(4, n=60).rows[:, ::-1])[:, ::-1]  # not C-contiguous
         votes = model.tree_votes(X)
-        np.testing.assert_array_equal(votes, np.stack([descend(t, X) for t in model.trees]))
-        np.testing.assert_array_equal(model.trees[0].predict(X), votes[0])
+        np.testing.assert_array_equal(votes, [descend(model.trees, t, X) for t in range(7)])
         assert model.tree_votes(X[:0]).shape == (7, 0)
 
     def test_split_between_adjacent_doubles(self):
@@ -277,9 +280,9 @@ class TestLockStepBuilder:
         assert 0.5 * (a + b) == b
         data = matrix([[a], [b]], [0, 1])
         got, want = train_tree(data, max_depth=3, rng=0), depth_first_tree(data, 3, rng=0)
-        assert_same_tree(got, want)
+        assert table_tree(got) == want
         assert got.threshold[0] == a and not np.isnan(got.value).any()
-        np.testing.assert_array_equal(got.predict(data.rows), [0.0, 1.0])
+        np.testing.assert_array_equal(got.predict(data.rows), [[0.0, 1.0]])
 
 
 class TestBagging:
@@ -314,7 +317,7 @@ class TestBagging:
         votes = model.tree_votes(X[:1])[:, 0]
         p = model.predict_proba(X[:1])[0][0]
         assert votes.shape == (1,)
-        assert p == votes[0] == model.trees[0].predict(X[:1])[0]
+        assert p == votes[0] == model.trees.predict(X[:1])[0, 0]
 
     def test_separable_data_auc(self):
         rng = np.random.default_rng(2)
@@ -363,10 +366,89 @@ class TestBagging:
         assert back.to_dict() == d
 
 
+def bag_document():
+    """The document of a one-learner tree ensemble, as model.json holds it,
+    whose first tree's root is an inner node."""
+    rng = np.random.default_rng(4)
+    X = rng.random((40, 3))
+    model = train_bagged(matrix(X, X[:, 0] > 0.5), num_trees=3, rng=1, max_depth=4)
+    ens = IWareEnsemble(thresholds=ThresholdSet((0.0,)), learners=[model],
+                        weights=np.ones(1), learner_kind="trees", squash_scale=1.0,
+                        n_features=3)
+    doc = json.loads(json.dumps(ens.to_dict()))
+    assert doc["learners"][0]["trees"]["feature"][0] >= 0
+    return doc
+
+
+class TestTableLoad:
+    """A loaded table is checked whole, so that every walk from a root ends
+    at a leaf; before, a self-looping child made riskmap hang and a child
+    past the table ended in an IndexError."""
+
+    def test_trained_table_loads(self):
+        doc = bag_document()
+        table = IWareEnsemble.from_dict(doc).learners[0].trees
+        assert table.num_trees == 3 and table.to_dict() == doc["learners"][0]["trees"]
+
+    LOAD_ERRORS = [
+        ("self_loop", "children must come after it"),
+        ("back_edge", "children must come after it"),
+        ("child_past_the_table", "children must come after it"),
+        ("right_child_past_the_table", "children must come after it"),
+        ("child_past_int32", "malformed field"),
+        ("feature_past_n_features", r"features must lie in \[-1, 3\)"),
+        ("feature_minus_two", r"features must lie in \[-1, 3\)"),
+        ("nan_leaf_value", r"leaf values must lie in \[0, 1\]"),
+        ("leaf_value_above_one", r"leaf values must lie in \[0, 1\]"),
+        ("inf_threshold", "inner thresholds must be finite"),
+        ("short_value", "arrays of one length"),
+        ("more_trees_than_nodes", "arrays of one length, at least"),
+    ]
+
+    @pytest.mark.parametrize("edit, message", LOAD_ERRORS, ids=[e for e, _ in LOAD_ERRORS])
+    def test_rejects_a_table_a_walk_could_not_finish(self, edit, message):
+        doc = bag_document()
+        bag = doc["learners"][0]
+        t = bag["trees"]
+        feature, left = np.array(t["feature"]), np.array(t["left"])
+        inner, leaf = np.flatnonzero(feature >= 0), int(np.flatnonzero(feature < 0)[0])
+        if edit == "self_loop":
+            t["left"][0] = 0
+        elif edit == "back_edge":
+            t["left"][int(inner[inner > 0][0])] = 0
+        elif edit == "child_past_the_table":
+            t["left"][0] = 10**6
+        elif edit == "right_child_past_the_table":
+            t["left"][0] = feature.size - 1  # its right child would be node `size`
+        elif edit == "child_past_int32":
+            t["left"][0] = 10**12
+        elif edit == "feature_past_n_features":
+            t["feature"][0] = 3
+        elif edit == "feature_minus_two":
+            t["feature"][leaf] = -2
+        elif edit == "nan_leaf_value":
+            t["value"][leaf] = float("nan")
+        elif edit == "leaf_value_above_one":
+            t["value"][leaf] = 1.5
+        elif edit == "inf_threshold":
+            t["threshold"][0] = float("inf")
+        elif edit == "short_value":
+            t["value"] = t["value"][:-1]
+        else:
+            bag["memberships"] += [[]] * feature.size
+        assert left[0] > 0  # the untouched table is well formed
+        with pytest.raises(IwareError, match=message):
+            IWareEnsemble.from_dict(doc)
+
+
 def manual_bag(votes, memberships):
-    trees = [leaf_tree(v) for v in votes]
+    """A bag of single-leaf trees, one per vote."""
+    B = len(votes)
+    trees = TreeTable(feature=np.full(B, -1, np.int32), threshold=np.zeros(B),
+                      left=np.full(B, -1, np.int32), value=np.asarray(votes, float),
+                      num_trees=B)
     return BaggedClassifier(trees=trees, memberships=np.asarray(memberships, np.int32),
-                            undersample_ratio=1.0, balanced=False, n_features=1)
+                            n_features=1)
 
 
 def ij_one(model, x):
