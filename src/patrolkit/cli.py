@@ -8,7 +8,8 @@ input files, and the seed: re-running writes byte-identical artifacts.
 Exit codes: 0 success, 2 configuration or input error, 3 infeasible plan.
 
 Only ``plan`` imports ``patrolkit.planner``, which loads scipy's HiGHS
-binding, so the other commands start without it.
+extension (and nothing else of scipy), so the other commands start
+without it.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import PatrolDataset
-from .learners import TrainMatrix, deserialize_learner, train_bagged, train_gp
+from .learners import TrainMatrix, deserialize_learner, int_field, train_bagged, train_gp
 
 PROB_CLAMP = 1e-6
 
@@ -267,7 +267,7 @@ class IWareEnsemble:
                 weights=np.asarray(d["weights"], dtype=float),
                 learner_kind=d["learner_kind"],
                 squash_scale=float(d["squash_scale"]),
-                n_features=int(d["n_features"]),
+                n_features=int_field(d["n_features"], "n_features"),
             )
         except KeyError as err:
             raise IwareError(f"ensemble document lacks key {err}") from None

@@ -47,6 +47,27 @@ class LearnerError(ValueError):
     """Invalid training data or configuration."""
 
 
+# Loaded integer fields must hold integral numbers (3 or 3.0): a fraction,
+# a bool or a string is an error, not truncated or parsed.
+
+def int_field(value, what: str) -> int:
+    """One loaded integer."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise LearnerError(f"{what} must be an integer, got {value!r}")
+
+
+def int32_field(values, what: str) -> np.ndarray:
+    """A loaded list of integers, as int32."""
+    a = np.asarray(values)
+    if not (a.dtype.kind in "iuf"
+            and np.all((a == np.round(a)) & (a >= -2**31) & (a < 2**31))):
+        raise LearnerError(f"{what} must be integers")
+    return a.astype(np.int32)
+
+
 def ensure_rng(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
@@ -134,9 +155,9 @@ class TreeTable:
         """The table of ``num_trees`` trees over ``n_features`` features,
         checked so that every walk from a root ends, at a leaf whose value is
         a probability: children lie after their parent and inside the table."""
-        table = cls(feature=np.asarray(d["feature"], dtype=np.int32),
+        table = cls(feature=int32_field(d["feature"], "tree table: feature"),
                     threshold=np.asarray(d["threshold"], dtype=float),
-                    left=np.asarray(d["left"], dtype=np.int32),
+                    left=int32_field(d["left"], "tree table: left"),
                     value=np.asarray(d["value"], dtype=float),
                     num_trees=num_trees)
         nodes = table.feature.size
@@ -364,15 +385,17 @@ class BaggedClassifier:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BaggedClassifier":
-        n, n_features = int(d["n_train"]), int(d["n_features"])
+        n = int_field(d["n_train"], "n_train")
+        n_features = int_field(d["n_features"], "n_features")
         mem = np.zeros((len(d["memberships"]), n), dtype=np.int32)
-        # a plain loop: converting the pairs to arrays first is slower
-        for b, pairs in enumerate(d["memberships"]):
+        # a plain loop over each bag's row: converting the pairs to arrays
+        # first is slower (a fractional row is an IndexError)
+        for row, pairs in zip(mem, d["memberships"]):
             for j, c in pairs:
                 if j < 0 or c < 0:
                     raise LearnerError(f"membership row {j} and draw count {c} "
                                        "must be non-negative")
-                mem[b, j] = c
+                row[j] = c if type(c) is int else int_field(c, "a draw count")
         return cls(trees=TreeTable.from_dict(d["trees"], mem.shape[0], n_features),
                    memberships=mem, n_features=n_features)
 

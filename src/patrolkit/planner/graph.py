@@ -77,8 +77,10 @@ class TimeUnrolledGraph:
         return np.searchsorted(self.edge_tail, np.arange(self.num_nodes + 1))
 
     def cells(self) -> list[int]:
-        """Park cells that appear in at least one surviving node."""
-        return np.unique(self.node_cell).tolist()
+        """Park cells that appear in at least one surviving node, ascending.
+        (Not ``np.unique``: numpy 2.4's first call to it imports ``numpy.ma``,
+        which would then land inside the first timed plan.)"""
+        return np.flatnonzero(np.bincount(self.node_cell, minlength=self.grid.n_cells)).tolist()
 
     # -- path machinery ----------------------------------------------------
     def count_paths(self) -> int:

@@ -19,26 +19,61 @@ relaxation's flow is itself a feasible plan, which supplies incumbents.
 ``write_lp_file`` is the one place that writes the selectors out, in the
 exported MILP.
 
-Each branch and bound loads the relaxation into one HiGHS instance
-(scipy's bundled binding). The root is solved cold by primal simplex.
-A node only sets the upper bounds of the weights outside its windows to
-zero, which keeps the previous node's basis valid, so every later node is
-hot-started by dual simplex. Flows of equal coverage are not told apart
+Each branch and bound loads the relaxation into one HiGHS instance. The
+binding is scipy's bundled extension, loaded from its file without the
+rest of scipy (see ``_load_highs_core``), and the matrix is a
+``CscMatrix``: the column-wise arrays HiGHS takes, built with numpy. The
+root is solved cold by primal simplex. A node only sets the upper bounds
+of the weights outside its windows to zero, which keeps the previous
+node's basis valid, so every later node is hot-started by dual simplex. Flows of equal coverage are not told apart
 by the objective: the route split is whichever optimal basis HiGHS
 reaches, which repeats exactly because HiGHS is deterministic.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize._highspy import _core as highs_core  # private: tests check its names
 
 from ..riskmap import PwlRiskModel, interp_rows
 from .graph import PlanInfeasibleError, PlannerError, TimeUnrolledGraph
+
+
+def _load_highs_core():
+    """scipy's HiGHS binding, ``scipy.optimize._highspy._core`` (private:
+    tests check its names), without the rest of ``scipy.optimize``.
+
+    Importing it by name first runs ``scipy.optimize``, which loads
+    ``scipy.sparse`` and much else in about 0.5 s; this reads the extension
+    from its file instead. It is registered under its own name, so that a
+    later ``import scipy.optimize`` reuses it: a pybind11 module must not be
+    loaded twice. Where the file is not found, it falls back to the import.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")  # finds scipy without running it
+    dirs = [] if scipy_spec is None else scipy_spec.submodule_search_locations or []
+    files = [Path(d, "optimize", "_highspy", "_core" + suffix)
+             for d in dirs for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((f for f in files if f.is_file()), None)
+    if path is None:
+        from scipy.optimize._highspy import _core
+        return _core
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# loaded here, not at the first solve, so that no timed solve pays for it
+highs_core = _load_highs_core()
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -89,15 +124,27 @@ class LpResult:
     objective: float
 
 
+@dataclass(frozen=True)
+class CscMatrix:
+    """A sparse matrix by columns, in the arrays HiGHS takes. Column j's
+    entries are ``data[indptr[j]:indptr[j + 1]]``, in the rows
+    ``indices[indptr[j]:indptr[j + 1]]``, ascending. No entry is zero."""
+
+    indptr: np.ndarray              # (cols + 1,) int32
+    indices: np.ndarray             # (nonzeros,) int32 row of each entry
+    data: np.ndarray                # (nonzeros,) float
+    shape: tuple[int, int]
+
+
 @dataclass
 class MilpModel:
     """The LP relaxation that branch and bound solves for one plan problem.
 
     Columns are the edge flows, then each graph cell's breakpoint weights;
-    every row is an equality, and the matrix is sparse (CSC). The binary
-    segment selectors of the SOS2 model are not part of it: branch and
-    bound replaces them by breakpoint windows, and ``write_lp_file`` adds
-    them when it exports the model.
+    every row is an equality, and the matrix ``A_eq`` is a ``CscMatrix``.
+    The binary segment selectors of the SOS2 model are not part of it:
+    branch and bound replaces them by breakpoint windows, and
+    ``write_lp_file`` adds them when it exports the model.
     """
 
     problem: PlanProblem
@@ -106,7 +153,7 @@ class MilpModel:
     n_flow: int
     n_bp: int
     obj: np.ndarray                 # columns [flows | lambdas]
-    A_eq: sparse.csc_array
+    A_eq: CscMatrix
     b_eq: np.ndarray
 
     def lam_slice(self, cell_pos: int) -> slice:
@@ -146,11 +193,27 @@ def objective_of_coverage(pwl: PwlRiskModel, grid, coverage: np.ndarray, beta: f
                                      pwl.utility_values(beta)[ids]))
 
 
-def _csc(rows, cols, vals, shape) -> sparse.csc_array:
-    """Sparse matrix from triplet blocks, without stored zeros."""
+def _csc(rows, cols, vals, shape) -> CscMatrix:
+    """Sparse matrix from triplet blocks, without stored zeros. No (row,
+    column) pair may appear twice."""
     r, c, v = (np.concatenate(blocks) for blocks in (rows, cols, vals))
-    nz = v != 0
-    return sparse.csc_array((v[nz], (r[nz], c[nz])), shape=shape)
+    nz = np.flatnonzero(v)
+    # by column, then row: one integer key sorts far faster than np.lexsort
+    order = nz[np.argsort(c[nz] * np.int64(shape[0]) + r[nz], kind="stable")]
+    indptr = np.zeros(shape[1] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(c[order], minlength=shape[1]), out=indptr[1:])
+    return CscMatrix(indptr=indptr, indices=r[order].astype(np.int32),
+                     data=v[order].astype(float), shape=shape)
+
+
+def _triplets(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and value of each nonzero of a ``CscMatrix`` (by column)
+    or of a dense matrix (by row)."""
+    if isinstance(A, CscMatrix):
+        return A.indices, np.repeat(np.arange(A.shape[1]), np.diff(A.indptr)), A.data
+    A = np.asarray(A, dtype=float)
+    r, c = np.nonzero(A)
+    return r, c, A[r, c]
 
 
 def assemble_milp(problem: PlanProblem) -> MilpModel:
@@ -231,10 +294,13 @@ def write_lp_file(model: MilpModel, path) -> None:
     nz = np.flatnonzero(model.obj)
     lines = ["\\ patrol plan model", "Maximize", f" obj: {_terms(nz, model.obj[nz], names)}"]
     lines.append("Subject To")
-    A = model.A_eq.tocsr()
-    for i, (a, b) in enumerate(zip(A.indptr, A.indptr[1:])):
-        lines.append(f" eq{i}: {_terms(A.indices[a:b], A.data[a:b], names)}"
-                     f" = {model.b_eq[i]:.17g}")
+    # the entries by row, then column: a stable sort of the column order
+    r, c, v = _triplets(model.A_eq)
+    by_row = np.argsort(r, kind="stable")
+    c, v = c[by_row], v[by_row]
+    ends = np.cumsum(np.bincount(r, minlength=model.A_eq.shape[0])).tolist()
+    for i, (a, b) in enumerate(zip([0] + ends, ends)):
+        lines.append(f" eq{i}: {_terms(c[a:b], v[a:b], names)} = {model.b_eq[i]:.17g}")
     for i, z in enumerate(selectors, start=len(model.b_eq)):
         lines.append(f" eq{i}: {' + '.join(f'1 {name}' for name in z)} = 1")
     for i, name in enumerate(names[model.n_flow:]):
@@ -254,10 +320,13 @@ def load_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     """A HiGHS instance holding  max c.x  s.t.  A_ub x <= b_ub,
     A_eq x = b_eq,  x >= 0, set up for a cold primal solve."""
     c = np.asarray(c, dtype=float)
-    none = (np.zeros((0, c.size)), np.zeros(0))
-    A_ub, b_ub = none if A_ub is None else (A_ub, np.asarray(b_ub, dtype=float))
-    A_eq, b_eq = none if A_eq is None else (A_eq, np.asarray(b_eq, dtype=float))
-    A = sparse.csc_array(sparse.vstack([sparse.csc_array(A_ub), sparse.csc_array(A_eq)]))
+    none = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),)
+    r_ub, c_ub, v_ub = none if A_ub is None else _triplets(A_ub)
+    r_eq, c_eq, v_eq = none if A_eq is None else _triplets(A_eq)
+    b_ub = np.zeros(0) if A_ub is None else np.asarray(b_ub, dtype=float)
+    b_eq = np.zeros(0) if A_eq is None else np.asarray(b_eq, dtype=float)
+    A = _csc([r_ub, r_eq + b_ub.size], [c_ub, c_eq], [v_ub, v_eq],
+             (b_ub.size + b_eq.size, c.size))
     lp = highs_core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = c.size
     lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]

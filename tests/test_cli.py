@@ -364,6 +364,32 @@ class TestMalformedInputs:
         assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
         assert "malformed field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["left", "feature", "draw_count", "n_train",
+                                       "bag_n_features", "n_features"])
+    def test_model_with_fractional_integer(self, workdir, capsys, field):
+        # before, each was truncated toward zero and riskmap exited 0
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        assert run(["train", *SMALL, "--output_dir=r"]) == 0
+        path = workdir / "r" / "model.json"
+        doc = json.loads(path.read_text())
+        bag = doc["learners"][0]
+        assert bag["trees"]["feature"][0] >= 0
+        if field in ("left", "feature"):
+            bag["trees"][field][0] += 0.5
+        elif field == "draw_count":
+            bag["memberships"][0][0][1] += 0.5
+        elif field == "n_train":
+            bag["n_train"] += 0.5
+        elif field == "bag_n_features":
+            bag["n_features"] += 0.9
+        else:
+            doc["n_features"] += 0.9
+        path.write_text(json.dumps(doc) + "\n")
+        capsys.readouterr()
+        assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
+        assert "malformed field" in capsys.readouterr().err
+        assert not (workdir / "r" / "riskmap.csv").exists()
+
     def test_model_with_self_looping_tree(self, workdir, capsys):
         # before, riskmap never finished: the root's walk stayed at the root
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
@@ -453,9 +479,57 @@ def test_data_modules_import_without_scipy():
     assert scipy_loaded("import patrolkit.grid, patrolkit.io, patrolkit.synth") == set()
 
 
+HIGHS = "scipy.optimize._highspy._core"
+
+
+def highs_only(loaded: set[str]) -> bool:
+    """Whether the scipy modules are HiGHS's extension and its submodules."""
+    return HIGHS in loaded and all(m == HIGHS or m.startswith(HIGHS + ".") for m in loaded)
+
+
 def test_planner_import_loads_highs():
-    # its node LPs run on scipy's HiGHS binding, loaded with the module
-    assert "scipy.optimize._highspy" in scipy_loaded("from patrolkit import planner")
+    # its node LPs run on scipy's HiGHS binding, loaded with the module from
+    # its file: before, the import ran scipy.optimize and scipy.sparse too
+    loaded = scipy_loaded("from patrolkit import planner")
+    assert highs_only(loaded), sorted(loaded)
+
+
+def test_scipy_optimize_reuses_the_planners_highs():
+    # a pybind11 extension must not be loaded twice: the later import of
+    # scipy.optimize finds the planner's module under its own name
+    code = """
+import sys
+import numpy as np
+from patrolkit.planner.milp import highs_core
+from scipy.optimize import LinearConstraint, linprog, milp
+res = linprog([-1, -1], A_ub=[[1, 2]], b_ub=[4], bounds=(0, None), method="highs")
+assert res.status == 0 and res.fun == -4.0, res
+res = milp(c=[-1, -1], integrality=[1, 1], constraints=LinearConstraint([[2, 2]], -np.inf, 5))
+assert res.status == 0 and res.fun == -2.0, res
+assert sys.modules["scipy.optimize._highspy._core"] is highs_core
+"""
+    assert "scipy.optimize" in scipy_loaded(code)
+
+
+def test_planner_falls_back_to_importing_highs(tmp_path):
+    # where the extension's file is not found, the binding comes from a
+    # plain import, with the rest of scipy.optimize
+    code = f"""
+import importlib.machinery, importlib.util
+import numpy as np
+find_spec = importlib.util.find_spec
+def scipy_elsewhere(name, package=None):
+    if name != "scipy":
+        return find_spec(name, package)
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [{str(tmp_path)!r}]
+    return spec
+importlib.util.find_spec = scipy_elsewhere
+from patrolkit import planner
+res = planner.solve_lp(np.array([1.0, 1.0]), np.array([[1.0, 2.0]]), np.array([4.0]))
+assert res.status == "optimal" and res.objective == 4.0, res
+"""
+    assert "scipy.optimize" in scipy_loaded(code)
 
 
 def test_tree_commands_load_no_scipy(workdir):
@@ -463,6 +537,10 @@ def test_tree_commands_load_no_scipy(workdir):
     assert run(["train", *SMALL, "--output_dir=r"]) == 0
     for command in ("riskmap", "evaluate"):
         assert scipy_loaded(command_code(command, *SMALL, "--output_dir=r")) == set(), command
+    # planning loads HiGHS's extension and nothing else of scipy
+    for extra in ([], ["--beta-sweep"]):
+        loaded = scipy_loaded(command_code("plan", *SMALL, "--output_dir=r", *extra))
+        assert highs_only(loaded), (extra, sorted(loaded))
 
 
 def test_gp_riskmap_loads_linalg_not_optimize(workdir):

@@ -390,6 +390,20 @@ class TestTableLoad:
         table = IWareEnsemble.from_dict(doc).learners[0].trees
         assert table.num_trees == 3 and table.to_dict() == doc["learners"][0]["trees"]
 
+    def test_integral_floats_load_as_integers(self):
+        # 3.0 is an integer, as on the command line; only a fraction is refused
+        doc = bag_document()
+        bag = doc["learners"][0]
+        floats = json.loads(json.dumps(doc))
+        f_bag = floats["learners"][0]
+        for key in ("feature", "left"):
+            f_bag["trees"][key] = [float(v) for v in bag["trees"][key]]
+        f_bag["memberships"] = [[[j, float(c)] for j, c in pairs] for pairs in bag["memberships"]]
+        for d in (f_bag, floats):
+            d["n_features"] = float(d["n_features"])
+        f_bag["n_train"] = float(bag["n_train"])
+        assert IWareEnsemble.from_dict(floats).to_dict() == IWareEnsemble.from_dict(doc).to_dict()
+
     LOAD_ERRORS = [
         ("self_loop", "children must come after it"),
         ("back_edge", "children must come after it"),

@@ -614,6 +614,9 @@ class TestNodeLp:
                     windows(p3=(2, 5)), windows(**{f"p{post}": (1, 2)}), windows(p1=(5, 5)),
                     windows(p2=(0, 0), p6=(0, 1)), root]
         highs = load_lp(model.obj, None, None, model.A_eq, model.b_eq)
+        A = model.A_eq
+        dense = np.zeros(A.shape)
+        dense[A.indices, np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))] = A.data
         statuses = []
         j = np.arange(model.n_bp)
         for w in sequence:
@@ -621,8 +624,7 @@ class TestNodeLp:
             # the fresh solve drops the columns outside the windows instead
             inside = (j >= w[:, :1]) & (j <= w[:, 1:])
             cols = np.concatenate([np.arange(model.n_flow), model.n_flow + np.flatnonzero(inside)])
-            fresh = solve_lp(model.obj[cols], None, None, model.A_eq[:, cols],
-                             model.b_eq)
+            fresh = solve_lp(model.obj[cols], None, None, dense[:, cols], model.b_eq)
             assert hot.status == fresh.status
             if fresh.status == "optimal":
                 assert hot.objective == pytest.approx(fresh.objective, rel=1e-9, abs=1e-9)
