@@ -30,8 +30,7 @@ PROB_CLAMP = 1e-6
 # the learner options train_iware accepts for each learner kind; their
 # defaults are those of train_bagged and train_gp
 LEARNER_OPTIONS = {
-    "trees": ("num_trees", "balanced", "undersample_ratio", "max_depth", "min_leaf",
-              "feature_subsample"),
+    "trees": ("num_trees", "undersample_ratio", "max_depth", "min_leaf", "feature_subsample"),
     "gp": ("lengthscale", "signal_var", "jitter", "max_points"),
 }
 
@@ -242,7 +241,7 @@ class IWareEnsemble:
 
     def to_dict(self) -> dict:
         return {
-            "version": 2,
+            "version": 3,
             "thresholds": [float(t) for t in self.thresholds.thresholds],
             "weights": [float(w) for w in self.weights],
             "learner_kind": self.learner_kind,
@@ -255,7 +254,7 @@ class IWareEnsemble:
     def from_dict(cls, d: dict) -> "IWareEnsemble":
         if not isinstance(d, dict):
             raise IwareError("ensemble document must be a JSON object")
-        if d.get("version") != 2:
+        if d.get("version") != 3:
             raise IwareError(f"unsupported ensemble document version {d.get('version')!r}")
         try:
             blobs = d["learners"]

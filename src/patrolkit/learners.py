@@ -16,9 +16,9 @@ GP.
   it predicts all of them together, is what ``model.json`` stores, and is
   checked when it loads, so that every walk from a root ends at a leaf.
 * Balanced bagging: each tree sees a bootstrap of the positives plus an
-  undersample of the negatives. Bootstrap membership counts are recorded
-  so the infinitesimal-jackknife variance of the bagged prediction can be
-  computed afterwards.
+  undersample of the negatives. A bag stores the Gram matrix of its centred
+  draw counts and their summed variance, all that the infinitesimal-jackknife
+  variance of the bagged prediction needs of them.
 * A Gaussian-process classifier (RBF kernel, logistic likelihood, Laplace
   approximation). Probabilities come from the probit approximation of the
   averaged predictive; the exposed latent variance is the noise-free
@@ -117,8 +117,7 @@ class TreeTable:
     ``feature[i]`` is at most ``threshold[i]`` to node ``left[i]`` and any
     other row to node ``left[i] + 1``; both children come after i.
     ``feature == -1`` marks a leaf, whose ``value`` is the positive fraction
-    of the rows it received (every node records that fraction, but only a
-    leaf's is read).
+    of the rows it received; an inner node's ``value`` is 0 and is not read.
     """
 
     feature: np.ndarray    # (nodes,) int32
@@ -309,7 +308,8 @@ def _grow_trees(X, y, samples, rngs, max_depth, min_leaf, feature_subsample):
             if not np.isfinite(gini[c]):
                 continue
             li = len(feature)
-            feature[node], threshold[node], left[node] = int(feat[c]), float(thr[c]), li
+            feature[node], threshold[node], left[node], value[node] = \
+                int(feat[c]), float(thr[c]), li, 0.0
             for column, blank in ((feature, -1), (threshold, 0.0), (left, -1), (value, 0.0)):
                 column.extend((blank, blank))
             stacks[t].append((li, left_rows, depth + 1, nl, pos_left[c]))
@@ -340,11 +340,27 @@ def train_tree(
 
 @dataclass
 class BaggedClassifier:
-    """Bag of trees, one node table, with recorded bootstrap memberships."""
+    """Bag of trees, one node table, with the statistics of its (B, n_train)
+    draw counts N that ``jackknife_variance_batch`` reads: with n_c = N -
+    N.mean(axis=0), ``draw_gram`` is n_c n_c' / B^2 and ``draw_var_sum`` is
+    sum_j Var_b(N_bj). ``memberships``, N itself, is set by ``train_bagged``
+    only, for ``held_out_proba``; it is not serialized.
+    """
 
     trees: TreeTable
-    memberships: np.ndarray         # (B, n_train) int32 draw counts
+    draw_gram: np.ndarray           # (B, B) float
+    draw_var_sum: float
     n_features: int
+    memberships: np.ndarray = field(repr=False, default=None)  # (B, n_train) int32
+
+    @classmethod
+    def from_draws(cls, trees: TreeTable, memberships: np.ndarray, n_features: int):
+        """The bag of ``trees`` whose bootstrap draw counts are ``memberships``."""
+        B = memberships.shape[0]
+        n_c = (memberships - memberships.mean(axis=0, keepdims=True)).astype(float)
+        return cls(trees=trees, draw_gram=n_c @ n_c.T / B**2,
+                   draw_var_sum=float((n_c**2).mean(axis=0).sum()),
+                   n_features=n_features, memberships=memberships)
 
     @property
     def num_trees(self) -> int:
@@ -370,52 +386,41 @@ class BaggedClassifier:
         return np.arange(out.shape[1]), prob
 
     def to_dict(self) -> dict:
-        # each bag's memberships as [row, draws] pairs of the rows it drew
-        bag, row = np.nonzero(self.memberships)
-        pairs = np.stack([row, self.memberships[bag, row]], axis=1).tolist()
-        ends = np.cumsum(np.bincount(bag, minlength=self.num_trees)).tolist()
-        sparse = [pairs[start:end] for start, end in zip([0] + ends, ends)]
         return {
             "kind": "bagged_trees",
             "trees": self.trees.to_dict(),
-            "n_train": int(self.memberships.shape[1]),
-            "memberships": sparse,
             "n_features": int(self.n_features),
+            "draw_gram": self.draw_gram.tolist(),
+            "draw_var_sum": float(self.draw_var_sum),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "BaggedClassifier":
-        n = int_field(d["n_train"], "n_train")
+        """The bag of as many trees as its checked Gram has rows."""
         n_features = int_field(d["n_features"], "n_features")
-        mem = np.zeros((len(d["memberships"]), n), dtype=np.int32)
-        # a plain loop over each bag's row: converting the pairs to arrays
-        # first is slower (a fractional row is an IndexError)
-        for row, pairs in zip(mem, d["memberships"]):
-            for j, c in pairs:
-                if j < 0 or c < 0:
-                    raise LearnerError(f"membership row {j} and draw count {c} "
-                                       "must be non-negative")
-                row[j] = c if type(c) is int else int_field(c, "a draw count")
-        return cls(trees=TreeTable.from_dict(d["trees"], mem.shape[0], n_features),
-                   memberships=mem, n_features=n_features)
+        gram = np.asarray(d["draw_gram"], dtype=float)
+        var_sum = float(d["draw_var_sum"])
+        if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or not np.all(np.isfinite(gram)):
+            raise LearnerError("draw_gram must be a square matrix of finite numbers")
+        if not (math.isfinite(var_sum) and var_sum >= 0):
+            raise LearnerError(f"draw_var_sum must be finite and >= 0, got {var_sum}")
+        return cls(trees=TreeTable.from_dict(d["trees"], gram.shape[0], n_features),
+                   draw_gram=gram, draw_var_sum=var_sum, n_features=n_features)
 
 
 def train_bagged(
     data: TrainMatrix,
     num_trees: int = 25,
-    balanced: bool = True,
     rng=None,
     undersample_ratio: float = 1.0,
     max_depth: int = 10,
     min_leaf: int = 1,
     feature_subsample: int | str | None = "sqrt",
 ) -> BaggedClassifier:
-    """Bagging with optional class balancing.
-
-    Balanced mode bootstraps the positives and draws an undersample of the
-    negatives (without replacement) at ``undersample_ratio`` negatives per
-    positive, so each tree trains on roughly 1:1 data however extreme the
-    original imbalance. Plain mode uses ordinary bootstrap resamples.
+    """Balanced bagging: each tree bootstraps the positives and draws an
+    undersample of the negatives (without replacement) at
+    ``undersample_ratio`` negatives per positive, so it trains on roughly
+    1:1 data however extreme the original imbalance.
     """
     rng = ensure_rng(rng)
     if num_trees < 1:
@@ -424,7 +429,7 @@ def train_bagged(
         raise LearnerError(f"undersample_ratio must be finite and > 0, got {undersample_ratio}")
     pos = np.flatnonzero(data.labels)
     neg = np.flatnonzero(~data.labels)
-    if balanced and pos.size == 0:
+    if pos.size == 0:
         raise LearnerError("balanced bagging needs at least one positive row")
     if feature_subsample == "sqrt":
         feature_subsample = max(1, math.ceil(math.sqrt(data.d)))
@@ -432,19 +437,16 @@ def train_bagged(
     children = rng.spawn(num_trees)
     samples = []
     memberships = np.zeros((num_trees, data.n), dtype=np.int32)
+    n_neg = min(neg.size, max(1, round(undersample_ratio * pos.size)))
     for b, child in enumerate(children):
-        if balanced:
-            take_pos = child.choice(pos, size=pos.size, replace=True)
-            n_neg = min(neg.size, max(1, round(undersample_ratio * pos.size)))
-            take_neg = child.choice(neg, size=n_neg, replace=False) if n_neg else np.empty(0, int)
-            sample = np.concatenate([take_pos, take_neg])
-        else:
-            sample = child.choice(data.n, size=data.n, replace=True)
+        take_pos = child.choice(pos, size=pos.size, replace=True)
+        take_neg = child.choice(neg, size=n_neg, replace=False) if n_neg else np.empty(0, int)
+        sample = np.concatenate([take_pos, take_neg])
         memberships[b] = np.bincount(sample, minlength=data.n)
         samples.append(sample)
     trees = _grow_trees(data.rows, data.labels, samples, children,
                         max_depth, min_leaf, feature_subsample)
-    return BaggedClassifier(trees=trees, memberships=memberships, n_features=data.d)
+    return BaggedClassifier.from_draws(trees, memberships, data.d)
 
 
 def jackknife_variance_batch(model: BaggedClassifier, X: np.ndarray) -> np.ndarray | None:
@@ -453,28 +455,24 @@ def jackknife_variance_batch(model: BaggedClassifier, X: np.ndarray) -> np.ndarr
     Sums the squared bootstrap covariance between draw counts and tree
     predictions over training points, then applies the finite-B bias
     correction, flooring at zero. None for a single tree (undefined). With
-    centred draw counts n_c (B, n_train) and centred votes t_c (B, q), the
-    sum for query q is t_c[:, q]' G t_c[:, q], G = n_c n_c' / B^2 being the
-    B x B Gram matrix of the draws.
+    centred votes t_c (B, q), the sum for query q is t_c[:, q]' G t_c[:, q],
+    G being the bag's ``draw_gram``, so the draw counts themselves are not
+    needed.
 
     The finite-B bias correction uses the empirical variance of the draw
-    counts, sum_j Var_b(N_bj) * Var_b(t) / B. Under a plain size-n
-    bootstrap Var(N_j) is about 1 and this reduces to the usual n/B term;
-    with balanced undersampling only the rows a bag can actually draw
+    counts, ``draw_var_sum`` * Var_b(t) / B. Under a plain size-n bootstrap
+    Var(N_j) is about 1 and this reduces to the usual n/B term; with
+    balanced undersampling only the rows a bag can actually draw
     contribute, which keeps the correction on the scale of the bags rather
     than the full dataset.
     """
     B = model.num_trees
     if B < 2:
         return None
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    n_c = (model.memberships - model.memberships.mean(axis=0, keepdims=True)).astype(float)
-    sum_var_n = float((n_c**2).mean(axis=0).sum())
     votes = model.tree_votes(X)                                  # (B, q)
     t_c = votes - votes.mean(axis=0, keepdims=True)
-    G = n_c @ n_c.T / B**2                                       # (B, B)
-    raw = ((G @ t_c) * t_c).sum(axis=0)
-    bias = sum_var_n / B * (t_c**2).mean(axis=0)
+    raw = ((model.draw_gram @ t_c) * t_c).sum(axis=0)
+    bias = model.draw_var_sum / B * (t_c**2).mean(axis=0)
     return np.maximum(raw - bias, 0.0)
 
 

@@ -160,8 +160,7 @@ def _paired_auc_delta_trees(seed):
     c_star = float(np.median(train_ds.effort[train_ds.effort > 0]))
     g, _ = ens.predict_rows(Xte, c_star)
     Xtr, ytr, _, rid = _dataset_rows(train_ds)
-    base = train_bagged(TrainMatrix(Xtr, ytr, rid), num_trees=20, balanced=True,
-                        rng=seed + 1000)
+    base = train_bagged(TrainMatrix(Xtr, ytr, rid), num_trees=20, rng=seed + 1000)
     pb, _ = base.predict_proba(Xte)
     a_iw = np.mean([auc(ScoredSet(g, synth.sample_attacks(truth, 1, seed * 31 + r)[0, ids].astype(bool)))
                     for r in range(3)])
@@ -285,7 +284,7 @@ def test_criterion_7_uncertainty_correlation_contrast():
         train_ds = assemble_dataset(grid, ds.effort[: T - 1], ds.labels[: T - 1])
         Xtr, ytr, _, rid = _dataset_rows(train_ds)
         Xte = ds.design_matrix[T - 1, ids, :]
-        bag = train_bagged(TrainMatrix(Xtr, ytr, rid), num_trees=50, balanced=True, rng=seed,
+        bag = train_bagged(TrainMatrix(Xtr, ytr, rid), num_trees=50, rng=seed,
                            max_depth=12)
         p_bag, _ = bag.predict_proba(Xte)
         v_bag = jackknife_variance_batch(bag, Xte)

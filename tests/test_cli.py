@@ -292,18 +292,21 @@ class TestMalformedInputs:
 
     def test_model_with_version_only(self, workdir):
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
-        (workdir / "r" / "model.json").write_text('{"version": 2}\n')
+        (workdir / "r" / "model.json").write_text('{"version": 3}\n')
         assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
 
     def test_model_of_version_one(self, workdir, capsys):
-        # version 1 stored a list of per-tree tables, each with a right array
+        # version 1 stored a list of per-tree tables, each with a right
+        # array; version 2 stored each bag's draw counts
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
         assert run(["train", *SMALL, "--output_dir=r"]) == 0
         path = workdir / "r" / "model.json"
-        path.write_text(json.dumps({**json.loads(path.read_text()), "version": 1}) + "\n")
-        capsys.readouterr()
-        assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
-        assert "unsupported ensemble document version 1" in capsys.readouterr().err
+        doc = json.loads(path.read_text())
+        for version in (1, 2):
+            path.write_text(json.dumps({**doc, "version": version}) + "\n")
+            capsys.readouterr()
+            assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
+            assert f"unsupported ensemble document version {version}" in capsys.readouterr().err
 
     def test_model_not_an_object(self, workdir):
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
@@ -312,7 +315,7 @@ class TestMalformedInputs:
 
     def test_model_with_null_learners(self, workdir):
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
-        doc = {"version": 2, "thresholds": [0.0], "learners": None, "weights": [1.0],
+        doc = {"version": 3, "thresholds": [0.0], "learners": None, "weights": [1.0],
                "learner_kind": "trees", "squash_scale": 1.0, "n_features": 3}
         (workdir / "r" / "model.json").write_text(json.dumps(doc) + "\n")
         assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
@@ -349,23 +352,33 @@ class TestMalformedInputs:
         assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("pair", [[10**6, 1], [-1, 1], [0, -1]],
-                             ids=["row_past_the_end", "negative_row", "negative_count"])
-    def test_model_with_membership_past_the_training_rows(self, workdir, capsys, pair):
-        # before, a row past the end ended in a traceback with exit code 1,
-        # and a negative row or draw count loaded with exit code 0
+    @pytest.mark.parametrize("edit", ["non_square_gram", "nan_gram_entry", "inf_gram_entry",
+                                      "negative_draw_var_sum", "nan_draw_var_sum"])
+    def test_model_with_unusable_draw_statistics(self, workdir, capsys, edit):
+        # the IJ variance reads a bag's Gram as B x B and its summed variance
+        # as a number >= 0
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
         assert run(["train", *SMALL, "--output_dir=r"]) == 0
         path = workdir / "r" / "model.json"
         doc = json.loads(path.read_text())
-        doc["learners"][0]["memberships"][0][0] = pair
+        bag = doc["learners"][0]
+        if edit == "non_square_gram":
+            bag["draw_gram"] = bag["draw_gram"][:-1]
+        elif edit == "nan_gram_entry":
+            bag["draw_gram"][0][1] = float("nan")
+        elif edit == "inf_gram_entry":
+            bag["draw_gram"][1][0] = float("inf")
+        elif edit == "negative_draw_var_sum":
+            bag["draw_var_sum"] = -1.0
+        else:
+            bag["draw_var_sum"] = float("nan")
         path.write_text(json.dumps(doc) + "\n")
         capsys.readouterr()
         assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
         assert "malformed field" in capsys.readouterr().err
+        assert not (workdir / "r" / "riskmap.csv").exists()
 
-    @pytest.mark.parametrize("field", ["left", "feature", "draw_count", "n_train",
-                                       "bag_n_features", "n_features"])
+    @pytest.mark.parametrize("field", ["left", "feature", "bag_n_features", "n_features"])
     def test_model_with_fractional_integer(self, workdir, capsys, field):
         # before, each was truncated toward zero and riskmap exited 0
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
@@ -376,10 +389,6 @@ class TestMalformedInputs:
         assert bag["trees"]["feature"][0] >= 0
         if field in ("left", "feature"):
             bag["trees"][field][0] += 0.5
-        elif field == "draw_count":
-            bag["memberships"][0][0][1] += 0.5
-        elif field == "n_train":
-            bag["n_train"] += 0.5
         elif field == "bag_n_features":
             bag["n_features"] += 0.9
         else:

@@ -193,7 +193,7 @@ def depth_first_tree(data, max_depth=10, min_leaf=1, feature_subsample=None, rng
     return canonical(feature, threshold, left, right, value, 0)
 
 
-def depth_first_bag(data, num_trees, balanced, rng, max_depth, min_leaf, feature_subsample):
+def depth_first_bag(data, num_trees, rng, max_depth, min_leaf, feature_subsample):
     """train_bagged's draws, with each tree fit on its own by depth_first_tree."""
     rng = np.random.default_rng(rng)
     pos, neg = np.flatnonzero(data.labels), np.flatnonzero(~data.labels)
@@ -201,12 +201,9 @@ def depth_first_bag(data, num_trees, balanced, rng, max_depth, min_leaf, feature
         feature_subsample = max(1, math.ceil(math.sqrt(data.d)))
     trees, memberships = [], []
     for child in rng.spawn(num_trees):
-        if balanced:
-            take_pos = child.choice(pos, size=pos.size, replace=True)
-            take_neg = child.choice(neg, size=min(neg.size, pos.size), replace=False)
-            sample = np.concatenate([take_pos, take_neg])
-        else:
-            sample = child.choice(data.n, size=data.n, replace=True)
+        take_pos = child.choice(pos, size=pos.size, replace=True)
+        take_neg = child.choice(neg, size=min(neg.size, pos.size), replace=False)
+        sample = np.concatenate([take_pos, take_neg])
         memberships.append(np.bincount(sample, minlength=data.n))
         sub = TrainMatrix(data.rows[sample], data.labels[sample], data.row_ids[sample])
         trees.append(depth_first_tree(sub, max_depth, min_leaf, feature_subsample, child))
@@ -240,15 +237,17 @@ class TestLockStepBuilder:
             assert table_tree(train_tree(data, rng=seed, **kw)) == \
                 depth_first_tree(data, rng=seed, **kw)
 
-    @pytest.mark.parametrize("balanced", [True, False])
+    # one value: every bag is balanced, and the cases keep their ids from
+    # when train_bagged could also draw plain bootstraps
+    @pytest.mark.parametrize("balanced", [True])
     @pytest.mark.parametrize("feature_subsample", [None, 1, "sqrt"])
     @pytest.mark.parametrize("min_leaf", [1, 3])
     @pytest.mark.parametrize("max_depth", [2, 10])
     def test_bag_equals_depth_first(self, balanced, feature_subsample, min_leaf, max_depth):
         data = tied_matrix(7)
         kw = dict(max_depth=max_depth, min_leaf=min_leaf, feature_subsample=feature_subsample)
-        model = train_bagged(data, num_trees=6, balanced=balanced, rng=5, **kw)
-        trees, memberships = depth_first_bag(data, 6, balanced, 5, **kw)
+        model = train_bagged(data, num_trees=6, rng=5, **kw)
+        trees, memberships = depth_first_bag(data, 6, 5, **kw)
         np.testing.assert_array_equal(model.memberships, memberships)
         assert [table_tree(model.trees, t) for t in range(model.num_trees)] == trees
 
@@ -288,7 +287,7 @@ class TestLockStepBuilder:
 class TestBagging:
     def test_needs_positive_for_balanced(self):
         with pytest.raises(LearnerError):
-            train_bagged(matrix([[0.0], [1.0]], [0, 0]), num_trees=3, balanced=True, rng=0)
+            train_bagged(matrix([[0.0], [1.0]], [0, 0]), num_trees=3, rng=0)
 
     @pytest.mark.parametrize("ratio", [0.0, -1.0, float("inf"), float("nan")])
     def test_rejects_unusable_undersample_ratio(self, ratio):
@@ -302,7 +301,7 @@ class TestBagging:
         X = rng.random((200, 2))
         y = np.zeros(200, bool)
         y[:2] = True  # 99:1 imbalance
-        model = train_bagged(matrix(X, y), num_trees=10, balanced=True, rng=1)
+        model = train_bagged(matrix(X, y), num_trees=10, rng=1)
         for mem in model.memberships:
             pos_draws = mem[:2].sum()
             neg_draws = mem[2:].sum()
@@ -312,7 +311,7 @@ class TestBagging:
         rng = np.random.default_rng(3)
         X = rng.random((30, 2))
         y = X[:, 0] > 0.5
-        model = train_bagged(matrix(X, y), num_trees=1, balanced=False, rng=7,
+        model = train_bagged(matrix(X, y), num_trees=1, rng=7,
                              feature_subsample=None, max_depth=4)
         votes = model.tree_votes(X[:1])[:, 0]
         p = model.predict_proba(X[:1])[0][0]
@@ -323,15 +322,14 @@ class TestBagging:
         rng = np.random.default_rng(2)
         X = rng.random((400, 2))
         y = X[:, 0] + X[:, 1] > 1.0
-        model = train_bagged(matrix(X, y), num_trees=30, balanced=True, rng=4, max_depth=12)
+        model = train_bagged(matrix(X, y), num_trees=30, rng=4, max_depth=12)
         Xte = rng.random((300, 2))
         yte = Xte[:, 0] + Xte[:, 1] > 1.0
         p, _ = model.predict_proba(Xte)
         assert auc(ScoredSet(p, yte)) >= 0.9
 
     def test_mismatched_features_rejected(self):
-        model = train_bagged(matrix([[0.0, 1.0], [1.0, 0.0]], [0, 1]),
-                             num_trees=2, balanced=False, rng=0)
+        model = train_bagged(matrix([[0.0, 1.0], [1.0, 0.0]], [0, 1]), num_trees=2, rng=0)
         with pytest.raises(LearnerError):
             model.predict_proba(np.zeros((1, 3)))
 
@@ -351,19 +349,9 @@ class TestBagging:
         model = train_bagged(matrix(X, y), num_trees=5, rng=3, max_depth=12)
         back = deserialize_learner(model.to_dict())
         np.testing.assert_array_equal(model.predict_proba(X)[0], back.predict_proba(X)[0])
-        np.testing.assert_array_equal(model.memberships, back.memberships)
-
-    def test_membership_round_trip_with_empty_rows(self):
-        mem = [[0, 0, 0, 0], [0, 2, 0, 1], [0, 0, 0, 0], [3, 0, 1, 0], [0, 0, 0, 0]]
-        model = manual_bag([0.1, 0.2, 0.3, 0.4, 0.5], mem)
-        d = model.to_dict()
-        # each bag's [row, draws] pairs in row order, as plain ints
-        assert d["memberships"] == [[], [[1, 2], [3, 1]], [], [[0, 3], [2, 1]], []]
-        assert {type(v) for pairs in d["memberships"] for pair in pairs for v in pair} == {int}
-        back = BaggedClassifier.from_dict(json.loads(json.dumps(d)))
-        assert back.memberships.dtype == np.int32
-        np.testing.assert_array_equal(back.memberships, mem)
-        assert back.to_dict() == d
+        np.testing.assert_array_equal(model.draw_gram, back.draw_gram)
+        assert back.draw_var_sum == model.draw_var_sum
+        assert back.memberships is None and back.to_dict() == model.to_dict()
 
 
 def bag_document():
@@ -398,10 +386,8 @@ class TestTableLoad:
         f_bag = floats["learners"][0]
         for key in ("feature", "left"):
             f_bag["trees"][key] = [float(v) for v in bag["trees"][key]]
-        f_bag["memberships"] = [[[j, float(c)] for j, c in pairs] for pairs in bag["memberships"]]
         for d in (f_bag, floats):
             d["n_features"] = float(d["n_features"])
-        f_bag["n_train"] = float(bag["n_train"])
         assert IWareEnsemble.from_dict(floats).to_dict() == IWareEnsemble.from_dict(doc).to_dict()
 
     LOAD_ERRORS = [
@@ -449,7 +435,8 @@ class TestTableLoad:
         elif edit == "short_value":
             t["value"] = t["value"][:-1]
         else:
-            bag["memberships"] += [[]] * feature.size
+            side = feature.size + 3
+            bag["draw_gram"] = np.zeros((side, side)).tolist()
         assert left[0] > 0  # the untouched table is well formed
         with pytest.raises(IwareError, match=message):
             IWareEnsemble.from_dict(doc)
@@ -461,8 +448,7 @@ def manual_bag(votes, memberships):
     trees = TreeTable(feature=np.full(B, -1, np.int32), threshold=np.zeros(B),
                       left=np.full(B, -1, np.int32), value=np.asarray(votes, float),
                       num_trees=B)
-    return BaggedClassifier(trees=trees, memberships=np.asarray(memberships, np.int32),
-                            n_features=1)
+    return BaggedClassifier.from_draws(trees, np.asarray(memberships, np.int32), n_features=1)
 
 
 def ij_one(model, x):
@@ -523,6 +509,23 @@ class TestJackknife:
         model = manual_bag([0.3, 0.3, 0.3], [[1, 0], [0, 1], [1, 1]])
         p = model.predict_proba(np.zeros((1, 1)))[0][0]
         assert p == 0.3
+
+    def test_loaded_bag_keeps_the_variance(self):
+        # the stored Gram and summed variance give the trained bag's IJ
+        # variance bit for bit, which the longhand formula confirms
+        rng = np.random.default_rng(6)
+        X = rng.random((80, 3))
+        y = X[:, 0] + 0.3 * rng.random(80) > 0.7
+        model = train_bagged(matrix(X, y), num_trees=9, rng=2, max_depth=6)
+        back = BaggedClassifier.from_dict(json.loads(json.dumps(model.to_dict())))
+        Xq = rng.random((11, 3))
+        got = jackknife_variance_batch(back, Xq)
+        np.testing.assert_array_equal(got, jackknife_variance_batch(model, Xq))
+        votes = model.tree_votes(Xq)
+        assert got.max() > 0
+        for q in range(Xq.shape[0]):
+            assert got[q] == pytest.approx(direct_ij(votes[:, q], model.memberships),
+                                           rel=1e-9, abs=1e-15)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(0)
