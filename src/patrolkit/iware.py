@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import PatrolDataset
-from .learners import TrainMatrix, deserialize_learner, int_field, train_bagged, train_gp
+from .learners import (TrainMatrix, deserialize_learner, float_array_field, float_field, int_field,
+                       train_bagged, train_gp)
 
 PROB_CLAMP = 1e-6
 
@@ -260,12 +261,13 @@ class IWareEnsemble:
             blobs = d["learners"]
             if not isinstance(blobs, list) or not all(isinstance(b, dict) for b in blobs):
                 raise IwareError("ensemble document's learners must be a list of objects")
+            thresholds = float_array_field(d["thresholds"], "thresholds").tolist()
             return cls(
-                thresholds=ThresholdSet(thresholds=tuple(d["thresholds"])),
+                thresholds=ThresholdSet(tuple(thresholds)),
                 learners=[deserialize_learner(b) for b in blobs],
-                weights=np.asarray(d["weights"], dtype=float),
+                weights=float_array_field(d["weights"], "weights"),
                 learner_kind=d["learner_kind"],
-                squash_scale=float(d["squash_scale"]),
+                squash_scale=float_field(d["squash_scale"], "squash_scale"),
                 n_features=int_field(d["n_features"], "n_features"),
             )
         except KeyError as err:

@@ -47,8 +47,9 @@ class LearnerError(ValueError):
     """Invalid training data or configuration."""
 
 
-# Loaded integer fields must hold integral numbers (3 or 3.0): a fraction,
-# a bool or a string is an error, not truncated or parsed.
+# A loaded field must hold JSON numbers, integral ones (3 or 3.0) where an
+# integer belongs: a bool, a string or a misplaced fraction is an error,
+# not taken as 0 or 1, parsed or truncated.
 
 def int_field(value, what: str) -> int:
     """One loaded integer."""
@@ -66,6 +67,22 @@ def int32_field(values, what: str) -> np.ndarray:
             and np.all((a == np.round(a)) & (a >= -2**31) & (a < 2**31))):
         raise LearnerError(f"{what} must be integers")
     return a.astype(np.int32)
+
+
+def float_field(value, what: str) -> float:
+    """One loaded number."""
+    a = np.asarray(value)
+    if a.ndim or a.dtype.kind not in "iuf":
+        raise LearnerError(f"{what} must be a number, got {value!r}")
+    return float(a)
+
+
+def float_array_field(values, what: str) -> np.ndarray:
+    """A loaded list of numbers, or of such lists, as float."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf":
+        raise LearnerError(f"{what} must be numbers")
+    return a.astype(float, copy=False)
 
 
 def ensure_rng(rng) -> np.random.Generator:
@@ -155,9 +172,9 @@ class TreeTable:
         checked so that every walk from a root ends, at a leaf whose value is
         a probability: children lie after their parent and inside the table."""
         table = cls(feature=int32_field(d["feature"], "tree table: feature"),
-                    threshold=np.asarray(d["threshold"], dtype=float),
+                    threshold=float_array_field(d["threshold"], "tree table: threshold"),
                     left=int32_field(d["left"], "tree table: left"),
-                    value=np.asarray(d["value"], dtype=float),
+                    value=float_array_field(d["value"], "tree table: value"),
                     num_trees=num_trees)
         nodes = table.feature.size
         if not (all(a.shape == (nodes,) for a in (table.threshold, table.left, table.value))
@@ -398,8 +415,8 @@ class BaggedClassifier:
     def from_dict(cls, d: dict) -> "BaggedClassifier":
         """The bag of as many trees as its checked Gram has rows."""
         n_features = int_field(d["n_features"], "n_features")
-        gram = np.asarray(d["draw_gram"], dtype=float)
-        var_sum = float(d["draw_var_sum"])
+        gram = float_array_field(d["draw_gram"], "draw_gram")
+        var_sum = float_field(d["draw_var_sum"], "draw_var_sum")
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or not np.all(np.isfinite(gram)):
             raise LearnerError("draw_gram must be a square matrix of finite numbers")
         if not (math.isfinite(var_sum) and var_sum >= 0):
@@ -571,13 +588,13 @@ class GpClassifier:
     def from_dict(cls, d: dict) -> "GpClassifier":
         """Rebuild the prediction state from the stored latent mode."""
         model = cls(
-            X=np.asarray(d["X"], dtype=float),
-            y_sign=np.asarray(d["y_sign"], dtype=float),
-            lengthscale=float(d["lengthscale"]),
-            signal_var=float(d["signal_var"]),
-            jitter=float(d["jitter"]),
+            X=float_array_field(d["X"], "X"),
+            y_sign=float_array_field(d["y_sign"], "y_sign"),
+            lengthscale=float_field(d["lengthscale"], "lengthscale"),
+            signal_var=float_field(d["signal_var"], "signal_var"),
+            jitter=float_field(d["jitter"], "jitter"),
         )
-        f_mode = np.asarray(d.get("f_mode"), dtype=float)
+        f_mode = float_array_field(d.get("f_mode"), "f_mode")
         if f_mode.shape != model.y_sign.shape or not np.all(np.isfinite(f_mode)):
             raise LearnerError(f"f_mode must be a finite vector of length {model.y_sign.size}")
         _finalize_gp(model, f_mode)

@@ -2,7 +2,6 @@
 
 from .graph import PlanInfeasibleError, PlannerError, TimeUnrolledGraph, build_graph
 from .milp import (
-    LpResult,
     MilpModel,
     PlanProblem,
     assemble_milp,
@@ -18,23 +17,3 @@ from .solve import (
     solve_by_enumeration,
     utilities_convex,
 )
-
-__all__ = [
-    "LpResult",
-    "MilpModel",
-    "PatrolPlan",
-    "PlanInfeasibleError",
-    "PlanProblem",
-    "PlannerError",
-    "TimeUnrolledGraph",
-    "assemble_milp",
-    "branch_and_bound",
-    "build_graph",
-    "improvement_ratio",
-    "objective_of_coverage",
-    "solve",
-    "solve_by_enumeration",
-    "solve_lp",
-    "utilities_convex",
-    "write_lp_file",
-]

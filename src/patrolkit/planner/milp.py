@@ -10,24 +10,26 @@ the breakpoints before linearization, so the objective stays linear.
 ``assemble_milp`` builds only the LP relaxation, without selectors.
 Branch and bound works on per-cell breakpoint windows (SOS2 interval
 branching): fixing a window to a contiguous breakpoint range is the same
-as zeroing the selectors outside it. A window splits at the first
-breakpoint at or above the cell's relaxed coverage, one side of that
-coverage to each child, where branching a single selector barely tightens
-it. Inside a width-one window the weights are forced onto two adjacent
-breakpoints, so integrality never needs a separate check. Every
+as zeroing the selectors outside it. A node branches on the cell whose
+weights exceed the interpolated utility of their coverage the most, and
+splits its window at the first breakpoint at or above that coverage, one
+side of it to each child, where branching a single selector barely
+tightens it. Inside a width-one window the weights are forced onto two
+adjacent breakpoints, so integrality never needs a separate check. Every
 relaxation's flow is itself a feasible plan, which supplies incumbents.
-``write_lp_file`` is the one place that writes the selectors out, in the
-exported MILP.
+``write_lp_file`` is the one place that writes the selectors out.
 
-Each branch and bound loads the relaxation into one HiGHS instance. The
-binding is scipy's bundled extension, loaded from its file without the
-rest of scipy (see ``_load_highs_core``), and the matrix is a
-``CscMatrix``: the column-wise arrays HiGHS takes, built with numpy. The
-root is solved cold by primal simplex. A node only sets the upper bounds
-of the weights outside its windows to zero, which keeps the previous
-node's basis valid, so every later node is hot-started by dual simplex. Flows of equal coverage are not told apart
-by the objective: the route split is whichever optimal basis HiGHS
-reaches, which repeats exactly because HiGHS is deterministic.
+The relaxation, max c.x s.t. A_eq x = b_eq, x >= 0, is the only LP the
+planner solves. Each branch and bound loads it into one HiGHS instance:
+scipy's bundled extension, loaded from its file without the rest of scipy
+(see ``_load_highs_core``), given the ``CscMatrix`` arrays as they are.
+The root is solved cold by primal simplex. A node only sets the upper
+bounds of the weights outside its windows to zero, which keeps the
+previous node's basis valid, so every later node is hot-started by dual
+simplex. An infeasible node is pruned; any status but optimal or
+infeasible raises. Flows of equal coverage are not told apart by the
+objective: the route split is whichever optimal basis HiGHS reaches,
+which repeats exactly because HiGHS is deterministic.
 """
 
 from __future__ import annotations
@@ -75,19 +77,7 @@ def _load_highs_core():
 # loaded here, not at the first solve, so that no timed solve pays for it
 highs_core = _load_highs_core()
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-ITERATION_LIMIT = "iteration_limit"
-FAILED = "failed"
 _MODEL_STATUS = highs_core.HighsModelStatus
-_STATUS = {
-    _MODEL_STATUS.kOptimal: OPTIMAL,
-    _MODEL_STATUS.kInfeasible: INFEASIBLE,
-    _MODEL_STATUS.kUnbounded: UNBOUNDED,
-    _MODEL_STATUS.kIterationLimit: ITERATION_LIMIT,
-    _MODEL_STATUS.kTimeLimit: ITERATION_LIMIT,
-}
 # a cold solve of the flow system is much faster by primal simplex; after
 # a bound change the old basis stays dual feasible, so re-solves use dual.
 # Presolve is off: it saves little time on these LPs, and without it the
@@ -115,13 +105,6 @@ class PlanProblem:
         # coverage reaches T*K: a shorter PWL domain is flat-extended (with a
         # warning) here, once, so every solve and copy shares it
         object.__setattr__(self, "pwl", self.pwl.extended_to(self.graph.horizon * self.K))
-
-
-@dataclass
-class LpResult:
-    status: str
-    x: np.ndarray | None
-    objective: float
 
 
 @dataclass(frozen=True)
@@ -155,10 +138,6 @@ class MilpModel:
     obj: np.ndarray                 # columns [flows | lambdas]
     A_eq: CscMatrix
     b_eq: np.ndarray
-
-    def lam_slice(self, cell_pos: int) -> slice:
-        start = self.n_flow + cell_pos * self.n_bp
-        return slice(start, start + self.n_bp)
 
     def flow_values(self, x: np.ndarray) -> np.ndarray:
         return x[: self.n_flow]
@@ -204,16 +183,6 @@ def _csc(rows, cols, vals, shape) -> CscMatrix:
     np.cumsum(np.bincount(c[order], minlength=shape[1]), out=indptr[1:])
     return CscMatrix(indptr=indptr, indices=r[order].astype(np.int32),
                      data=v[order].astype(float), shape=shape)
-
-
-def _triplets(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and value of each nonzero of a ``CscMatrix`` (by column)
-    or of a dense matrix (by row)."""
-    if isinstance(A, CscMatrix):
-        return A.indices, np.repeat(np.arange(A.shape[1]), np.diff(A.indptr)), A.data
-    A = np.asarray(A, dtype=float)
-    r, c = np.nonzero(A)
-    return r, c, A[r, c]
 
 
 def assemble_milp(problem: PlanProblem) -> MilpModel:
@@ -295,10 +264,10 @@ def write_lp_file(model: MilpModel, path) -> None:
     lines = ["\\ patrol plan model", "Maximize", f" obj: {_terms(nz, model.obj[nz], names)}"]
     lines.append("Subject To")
     # the entries by row, then column: a stable sort of the column order
-    r, c, v = _triplets(model.A_eq)
-    by_row = np.argsort(r, kind="stable")
-    c, v = c[by_row], v[by_row]
-    ends = np.cumsum(np.bincount(r, minlength=model.A_eq.shape[0])).tolist()
+    A = model.A_eq
+    by_row = np.argsort(A.indices, kind="stable")
+    c, v = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))[by_row], A.data[by_row]
+    ends = np.cumsum(np.bincount(A.indices, minlength=A.shape[0])).tolist()
     for i, (a, b) in enumerate(zip([0] + ends, ends)):
         lines.append(f" eq{i}: {_terms(c[a:b], v[a:b], names)} = {model.b_eq[i]:.17g}")
     for i, z in enumerate(selectors, start=len(model.b_eq)):
@@ -316,29 +285,24 @@ def write_lp_file(model: MilpModel, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
-    """A HiGHS instance holding  max c.x  s.t.  A_ub x <= b_ub,
-    A_eq x = b_eq,  x >= 0, set up for a cold primal solve."""
+def load_lp(c, A_eq: CscMatrix, b_eq):
+    """A HiGHS instance holding  max c.x  s.t.  A_eq x = b_eq,  x >= 0,
+    set up for a cold primal solve."""
     c = np.asarray(c, dtype=float)
-    none = (np.zeros(0, dtype=int),) * 2 + (np.zeros(0),)
-    r_ub, c_ub, v_ub = none if A_ub is None else _triplets(A_ub)
-    r_eq, c_eq, v_eq = none if A_eq is None else _triplets(A_eq)
-    b_ub = np.zeros(0) if A_ub is None else np.asarray(b_ub, dtype=float)
-    b_eq = np.zeros(0) if A_eq is None else np.asarray(b_eq, dtype=float)
-    A = _csc([r_ub, r_eq + b_ub.size], [c_ub, c_eq], [v_ub, v_eq],
-             (b_ub.size + b_eq.size, c.size))
+    b_eq = np.asarray(b_eq, dtype=float)
+    if A_eq.shape != (b_eq.size, c.size):
+        raise PlannerError(f"A_eq is {A_eq.shape}, but b_eq and c make {(b_eq.size, c.size)}")
     lp = highs_core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = c.size
-    lp.num_row_ = lp.a_matrix_.num_row_ = A.shape[0]
+    lp.num_row_ = lp.a_matrix_.num_row_ = b_eq.size
     lp.col_cost_ = -c
     lp.col_lower_ = np.zeros(c.size)
     lp.col_upper_ = np.full(c.size, highs_core.kHighsInf)
-    lp.row_lower_ = np.concatenate([np.full(b_ub.size, -np.inf), b_eq])
-    lp.row_upper_ = np.concatenate([b_ub, b_eq])
+    lp.row_lower_ = lp.row_upper_ = b_eq
     lp.a_matrix_.format_ = highs_core.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = A.indptr
-    lp.a_matrix_.index_ = A.indices
-    lp.a_matrix_.value_ = A.data
+    lp.a_matrix_.start_ = A_eq.indptr
+    lp.a_matrix_.index_ = A_eq.indices
+    lp.a_matrix_.value_ = A_eq.data
     highs = highs_core._Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("presolve", "off")
@@ -348,8 +312,9 @@ def load_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     return highs
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, highs=None) -> LpResult:
-    """max c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0, by HiGHS.
+def solve_lp(c, A_eq: CscMatrix, b_eq, highs=None) -> np.ndarray | None:
+    """The optimal x of  max c.x  s.t.  A_eq x = b_eq,  x >= 0, by HiGHS,
+    or None when the LP is infeasible. Any other outcome raises.
 
     ``highs`` is an instance from ``load_lp`` that already holds this LP,
     perhaps with changed column bounds. Its first solve is cold primal
@@ -357,17 +322,18 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, highs=None) -> LpRes
     Without it the LP is loaded into a fresh instance.
     """
     if highs is None:
-        highs = load_lp(c, A_ub, b_ub, A_eq, b_eq)
+        highs = load_lp(c, A_eq, b_eq)
     highs.run()
     highs.setOptionValue("simplex_strategy", HOT_STRATEGY)
-    status = _STATUS.get(highs.getModelStatus(), FAILED)
-    if status != OPTIMAL:
-        return LpResult(status, None, np.inf if status == UNBOUNDED else -np.inf)
-    x = np.array(highs.getSolution().col_value)
-    return LpResult(OPTIMAL, x, float(np.asarray(c, dtype=float) @ x))
+    status = highs.getModelStatus()
+    if status == _MODEL_STATUS.kInfeasible:
+        return None
+    if status != _MODEL_STATUS.kOptimal:
+        raise PlannerError(f"LP relaxation failed: {highs.modelStatusToString(status)}")
+    return np.array(highs.getSolution().col_value)
 
 
-def _solve_window_lp(model: MilpModel, highs, windows: np.ndarray) -> LpResult:
+def _solve_window_lp(model: MilpModel, highs, windows: np.ndarray) -> np.ndarray | None:
     """The LP relaxation with each cell's weights confined to its
     breakpoint window, re-solved on ``highs`` (from ``load_lp``)."""
     j = np.arange(model.n_bp)
@@ -375,7 +341,19 @@ def _solve_window_lp(model: MilpModel, highs, windows: np.ndarray) -> LpResult:
     cols = np.arange(model.n_flow, model.obj.size, dtype=np.int32)
     highs.changeColsBounds(cols.size, cols, np.zeros(cols.size),
                            np.where(inside.ravel(), highs_core.kHighsInf, 0.0))
-    return solve_lp(model.obj, None, None, model.A_eq, model.b_eq, highs=highs)
+    # A_eq by keyword: profilers that wrap solve_lp read the matrix there
+    return solve_lp(model.obj, A_eq=model.A_eq, b_eq=model.b_eq, highs=highs)
+
+
+def _branch_cell(lam: np.ndarray, br: np.ndarray, U: np.ndarray):
+    """(position, coverage) of the first cell whose weights ``lam`` (cells,
+    breakpoints) exceed the interpolated utility ``U`` of their coverage the
+    most, by over 1e-12, else None. Rows are summed alone: a matrix-vector
+    product may round a row by where it lies, and equal cells would not tie."""
+    cv = (lam * br).sum(1)
+    violation = (lam * U).sum(1) - interp_rows(cv, br, U)
+    pos = int(np.argmax(violation))
+    return (pos, float(cv[pos])) if violation[pos] > 1e-12 else None
 
 
 def branch_and_bound(model: MilpModel):
@@ -386,47 +364,37 @@ def branch_and_bound(model: MilpModel):
     node is closed once its relaxation value is within the MIP gap of the
     interpolated utility of its own flow.
     """
-    gap = MIP_GAP
     n_cells = len(model.cells)
-    m = model.n_bp - 1
     br = model.problem.pwl.breakpoints
+    U = model.util[model.cells]
     best_x, best_obj = None, -np.inf
-    root = np.tile(np.array([0, m]), (n_cells, 1))
-    stack = [root]
+    stack = [np.tile(np.array([0, model.n_bp - 1]), (n_cells, 1))]
     nodes = 0
-    highs = load_lp(model.obj, None, None, model.A_eq, model.b_eq)
+    highs = load_lp(model.obj, model.A_eq, model.b_eq)
 
     while stack:
         windows = stack.pop()
         nodes += 1
         if nodes > NODE_LIMIT:
             raise PlannerError("branch-and-bound node limit exceeded")
-        res = _solve_window_lp(model, highs, windows)
-        if res.status != OPTIMAL:
-            if res.status == INFEASIBLE:
-                continue
-            raise PlannerError(f"LP relaxation failed: {res.status}")
-        x, ub = res.x, res.objective
-        if ub <= best_obj + gap:
+        x = _solve_window_lp(model, highs, windows)
+        if x is None:
+            continue
+        ub = float(model.obj @ x)
+        if ub <= best_obj + MIP_GAP:
             continue
         heur = model.flow_incumbent_value(x)
         if heur > best_obj:
             best_obj, best_x = heur, x
-            if ub <= best_obj + gap:
+            if ub <= best_obj + MIP_GAP:
                 continue
 
         # branch on the cell whose weights cheat the envelope the most
-        best_gap, branch_pos, branch_cv = 0.0, -1, 0.0
-        for pos, cid in enumerate(model.cells):
-            lam = x[model.lam_slice(pos)]
-            cv = float(lam @ br)
-            lam_obj = float(lam @ model.util[cid])
-            violation = lam_obj - float(np.interp(cv, br, model.util[cid]))
-            if violation > best_gap + 1e-12:
-                best_gap, branch_pos, branch_cv = violation, pos, cv
-        if branch_pos < 0:
+        branch = _branch_cell(x[model.n_flow:].reshape(n_cells, model.n_bp), br, U)
+        if branch is None:
             # relaxation matches its own interpolation: node solved exactly
             continue
+        branch_pos, branch_cv = branch
         lo, hi = windows[branch_pos]
         r = min(max(lo + int(np.searchsorted(br[lo:hi + 1], branch_cv)), lo + 1), hi - 1)
         left = windows.copy()

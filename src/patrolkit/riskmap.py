@@ -104,9 +104,6 @@ class PwlRiskModel:
     def c_max(self) -> float:
         return float(self.breakpoints[-1])
 
-    def prob_at(self, cell: int, effort) -> np.ndarray | float:
-        return np.interp(effort, self.breakpoints, self.prob_values[cell])
-
     def utility_values(self, beta: float) -> np.ndarray:
         """Breakpoint values of U = g - beta * g * nu, formed pointwise
         before linearization so the product stays piecewise linear."""

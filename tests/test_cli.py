@@ -399,6 +399,41 @@ class TestMalformedInputs:
         assert "malformed field" in capsys.readouterr().err
         assert not (workdir / "r" / "riskmap.csv").exists()
 
+    @pytest.mark.parametrize("learner, field, value", [
+        ("trees", "squash_scale", str),
+        ("trees", "squash_scale", bool),
+        ("trees", "weights", str),
+        ("trees", "thresholds", str),
+        ("trees", "draw_var_sum", str),
+        ("trees", "draw_gram", str),
+        ("trees", "threshold", str),
+        ("trees", "value", str),
+        ("gp", "lengthscale", str),
+        ("gp", "f_mode", str),
+    ])
+    def test_model_with_number_not_a_number(self, workdir, capsys, learner, field, value):
+        # before, a string was parsed as the number it spells and a bool
+        # taken as 1, and riskmap exited 0 with the untouched model's output
+        args = [*SMALL, f"--ensemble.learner={learner}", "--output_dir=r"]
+        assert run(["simulate", *args]) == 0
+        assert run(["train", *args]) == 0
+        path = workdir / "r" / "model.json"
+        doc = json.loads(path.read_text())
+        learner0 = doc["learners"][0]
+        blob = next(b for b in (doc, learner0, learner0.get("trees", {})) if field in b)
+        if value is bool:
+            blob[field] = True
+        elif isinstance(blob[field], list):
+            blob[field] = json.loads(json.dumps(blob[field]), parse_float=str, parse_int=str)
+        else:
+            blob[field] = str(blob[field])
+        path.write_text(json.dumps(doc) + "\n")
+        capsys.readouterr()
+        assert run(["riskmap", *args]) == 2
+        err = capsys.readouterr().err
+        assert "malformed field" in err and field in err
+        assert not (workdir / "r" / "riskmap.csv").exists()
+
     def test_model_with_self_looping_tree(self, workdir, capsys):
         # before, riskmap never finished: the root's walk stayed at the root
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
@@ -535,8 +570,12 @@ def scipy_elsewhere(name, package=None):
     return spec
 importlib.util.find_spec = scipy_elsewhere
 from patrolkit import planner
-res = planner.solve_lp(np.array([1.0, 1.0]), np.array([[1.0, 2.0]]), np.array([4.0]))
-assert res.status == "optimal" and res.objective == 4.0, res
+from patrolkit.planner.milp import CscMatrix
+# max x + y  s.t.  x + 2y + s = 4
+A = CscMatrix(indptr=np.arange(4, dtype=np.int32), indices=np.zeros(3, dtype=np.int32),
+              data=np.array([1.0, 2.0, 1.0]), shape=(1, 3))
+x = planner.solve_lp(np.array([1.0, 1.0, 0.0]), A_eq=A, b_eq=np.array([4.0]))
+assert x is not None and x[0] + x[1] == 4.0, x
 """
     assert "scipy.optimize" in scipy_loaded(code)
 

@@ -19,6 +19,7 @@ from patrolkit.planner import (
     utilities_convex,
     write_lp_file,
 )
+from patrolkit.planner.milp import CscMatrix
 from patrolkit.planner.solve import decompose_flow
 from patrolkit.riskmap import PwlRiskModel
 
@@ -528,8 +529,18 @@ class TestImprovementRatio:
         assert table[1][1] is None
 
 
+def csc(A) -> CscMatrix:
+    """A dense matrix as the planner's ``CscMatrix``."""
+    A = np.asarray(A, dtype=float)
+    cols, rows = np.nonzero(A.T)  # by column, then row
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(A, axis=0))])
+    return CscMatrix(indptr=indptr.astype(np.int32), indices=rows.astype(np.int32),
+                     data=A[rows, cols], shape=A.shape)
+
+
 class TestSolveLp:
-    """solve_lp maximizes and maps HiGHS statuses onto the planner's."""
+    """solve_lp maximizes an equality-form LP: the optimal x, or None when
+    it is infeasible."""
 
     def test_agrees_with_scipy_on_random_lps(self):
         from scipy.optimize import linprog
@@ -548,23 +559,27 @@ class TestSolveLp:
                           A_eq=A_eq if len(A_eq) else None,
                           b_eq=b_eq if len(b_eq) else None,
                           bounds=(0, None), method="highs")
-            mine = solve_lp(c, A_ub, b_ub, A_eq if len(A_eq) else None,
-                            b_eq if len(b_eq) else None)
-            seen.add(mine.status)
+            # the same LP in equality form: one slack column per inequality
+            n_ub = A_ub.shape[0]
+            A = np.block([[A_ub, np.eye(n_ub)], [A_eq, np.zeros((A_eq.shape[0], n_ub))]])
+            x = solve_lp(np.concatenate([c, np.zeros(n_ub)]), A_eq=csc(A),
+                         b_eq=np.concatenate([b_ub, b_eq]))
+            seen.add("infeasible" if x is None else "optimal")
             if ref.status == 2:
-                assert mine.status == "infeasible"
+                assert x is None
             elif ref.status == 0:
-                assert mine.status == "optimal"
-                assert abs(mine.objective + ref.fun) <= 1e-7 * (1 + abs(ref.fun))
+                assert x is not None and np.all(x >= 0)
+                np.testing.assert_allclose(A @ x, np.concatenate([b_ub, b_eq]), atol=1e-7)
+                assert abs(c @ x[:nv] + ref.fun) <= 1e-7 * (1 + abs(ref.fun))
         assert {"optimal", "infeasible"} <= seen
 
     def test_degenerate_lp_terminates(self):
         c = np.array([1.0, 1.0, 1.0])
-        A_eq = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])  # redundant row
+        A_eq = csc([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])  # redundant row
         b_eq = np.array([1.0, 2.0])
-        res = solve_lp(c, None, None, A_eq, b_eq)
-        assert res.status == "optimal"
-        assert res.objective == pytest.approx(1.0)
+        x = solve_lp(c, A_eq=A_eq, b_eq=b_eq)
+        assert x is not None
+        assert c @ x == pytest.approx(1.0)
 
 
 class TestNodeLp:
@@ -579,18 +594,18 @@ class TestNodeLp:
                                      "MatrixFormat", "kHighsInf", "simplex_constants")
                    if not hasattr(_core, name)]
         missing += [f"_Highs.{name}" for name in ("changeColsBounds", "getSolution",
-                                                  "getModelStatus", "passModel", "run",
-                                                  "setOptionValue")
+                                                  "getModelStatus", "modelStatusToString",
+                                                  "passModel", "run", "setOptionValue")
                     if not hasattr(getattr(_core, "_Highs", None), name)]
-        missing += [f"HighsModelStatus.{name}" for name in ("kOptimal", "kInfeasible",
-                                                            "kUnbounded", "kIterationLimit",
-                                                            "kTimeLimit")
+        missing += [f"HighsModelStatus.{name}" for name in ("kOptimal", "kInfeasible")
                     if not hasattr(getattr(_core, "HighsModelStatus", None), name)]
         assert not missing, (
             f"scipy {scipy.__version__}'s scipy.optimize._highspy._core lacks {missing}, "
             "which patrolkit.planner.milp solves every node LP with")
 
     def test_hot_started_windows_match_fresh_solves(self):
+        from scipy.optimize import linprog
+
         from patrolkit.planner.milp import _solve_window_lp, load_lp
 
         rng = np.random.default_rng(5)
@@ -613,7 +628,7 @@ class TestNodeLp:
         sequence = [root, windows(**{f"p{post}": (0, 0)}), windows(p0=(0, 1)),
                     windows(p3=(2, 5)), windows(**{f"p{post}": (1, 2)}), windows(p1=(5, 5)),
                     windows(p2=(0, 0), p6=(0, 1)), root]
-        highs = load_lp(model.obj, None, None, model.A_eq, model.b_eq)
+        highs = load_lp(model.obj, model.A_eq, model.b_eq)
         A = model.A_eq
         dense = np.zeros(A.shape)
         dense[A.indices, np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))] = A.data
@@ -624,14 +639,70 @@ class TestNodeLp:
             # the fresh solve drops the columns outside the windows instead
             inside = (j >= w[:, :1]) & (j <= w[:, 1:])
             cols = np.concatenate([np.arange(model.n_flow), model.n_flow + np.flatnonzero(inside)])
-            fresh = solve_lp(model.obj[cols], None, None, dense[:, cols], model.b_eq)
-            assert hot.status == fresh.status
-            if fresh.status == "optimal":
-                assert hot.objective == pytest.approx(fresh.objective, rel=1e-9, abs=1e-9)
-            statuses.append(hot.status)
+            fresh = linprog(-model.obj[cols], A_eq=dense[:, cols], b_eq=model.b_eq,
+                            bounds=(0, None), method="highs")
+            status = "infeasible" if hot is None else "optimal"
+            assert fresh.status == {"optimal": 0, "infeasible": 2}[status]
+            if hot is not None:
+                assert model.obj @ hot == pytest.approx(-fresh.fun, rel=1e-9, abs=1e-9)
+            statuses.append(status)
         assert statuses[:3] == ["optimal", "infeasible", "optimal"]
         assert statuses.count("infeasible") >= 2 and statuses[-1] == "optimal"
 
+    def test_matrix_must_match_costs_and_right_hand_side(self):
+        # HiGHS takes a longer b_eq as empty rows and a shorter c as fewer
+        # columns, and would solve that LP instead
+        A = csc([[1.0, 2.0, 1.0]])
+        for c, b in ((np.ones(3), np.array([4.0, 1.0])), (np.ones(2), np.array([4.0]))):
+            with pytest.raises(PlannerError, match="A_eq is"):
+                solve_lp(c, A_eq=A, b_eq=b)
+
     def test_unbounded_lp(self):
-        res = solve_lp(np.array([1.0, 0.0]), np.array([[0.0, 1.0]]), np.array([1.0]))
-        assert res.status == "unbounded" and res.x is None and res.objective == np.inf
+        # every node LP is bounded: any outcome but optimal or infeasible is an error
+        with pytest.raises(PlannerError, match="Unbounded"):
+            solve_lp(np.array([1.0, 0.0]), A_eq=csc([[0.0, 1.0]]), b_eq=np.array([1.0]))
+
+
+def per_cell_branch(lam, br, U):
+    """The per-cell loop branch and bound ran before: the first cell whose
+    violation beats the best so far by more than 1e-12."""
+    best_gap, branch_pos, branch_cv = 0.0, -1, 0.0
+    for pos in range(lam.shape[0]):
+        cv = float(lam[pos] @ br)
+        violation = float(lam[pos] @ U[pos]) - float(np.interp(cv, br, U[pos]))
+        if violation > best_gap + 1e-12:
+            best_gap, branch_pos, branch_cv = violation, pos, cv
+    return None if branch_pos < 0 else (branch_pos, branch_cv)
+
+
+class TestBranchingRule:
+    def test_matches_the_per_cell_loop(self):
+        from patrolkit.planner.milp import _branch_cell
+
+        rng = np.random.default_rng(11)
+        outcomes = {"none": 0, "branch": 0, "tie": 0}
+        for _ in range(400):
+            n, n_bp = int(rng.integers(1, 50)), int(rng.integers(2, 28))
+            br = np.linspace(0.0, float(rng.integers(2, 25)), n_bp)
+            U = rng.random((n, n_bp))
+            # vertex-like relaxations: each cell's weight on one to three breakpoints
+            lam = np.zeros((n, n_bp))
+            for i in range(n):
+                at = rng.choice(n_bp, int(rng.integers(1, min(n_bp, 3) + 1)), replace=False)
+                w = rng.random(at.size)
+                lam[i, at] = w / w.sum()
+            ref = per_cell_branch(lam, br, U)
+            if ref is not None and rng.random() < 0.5:
+                # exact ties: the chosen cell is copied to every later position
+                lam[ref[0]:], U[ref[0]:] = lam[ref[0]], U[ref[0]]
+                outcomes["tie"] += ref[0] < n - 1
+                assert per_cell_branch(lam, br, U)[0] == ref[0]
+            got = _branch_cell(lam, br, U)
+            outcomes["none" if ref is None else "branch"] += 1
+            if ref is None:
+                assert got is None
+            else:
+                assert got is not None and got[0] == ref[0]
+                # a product and a sum may round the coverage apart by an ulp
+                assert got[1] == pytest.approx(ref[1], rel=1e-15, abs=1e-15)
+        assert min(outcomes.values()) >= 20, outcomes

@@ -76,6 +76,13 @@ class TestSweep:
         assert monotone.mean() >= 0.9
 
 
+def prob_at(m, cell, effort):
+    """A cell's risk at each effort, by ``interp_rows`` on the breakpoint
+    values, as branch and bound and ``objective_of_coverage`` evaluate it."""
+    c = np.atleast_1d(np.asarray(effort, dtype=float))
+    return interp_rows(c, m.breakpoints, np.repeat(m.prob_values[[cell]], c.size, axis=0))
+
+
 class TestPwl:
     def _model(self):
         grid = flat_grid(2, 1, k=1)
@@ -86,21 +93,21 @@ class TestPwl:
 
     def test_exact_at_breakpoints(self):
         m = self._model()
-        for j, c in enumerate([0.0, 1.0, 2.0]):
-            assert m.prob_at(0, c) == pytest.approx([0.2, 0.4, 0.5][j])
+        for cell in (0, 1):
+            np.testing.assert_array_equal(prob_at(m, cell, m.breakpoints), m.prob_values[cell])
 
     def test_midpoint_interpolation(self):
         m = self._model()
-        assert m.prob_at(0, 0.5) == pytest.approx(0.3)
+        assert prob_at(m, 0, 0.5) == pytest.approx(0.3)
 
     def test_clamped_beyond_domain(self):
         m = self._model()
-        assert m.prob_at(1, 99.0) == pytest.approx(0.6)
+        assert prob_at(m, 1, 99.0) == pytest.approx(0.6)
 
     def test_continuity(self):
         m = self._model()
         cs = np.linspace(0, 2, 101)
-        vals = m.prob_at(0, cs)
+        vals = prob_at(m, 0, cs)
         assert np.all(np.abs(np.diff(vals)) <= 0.25 * (cs[1] - cs[0]) + 1e-12)
 
     def test_extension_warns_and_flattens(self):
@@ -108,7 +115,7 @@ class TestPwl:
         with pytest.warns(UserWarning, match="clamping"):
             ext = m.extended_to(5.0)
         assert ext.c_max == 5.0
-        assert ext.prob_at(0, 4.9) == pytest.approx(0.5)
+        assert prob_at(ext, 0, 4.9) == pytest.approx(0.5)
 
     def test_utility_product_formed_pointwise(self):
         m = self._model()
