@@ -60,11 +60,21 @@ def int_field(value, what: str) -> int:
     raise LearnerError(f"{what} must be an integer, got {value!r}")
 
 
+def _holds_bool(values: list) -> bool:
+    """Whether a loaded list, or a list of such lists, holds a JSON true or
+    false. numpy gives a list that mixes bools and numbers a numeric dtype,
+    so only this scan tells them apart."""
+    kinds = set(map(type, values))
+    return bool in kinds or (list in kinds and any(_holds_bool(v) for v in values
+                                                   if type(v) is list))
+
+
 def int32_field(values, what: str) -> np.ndarray:
     """A loaded list of integers, as int32."""
     a = np.asarray(values)
     if not (a.dtype.kind in "iuf"
-            and np.all((a == np.round(a)) & (a >= -2**31) & (a < 2**31))):
+            and np.all((a == np.round(a)) & (a >= -2**31) & (a < 2**31))
+            and not (isinstance(values, list) and _holds_bool(values))):
         raise LearnerError(f"{what} must be integers")
     return a.astype(np.int32)
 
@@ -80,7 +90,7 @@ def float_field(value, what: str) -> float:
 def float_array_field(values, what: str) -> np.ndarray:
     """A loaded list of numbers, or of such lists, as float."""
     a = np.asarray(values)
-    if a.dtype.kind not in "iuf":
+    if a.dtype.kind not in "iuf" or (isinstance(values, list) and _holds_bool(values)):
         raise LearnerError(f"{what} must be numbers")
     return a.astype(float, copy=False)
 

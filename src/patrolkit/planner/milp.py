@@ -30,6 +30,16 @@ simplex. An infeasible node is pruned; any status but optimal or
 infeasible raises. Flows of equal coverage are not told apart by the
 objective: the route split is whichever optimal basis HiGHS reaches,
 which repeats exactly because HiGHS is deterministic.
+
+A beta sweep changes only the costs: every beta has the same flow
+polytope. The branch and bounds of one sweep share an ``LpSweep``, one
+HiGHS instance and the basis of the first root's optimum. The first runs
+as a lone branch and bound does; each later one sets its costs, restarts
+its root by primal simplex from that root basis, which stays primal
+feasible, and hot-starts its nodes as usual. It restarts from the root's
+basis, not the last node's: where a later beta's costs are a positive
+multiple of the first's, its root then stops at once on the first
+root's optimum, and its search repeats the first one exactly.
 """
 
 from __future__ import annotations
@@ -333,6 +343,28 @@ def solve_lp(c, A_eq: CscMatrix, b_eq, highs=None) -> np.ndarray | None:
     return np.array(highs.getSolution().col_value)
 
 
+class LpSweep:
+    """The HiGHS instance that the branch and bounds of one beta sweep
+    share, and the optimal basis of the first one's root."""
+
+    def __init__(self):
+        self.highs = None
+        self.root_basis = None
+
+    def root_lp(self, model: MilpModel):
+        """The instance, holding ``model``'s costs, set to restart its root
+        by primal simplex from the first root's basis; on the first call,
+        a fresh instance of ``model``."""
+        if self.highs is None:
+            self.highs = load_lp(model.obj, model.A_eq, model.b_eq)
+            return self.highs
+        cols = np.arange(model.obj.size, dtype=np.int32)
+        self.highs.changeColsCost(cols.size, cols, -model.obj)
+        self.highs.setBasis(self.root_basis)
+        self.highs.setOptionValue("simplex_strategy", COLD_STRATEGY)
+        return self.highs
+
+
 def _solve_window_lp(model: MilpModel, highs, windows: np.ndarray) -> np.ndarray | None:
     """The LP relaxation with each cell's weights confined to its
     breakpoint window, re-solved on ``highs`` (from ``load_lp``)."""
@@ -356,13 +388,14 @@ def _branch_cell(lam: np.ndarray, br: np.ndarray, U: np.ndarray):
     return (pos, float(cv[pos])) if violation[pos] > 1e-12 else None
 
 
-def branch_and_bound(model: MilpModel):
+def branch_and_bound(model: MilpModel, sweep: LpSweep | None = None):
     """Maximize over SOS2-feasible weight assignments.
 
     Returns (x, objective). Depth-first over breakpoint
     windows; each relaxation's flow doubles as a primal incumbent, and a
     node is closed once its relaxation value is within the MIP gap of the
-    interpolated utility of its own flow.
+    interpolated utility of its own flow. With ``sweep``, the search runs
+    on the sweep's instance (see ``LpSweep``); without it, on a fresh one.
     """
     n_cells = len(model.cells)
     br = model.problem.pwl.breakpoints
@@ -370,7 +403,7 @@ def branch_and_bound(model: MilpModel):
     best_x, best_obj = None, -np.inf
     stack = [np.tile(np.array([0, model.n_bp - 1]), (n_cells, 1))]
     nodes = 0
-    highs = load_lp(model.obj, model.A_eq, model.b_eq)
+    highs = load_lp(model.obj, model.A_eq, model.b_eq) if sweep is None else sweep.root_lp(model)
 
     while stack:
         windows = stack.pop()
@@ -378,6 +411,8 @@ def branch_and_bound(model: MilpModel):
         if nodes > NODE_LIMIT:
             raise PlannerError("branch-and-bound node limit exceeded")
         x = _solve_window_lp(model, highs, windows)
+        if sweep is not None and sweep.root_basis is None:
+            sweep.root_basis = highs.getBasis()
         if x is None:
             continue
         ub = float(model.obj @ x)

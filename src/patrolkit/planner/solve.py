@@ -8,6 +8,12 @@ strategy sits at a vertex of the flow polytope, i.e. a single path), and
 it refuses nonconvex instances, where mixtures can strictly beat every
 pure path.
 
+``improvement_ratio`` solves one problem at every beta of a grid. Its
+branch and bounds share one HiGHS instance (``milp.LpSweep``): the beta
+grid changes only the costs of the same LP, and each root after the first
+restarts from the first root's optimal basis. ``solve`` plans alone, on a
+fresh instance.
+
 Both solvers return an edge flow; one function (``_plan``) turns that
 flow into a ``PatrolPlan``: coverage, routes and both objectives. Edges
 are numbered by tail node, then by head cell, and nodes by time, then by
@@ -22,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph import PlanInfeasibleError, PlannerError, TimeUnrolledGraph
-from .milp import PlanProblem, assemble_milp, branch_and_bound, objective_of_coverage
+from .milp import LpSweep, PlanProblem, assemble_milp, branch_and_bound, objective_of_coverage
 
 PATH_LIMIT = 100000
 
@@ -112,8 +118,13 @@ def solve(problem: PlanProblem, method: str = "bnb") -> PatrolPlan:
         return solve_by_enumeration(problem)
     if method != "bnb":
         raise PlannerError(f"unknown solve method {method!r}")
+    return _solve_bnb(problem)
+
+
+def _solve_bnb(problem: PlanProblem, sweep: LpSweep | None = None) -> PatrolPlan:
+    """Branch and bound, on ``sweep``'s HiGHS instance if one is given."""
     model = assemble_milp(problem)
-    x, _ = branch_and_bound(model)
+    x, _ = branch_and_bound(model, sweep)
     flow = np.clip(model.flow_values(x), 0.0, 1.0)
     flow[flow < 1e-12] = 0.0
     return _plan(problem, flow, "bnb")
@@ -169,20 +180,28 @@ def improvement_ratio(problem: PlanProblem, beta_grid, method: str = "bnb",
     """Robustness sweep: for each beta, U_beta(C_beta) / U_beta(C_0).
 
     The beta = 0 row reuses the baseline plan so its ratio is exactly 1.
-    A zero baseline utility yields None (undefined).
+    A zero baseline utility yields None (undefined). The whole grid is
+    checked before the first solve. Branch and bound (``bnb``) solves
+    every beta on one ``LpSweep``, beta = 0 first.
     """
-    base_plan = solve(replace(problem, beta=0.0), method=method)
+    betas = [float(beta) for beta in beta_grid]
+    if not all(0.0 <= beta <= 1.0 for beta in betas):
+        raise PlannerError("beta grid must lie in [0, 1]")
+    sweep = LpSweep()
+
+    def solve_at(beta):
+        at_beta = replace(problem, beta=beta)
+        return _solve_bnb(at_beta, sweep) if method == "bnb" else solve(at_beta, method=method)
+
+    base_plan = solve_at(0.0)
     table = []
     plans = {}
-    for beta in beta_grid:
-        beta = float(beta)
-        if not 0.0 <= beta <= 1.0:
-            raise PlannerError("beta grid must lie in [0, 1]")
+    for beta in betas:
         if beta == 0.0:
             plans[beta] = base_plan
             table.append((beta, 1.0))
             continue
-        plan_b = solve(replace(problem, beta=beta), method=method)
+        plan_b = solve_at(beta)
         plans[beta] = plan_b
         denom = objective_of_coverage(problem.pwl, problem.graph.grid, base_plan.coverage, beta)
         table.append((beta, plan_b.objective / denom if denom != 0.0 else None))

@@ -434,6 +434,34 @@ class TestMalformedInputs:
         assert "malformed field" in err and field in err
         assert not (workdir / "r" / "riskmap.csv").exists()
 
+    @pytest.mark.parametrize("learner, field", [
+        ("trees", "threshold"),
+        ("trees", "feature"),
+        ("trees", "left"),
+        ("trees", "draw_gram"),
+        ("gp", "X"),
+    ])
+    def test_model_with_a_bool_among_numbers(self, workdir, capsys, learner, field):
+        # before, numpy gave a list that mixes a bool and numbers a numeric
+        # dtype, the true was read as 1, and riskmap exited 0
+        args = [*SMALL, f"--ensemble.learner={learner}", "--output_dir=r"]
+        assert run(["simulate", *args]) == 0
+        assert run(["train", *args]) == 0
+        path = workdir / "r" / "model.json"
+        doc = json.loads(path.read_text())
+        learner0 = doc["learners"][0]
+        blob = learner0 if field in learner0 else learner0["trees"]
+        if learner == "trees":
+            assert learner0["trees"]["feature"][0] >= 0  # the first entry is an inner node
+        values = blob[field]
+        (values[0] if isinstance(values[0], list) else values)[0] = True
+        path.write_text(json.dumps(doc) + "\n")
+        capsys.readouterr()
+        assert run(["riskmap", *args]) == 2
+        err = capsys.readouterr().err
+        assert "malformed field" in err and field in err
+        assert not (workdir / "r" / "riskmap.csv").exists()
+
     def test_model_with_self_looping_tree(self, workdir, capsys):
         # before, riskmap never finished: the root's walk stayed at the root
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0

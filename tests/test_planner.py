@@ -21,7 +21,7 @@ from patrolkit.planner import (
 )
 from patrolkit.planner.milp import CscMatrix
 from patrolkit.planner.solve import decompose_flow
-from patrolkit.riskmap import PwlRiskModel
+from patrolkit.riskmap import PwlRiskModel, interp_rows
 
 from conftest import flat_grid
 
@@ -520,6 +520,50 @@ class TestImprovementRatio:
                 assert ratio is None or ratio >= 1.0 - 1e-6
                 # robustness can never improve the nominal objective
                 assert plans[beta].objective_nominal <= base_plan.objective_nominal + 1e-6
+
+    @pytest.fixture
+    def lp_loads(self, monkeypatch):
+        """The count of HiGHS instances the planner loads."""
+        from patrolkit.planner import milp as milp_module
+
+        calls = []
+        load_lp = milp_module.load_lp
+        monkeypatch.setattr(milp_module, "load_lp", lambda *a: calls.append(1) or load_lp(*a))
+        return calls
+
+    def test_bad_grid_raises_before_any_solve(self, lp_loads):
+        # before, beta = 0 and beta = 0.5 were solved before 1.5 was reached
+        for grid in ([0.5, 1.5], [0.0, -0.25], [float("nan")]):
+            with pytest.raises(PlannerError, match="beta grid"):
+                improvement_ratio(line_problem(), grid)
+        assert lp_loads == []
+
+    def test_sweep_loads_one_lp(self, lp_loads):
+        table = improvement_ratio(random_nonconvex_problem(0), [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert len(table) == 5
+        assert len(lp_loads) == 1
+
+    def test_sweep_beta_zero_plan_equals_a_lone_solve(self):
+        for seed in range(6):
+            p = random_nonconvex_problem(seed)
+            _, base_plan, plans = improvement_ratio(p, [0.0, 0.5, 1.0], return_plans=True)
+            alone = solve(replace(p, beta=0.0)).to_dict()
+            assert base_plan.to_dict() == alone and plans[0.0].to_dict() == alone
+
+    def test_sweep_matches_scipy_on_nonconvex(self, tmp_path):
+        # each beta after the first restarts from the first root's basis;
+        # its plan must still be optimal for its own beta
+        betas = [0.0, 0.25, 0.5, 0.75, 1.0]
+        for seed in range(12):
+            p = random_nonconvex_problem(seed)
+            _, _, plans = improvement_ratio(p, betas, return_plans=True)
+            for beta in betas:
+                ref, model = scipy_milp_objective(replace(p, beta=beta), tmp_path)
+                # the LP objective leaves out the cells outside the graph
+                cells = model.cells
+                got = interp_rows(plans[beta].coverage[cells], p.pwl.breakpoints,
+                                  model.util[cells]).sum()
+                assert abs(got - ref) <= 1e-6, (seed, beta)
 
     def test_zero_baseline_gives_none(self):
         grid = flat_grid(2, 1)
