@@ -26,8 +26,12 @@ GP.
   which vanishes at training points and reverts to the signal variance far
   from data.
 
-Only the GP uses scipy, and each GP function imports the part it calls
-when it runs, so a process that loads trees alone never loads scipy.
+Only the GP uses scipy. Its triangular solves run on LAPACK's routines
+from scipy's compiled ``scipy.linalg._flapack``, loaded alone from its
+file when the first one runs (``scipyext.load_extension``), so that a GP
+process that only predicts loads no ``scipy.linalg``, and a process that
+loads trees alone loads no scipy. Training also takes ``scipy.spatial``
+for the median-heuristic lengthscale.
 
 Each learner's settings and their defaults are the keyword arguments of
 its training function (``train_bagged``, ``train_gp``) and are written
@@ -41,6 +45,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .scipyext import load_extension
 
 
 class LearnerError(ValueError):
@@ -511,6 +517,30 @@ def _rbf(sqdist: np.ndarray, lengthscale: float, signal_var: float) -> np.ndarra
     return signal_var * np.exp(-0.5 * sqdist / lengthscale**2)
 
 
+def _lapack():
+    """scipy's LAPACK binding, ``scipy.linalg._flapack``, loaded alone."""
+    return load_extension("linalg._flapack")
+
+
+def _solve_lower(L: np.ndarray, B: np.ndarray, transposed: bool = False) -> np.ndarray:
+    """x with L x = B, or L.T x = B where ``transposed``, for a lower
+    triangular, C-ordered L such as ``np.linalg.cholesky`` returns.
+
+    It is ``scipy.linalg.solve_triangular`` bit for bit, with its checks:
+    that function hands LAPACK's dtrtrs the Fortran-ordered view L.T, as
+    an upper triangle, and so does this. A non-finite operand raises
+    ValueError, a zero on the diagonal LinAlgError.
+    """
+    if not (np.isfinite(L).all() and np.isfinite(B).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = _lapack().dtrtrs(L.T, B, lower=0, trans=0 if transposed else 1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
 def _sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     d = (A**2).sum(axis=1)[:, None] + (B**2).sum(axis=1)[None, :] - 2.0 * A @ B.T
     return np.maximum(d, 0.0)
@@ -551,15 +581,13 @@ class GpClassifier:
         noise-free GP posterior variance at the query given the training
         inputs: zero (up to jitter) at training points, signal_var far away.
         """
-        from scipy.linalg import solve_triangular
-
         Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
         ks = self.kernel(self.X, Xq)                      # (n, q)
         mean = ks.T @ self._alpha
-        v = solve_triangular(self._L_b, self._sqrt_w[:, None] * ks, lower=True)
+        v = _solve_lower(self._L_b, self._sqrt_w[:, None] * ks)
         var_lap = np.maximum(self.signal_var - (v**2).sum(axis=0), 0.0)
         prob = _sigmoid_stable(mean / np.sqrt(1.0 + np.pi * var_lap / 8.0))
-        u = solve_triangular(self._L_k, ks, lower=True)
+        u = _solve_lower(self._L_k, ks)
         var_latent = np.maximum(self.signal_var - (u**2).sum(axis=0), 0.0)
         return prob, var_latent
 
@@ -573,10 +601,8 @@ class GpClassifier:
         is the probit approximation ``predict_proba`` uses. Rows the cap
         dropped did not enter the fit, so their plain prediction is held
         out."""
-        from scipy.linalg import solve_triangular
-
         K = self.kernel(self.X, self.X) + self.jitter * np.eye(self.X.shape[0])
-        C = solve_triangular(self._L_b, self._sqrt_w[:, None] * K, lower=True)
+        C = _solve_lower(self._L_b, self._sqrt_w[:, None] * K)
         s = np.diag(K) - (C**2).sum(axis=0)
         w = self._sqrt_w**2
         tau = 1.0 / s - w
@@ -604,6 +630,12 @@ class GpClassifier:
             signal_var=float_field(d["signal_var"], "signal_var"),
             jitter=float_field(d["jitter"], "jitter"),
         )
+        _check_hyperparameters(model.lengthscale, model.signal_var, model.jitter)
+        n = model.y_sign.size
+        if model.y_sign.ndim != 1 or not np.all(np.abs(model.y_sign) == 1.0):
+            raise LearnerError("y_sign must be a list of -1 and +1")
+        if model.X.ndim != 2 or model.X.shape[0] != n:
+            raise LearnerError(f"X must be a matrix of {n} rows, one per y_sign entry")
         f_mode = float_array_field(d.get("f_mode"), "f_mode")
         if f_mode.shape != model.y_sign.shape or not np.all(np.isfinite(f_mode)):
             raise LearnerError(f"f_mode must be a finite vector of length {model.y_sign.size}")
@@ -631,8 +663,6 @@ def _newton_mode(K: np.ndarray, y: np.ndarray):
 
     Raises on Cholesky failure; the caller escalates jitter.
     """
-    from scipy.linalg import solve_triangular
-
     n = K.shape[0]
     t = (y + 1.0) / 2.0
     f = np.zeros(n)
@@ -645,7 +675,7 @@ def _newton_mode(K: np.ndarray, y: np.ndarray):
         L = np.linalg.cholesky(B)
         b = w * f + (t - pi)
         rhs = sw * (K @ b)
-        a = b - sw * solve_triangular(L.T, solve_triangular(L, rhs, lower=True), lower=False)
+        a = b - sw * _solve_lower(L, _solve_lower(L, rhs), transposed=True)
         f_new = K @ a
         delta = float(np.max(np.abs(f_new - f)))
         f = f_new
@@ -696,6 +726,16 @@ def _stratified_cap(labels: np.ndarray, max_points: int, rng: np.random.Generato
     return np.sort(np.concatenate([pos, take_neg]))
 
 
+def _check_hyperparameters(lengthscale: float | None, signal_var: float, jitter: float) -> None:
+    """Raise unless lengthscale (None: the median heuristic) and signal_var
+    are finite and > 0 and jitter is finite and >= 0."""
+    for name, value in (("lengthscale", lengthscale), ("signal_var", signal_var)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise LearnerError(f"{name} must be finite and > 0, got {value}")
+    if not (math.isfinite(jitter) and jitter >= 0):
+        raise LearnerError(f"jitter must be finite and >= 0, got {jitter}")
+
+
 def train_gp(
     data: TrainMatrix,
     lengthscale: float | None = None,
@@ -711,12 +751,7 @@ def train_gp(
     100 iterations. On Cholesky failure the jitter is escalated tenfold up
     to 1e-2 before giving up.
     """
-    if lengthscale is not None and not lengthscale > 0:
-        raise LearnerError(f"lengthscale must be > 0, got {lengthscale}")
-    if not (math.isfinite(signal_var) and signal_var > 0):
-        raise LearnerError(f"signal_var must be finite and > 0, got {signal_var}")
-    if not (math.isfinite(jitter) and jitter >= 0):
-        raise LearnerError(f"jitter must be finite and >= 0, got {jitter}")
+    _check_hyperparameters(lengthscale, signal_var, jitter)
     rng = ensure_rng(rng)
     keep = _stratified_cap(data.labels, max_points, rng)
     if keep.size < 2:
@@ -748,8 +783,6 @@ def gp_lml_and_gradient(model: GpClassifier, lengthscale=None, signal_var=None):
     dlml/dsignal_var); the gradient accounts for the dependence of the
     mode on the hyperparameters.
     """
-    from scipy.linalg import cho_solve, solve_triangular
-
     ell = model.lengthscale if lengthscale is None else float(lengthscale)
     sv = model.signal_var if signal_var is None else float(signal_var)
     X, y = model.X, model.y_sign
@@ -760,9 +793,10 @@ def gp_lml_and_gradient(model: GpClassifier, lengthscale=None, signal_var=None):
     f = _newton_mode(K, y)
     pi, sw, L, alpha, lml = _mode_state(K, y, f)
 
-    # R = sqrt(W) B^-1 sqrt(W); posterior covariance diag via C = L \ (sW K)
-    R = sw[:, None] * cho_solve((L, True), np.diag(sw))
-    C = solve_triangular(L, sw[:, None] * K, lower=True)
+    # R = sqrt(W) B^-1 sqrt(W); posterior covariance diag via C = L \ (sW K).
+    # C's solve checks that L and sw are finite, as cho_solve did.
+    C = _solve_lower(L, sw[:, None] * K)
+    R = sw[:, None] * _lapack().dpotrs(L, np.diag(sw), lower=1)[0]
     post_diag = np.diag(K) - (C**2).sum(axis=0)
     dw_df = pi * (1.0 - pi) * (1.0 - 2.0 * pi)   # dW/df
     s2 = -0.5 * post_diag * dw_df                # dZ/df at the mode

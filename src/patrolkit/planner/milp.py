@@ -21,8 +21,9 @@ relaxation's flow is itself a feasible plan, which supplies incumbents.
 
 The relaxation, max c.x s.t. A_eq x = b_eq, x >= 0, is the only LP the
 planner solves. Each branch and bound loads it into one HiGHS instance:
-scipy's bundled extension, loaded from its file without the rest of scipy
-(see ``_load_highs_core``), given the ``CscMatrix`` arrays as they are.
+scipy's bundled extension ``scipy.optimize._highspy._core`` (private:
+tests check its names), loaded from its file without the rest of scipy
+by ``scipyext.load_extension``, given the ``CscMatrix`` arrays as they are.
 The root is solved cold by primal simplex. A node only sets the upper
 bounds of the weights outside its windows to zero, which keeps the
 previous node's basis valid, so every later node is hot-started by dual
@@ -44,48 +45,17 @@ root's optimum, and its search repeats the first one exactly.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..riskmap import PwlRiskModel, interp_rows
+from ..scipyext import load_extension
 from .graph import PlanInfeasibleError, PlannerError, TimeUnrolledGraph
 
-
-def _load_highs_core():
-    """scipy's HiGHS binding, ``scipy.optimize._highspy._core`` (private:
-    tests check its names), without the rest of ``scipy.optimize``.
-
-    Importing it by name first runs ``scipy.optimize``, which loads
-    ``scipy.sparse`` and much else in about 0.5 s; this reads the extension
-    from its file instead. It is registered under its own name, so that a
-    later ``import scipy.optimize`` reuses it: a pybind11 module must not be
-    loaded twice. Where the file is not found, it falls back to the import.
-    """
-    name = "scipy.optimize._highspy._core"
-    if name in sys.modules:
-        return sys.modules[name]
-    scipy_spec = importlib.util.find_spec("scipy")  # finds scipy without running it
-    dirs = [] if scipy_spec is None else scipy_spec.submodule_search_locations or []
-    files = [Path(d, "optimize", "_highspy", "_core" + suffix)
-             for d in dirs for suffix in importlib.machinery.EXTENSION_SUFFIXES]
-    path = next((f for f in files if f.is_file()), None)
-    if path is None:
-        from scipy.optimize._highspy import _core
-        return _core
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 # loaded here, not at the first solve, so that no timed solve pays for it
-highs_core = _load_highs_core()
+highs_core = load_extension("optimize._highspy._core")
 
 _MODEL_STATUS = highs_core.HighsModelStatus
 # a cold solve of the flow system is much faster by primal simplex; after

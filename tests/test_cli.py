@@ -462,6 +462,42 @@ class TestMalformedInputs:
         assert "malformed field" in err and field in err
         assert not (workdir / "r" / "riskmap.csv").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("y_sign", 0.5),
+        ("y_sign", 3),
+        ("lengthscale", "negated"),
+        ("lengthscale", 0.0),
+        ("signal_var", -1.0),
+        ("jitter", float("nan")),
+        ("jitter", -1e-3),
+        ("X", "one row short"),
+    ])
+    def test_gp_model_with_unusable_field(self, workdir, capsys, field, value):
+        # before, a y_sign of 0.5 or 3 and a negated lengthscale gave exit 0;
+        # a lengthscale of 0 and a NaN jitter exited 2 only through the
+        # triangular solve's finiteness check, a negative signal_var or
+        # jitter through a Cholesky failure
+        args = [*SMALL, "--ensemble.learner=gp", "--output_dir=r"]
+        assert run(["simulate", *args]) == 0
+        assert run(["train", *args]) == 0
+        path = workdir / "r" / "model.json"
+        doc = json.loads(path.read_text())
+        gp = doc["learners"][0]
+        if field == "y_sign":
+            gp["y_sign"][0] = value
+        elif value == "negated":
+            gp["lengthscale"] = -gp["lengthscale"]
+        elif value == "one row short":
+            gp["X"] = gp["X"][:-1]
+        else:
+            gp[field] = value
+        path.write_text(json.dumps(doc) + "\n")
+        capsys.readouterr()
+        assert run(["riskmap", *args]) == 2
+        err = capsys.readouterr().err
+        assert "malformed field" in err and field in err
+        assert not (workdir / "r" / "riskmap.csv").exists()
+
     def test_model_with_self_looping_tree(self, workdir, capsys):
         # before, riskmap never finished: the root's walk stayed at the root
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
@@ -619,12 +655,61 @@ def test_tree_commands_load_no_scipy(workdir):
         assert highs_only(loaded), (extra, sorted(loaded))
 
 
-def test_gp_riskmap_loads_linalg_not_optimize(workdir):
+LAPACK = "scipy.linalg._flapack"
+
+
+def test_gp_commands_load_lapack_and_highs_alone(workdir):
+    # a GP's triangular solves run on LAPACK's extension, loaded from its
+    # file: before, prediction imported all of scipy.linalg
     gp = [*SMALL, "--ensemble.learner=gp", "--output_dir=r"]
     assert run(["simulate", *gp]) == 0
     assert run(["train", *gp]) == 0
-    loaded = scipy_loaded(command_code("riskmap", *gp))
-    assert "scipy.linalg" in loaded and "scipy.optimize" not in loaded
+    for command in ("riskmap", "evaluate"):
+        assert scipy_loaded(command_code(command, *gp)) == {LAPACK}, command
+    for extra in ([], ["--beta-sweep"]):
+        loaded = scipy_loaded(command_code("plan", *gp, *extra))
+        assert LAPACK in loaded and highs_only(loaded - {LAPACK}), (extra, sorted(loaded))
+
+
+def test_scipy_linalg_reuses_the_gps_lapack():
+    # the later import of scipy.linalg finds the GP's module under its own name
+    code = """
+import sys
+import numpy as np
+from patrolkit import learners
+L = np.linalg.cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
+b = np.array([1.0, 2.0])
+x = learners._solve_lower(L, b)
+assert "scipy.linalg._flapack" in sys.modules and "scipy.linalg" not in sys.modules
+import scipy.linalg
+assert sys.modules["scipy.linalg._flapack"] is learners._lapack()
+assert scipy.linalg.lapack.dtrtrs is learners._lapack().dtrtrs
+assert np.array_equal(scipy.linalg.solve_triangular(L, b, lower=True), x)
+"""
+    assert "scipy.linalg" in scipy_loaded(code)
+
+
+def test_gp_falls_back_to_importing_lapack(tmp_path):
+    # where the extension's file is not found, LAPACK's binding comes from a
+    # plain import, with the rest of scipy.linalg
+    code = f"""
+import importlib.machinery, importlib.util
+import numpy as np
+find_spec = importlib.util.find_spec
+def scipy_elsewhere(name, package=None):
+    if name != "scipy":
+        return find_spec(name, package)
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [{str(tmp_path)!r}]
+    return spec
+importlib.util.find_spec = scipy_elsewhere
+from patrolkit.learners import TrainMatrix, train_gp
+X = np.array([[0.0], [1.0], [2.0], [3.0]])
+data = TrainMatrix(rows=X, labels=np.array([False, False, True, True]), row_ids=np.arange(4))
+prob, var = train_gp(data, lengthscale=1.0, rng=0).predict_proba(np.array([[0.0], [3.0]]))
+assert prob[0] < 0.5 < prob[1] and np.all(var > 0), (prob, var)
+"""
+    assert "scipy.linalg" in scipy_loaded(code)
 
 
 class TestDeterminism:

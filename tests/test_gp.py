@@ -4,6 +4,7 @@ import pytest
 from patrolkit.learners import (
     LearnerError,
     TrainMatrix,
+    _solve_lower,
     deserialize_learner,
     gp_lml_and_gradient,
     train_gp,
@@ -138,7 +139,7 @@ class TestTraining:
             train_gp(matrix([[0.0]], [1]), rng=0)
 
     def test_rejects_nonpositive_lengthscale(self):
-        for ell in (0.0, -1.0):
+        for ell in (0.0, -1.0, float("inf"), float("nan")):
             with pytest.raises(LearnerError, match="lengthscale"):
                 train_gp(matrix([[0.0], [1.0]], [0, 1]), lengthscale=ell, rng=0)
 
@@ -194,3 +195,72 @@ class TestTraining:
         for bad in (doc["f_mode"][:-1], doc["f_mode"][:-1] + [float("nan")], None):
             with pytest.raises(LearnerError, match="f_mode"):
                 deserialize_learner({**doc, "f_mode": bad})
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("y_sign", [0.5]), ("y_sign", [3]), ("y_sign", "a column"),
+        ("X", "one row short"), ("X", "flattened"),
+        ("lengthscale", -1.0), ("lengthscale", 0.0), ("lengthscale", float("inf")),
+        ("signal_var", -1.0), ("signal_var", float("nan")),
+        ("jitter", -1e-3), ("jitter", float("nan")),
+    ])
+    def test_load_rejects_unusable_field(self, field, value):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(6, 2))
+        doc = train_gp(matrix(X, X[:, 0] > 0), rng=0).to_dict()
+        if value == "a column":
+            bad = [[v] for v in doc["y_sign"]]
+        elif field == "y_sign":
+            bad = value + doc["y_sign"][1:]
+        elif value == "one row short":
+            bad = doc["X"][:-1]
+        elif value == "flattened":
+            bad = sum(doc["X"], [])
+        else:
+            bad = value
+        with pytest.raises(LearnerError, match=field):
+            deserialize_learner({**doc, field: bad})
+
+
+def lower_factor(n, seed):
+    A = np.random.default_rng(seed).normal(size=(n, n))
+    return np.linalg.cholesky(A @ A.T + n * np.eye(n))
+
+
+class TestTriangularSolve:
+    """``_solve_lower`` is LAPACK's dtrtrs on L.T, the call that
+    ``scipy.linalg.solve_triangular`` makes for a C-ordered L, with that
+    function's checks."""
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("rhs_shape", [(30,), (30, 7), (30, 1)])
+    def test_equals_lapack_dtrtrs(self, transposed, rhs_shape):
+        from scipy.linalg.lapack import dtrtrs
+
+        L = lower_factor(30, 1)
+        B = np.random.default_rng(2).normal(size=rhs_shape)
+        x = _solve_lower(L, B, transposed=transposed)
+        ref, info = dtrtrs(L.T, B, lower=0, trans=0 if transposed else 1)
+        assert info == 0
+        assert x.shape == B.shape
+        np.testing.assert_array_equal(x, ref)
+        residual = (L.T if transposed else L) @ x - B
+        assert np.abs(residual).max() < 1e-12
+
+    @pytest.mark.parametrize("operand, value", [
+        ("L", float("nan")), ("L", float("inf")), ("B", float("nan")), ("B", -float("inf")),
+    ])
+    def test_rejects_non_finite_operand(self, operand, value):
+        L = lower_factor(5, 3)
+        B = np.ones((5, 2))
+        (L if operand == "L" else B)[2, 1] = value
+        for transposed in (False, True):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                _solve_lower(L, B, transposed=transposed)
+
+    def test_rejects_zero_on_the_diagonal(self):
+        L = lower_factor(5, 4)
+        L[3, 3] = 0.0
+        for transposed in (False, True):
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                _solve_lower(L, np.ones(5), transposed=transposed)
