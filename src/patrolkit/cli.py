@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import io, synth
-from .config import DEFAULTS, ConfigError, load_config
+from .config import ConfigError, load_config
 from .grid import assemble_dataset, reconstruct_effort, build_labels
 from .iware import LEARNER_OPTIONS, IWareEnsemble, IwareError, train_iware
 from .metrics import FieldTestTable, ScoredSet, auc, chi_squared_field_test, ll_score, obs_per_cell, pr_metrics
@@ -97,18 +98,14 @@ def _split_holdout(ds, holdout: int):
 
 
 def _ensemble_options(cfg) -> dict:
-    """The chosen learner's settings from the ensemble section: each config
-    key named like one of its options (GP keys with a ``gp_`` prefix), as
-    an int where the config default is one and as a float otherwise."""
+    """The chosen learner's settings that the ensemble section sets: each
+    key named like one of its options (GP keys with a ``gp_`` prefix) whose
+    value is not null, passed on as given. The learner defaults and checks
+    the rest."""
     ens = cfg["ensemble"]
     prefix = "gp_" if ens["learner"] == "gp" else ""
-    opts = {}
-    for name in LEARNER_OPTIONS.get(ens["learner"], ()):
-        key = prefix + name
-        if key in ens:
-            number = int if isinstance(DEFAULTS["ensemble"][key], int) else float
-            opts[name] = None if ens[key] is None else number(ens[key])
-    return opts
+    return {name: ens[prefix + name] for name in LEARNER_OPTIONS.get(ens["learner"], ())
+            if ens.get(prefix + name) is not None}
 
 
 def _holdout_metrics(ens, ds, test_windows, threshold: float) -> dict:
@@ -168,10 +165,11 @@ def cmd_evaluate(cfg) -> int:
 
 def _nominal_effort(cfg, ds) -> float:
     nominal = float(cfg["riskmap"]["nominal_effort"])
+    if not (math.isfinite(nominal) and nominal >= 0):
+        raise ConfigError(f"riskmap.nominal_effort must be finite and >= 0, got {nominal}")
     if nominal > 0:
         return nominal
-    eff = ds.effort[:, ds.grid.masked_ids()].ravel()
-    eff = eff[eff > 0]
+    eff = ds.positive_efforts()
     return float(np.median(eff)) if eff.size else 1.0
 
 

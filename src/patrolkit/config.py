@@ -41,14 +41,15 @@ DEFAULTS: dict = {
         "num_thresholds": 10,
         "learner": "trees",
         "folds": 5,             # ignored: kept only for the benchmark's pin
-        "num_trees": 25,
-        "max_depth": 10,
-        "min_leaf": 1,
-        "undersample_ratio": 1.0,
-        "gp_max_points": 400,
-        "gp_lengthscale": None,  # null -> median heuristic
-        "gp_signal_var": 1.0,
-        "gp_jitter": 1e-6,
+        # learner settings: null -> the learner's own default
+        "num_trees": None,
+        "max_depth": None,
+        "min_leaf": None,
+        "undersample_ratio": None,
+        "gp_max_points": None,
+        "gp_lengthscale": None,
+        "gp_signal_var": None,
+        "gp_jitter": None,
     },
     "metrics": {
         "threshold": 0.5,

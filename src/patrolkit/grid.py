@@ -186,6 +186,11 @@ class PatrolDataset:
     def num_timesteps(self) -> int:
         return self.effort.shape[0]
 
+    def positive_efforts(self) -> np.ndarray:
+        """Every strictly positive effort of a park cell, over all windows."""
+        eff = self.effort[:, self.grid.masked_ids()].ravel()
+        return eff[eff > 0]
+
 
 def _window_index(windows: list[tuple[float, float]], t: float) -> int:
     for i, (a, b) in enumerate(windows):

@@ -101,8 +101,7 @@ def select_thresholds(ds: PatrolDataset, I: int) -> ThresholdSet:
     quantiles are collapsed (reducing I) with a warning."""
     if I < 1:
         raise IwareError("I must be >= 1")
-    _, _, eff, _ = _dataset_rows(ds)
-    pos_eff = eff[eff > 0]
+    pos_eff = ds.positive_efforts()
     if pos_eff.size == 0:
         raise IwareError("dataset has no positive-effort rows")
     levels = [(i - 1) / I for i in range(1, I + 1)]

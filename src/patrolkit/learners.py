@@ -36,7 +36,8 @@ for the median-heuristic lengthscale.
 Each learner's settings and their defaults are the keyword arguments of
 its training function (``train_bagged``, ``train_gp``) and are written
 nowhere else: the ensemble and the command line pass settings through
-and leave unset ones to these defaults.
+and leave unset ones to these defaults. The training functions check
+them too.
 """
 
 from __future__ import annotations
@@ -53,17 +54,18 @@ class LearnerError(ValueError):
     """Invalid training data or configuration."""
 
 
-# A loaded field must hold JSON numbers, integral ones (3 or 3.0) where an
-# integer belongs: a bool, a string or a misplaced fraction is an error,
-# not taken as 0 or 1, parsed or truncated.
+# A loaded field or a setting must hold numbers, integral ones (3, 3.0 or a
+# numpy integer) where an integer belongs: a bool, a string or a misplaced
+# fraction is an error, not taken as 0 or 1, parsed or truncated.
 
-def int_field(value, what: str) -> int:
-    """One loaded integer."""
-    if type(value) is int:
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise LearnerError(f"{what} must be an integer, got {value!r}")
+def int_field(value, what: str, least: int | None = None) -> int:
+    """One loaded integer, or an integer setting, at least ``least`` if given."""
+    if not (type(value) is int or isinstance(value, np.integer)
+            or isinstance(value, float) and value.is_integer()):
+        raise LearnerError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise LearnerError(f"{what} must be >= {least}, got {value!r}")
+    return int(value)
 
 
 def _holds_bool(values: list) -> bool:
@@ -259,7 +261,7 @@ def _best_splits(columns, rows, sizes, feats, min_leaf):
     # entry k splits off the first left_n entries of its segment
     left_n = np.arange(1, end[-1] + 1) - start[seg]
     right_n = seg_n[seg] - left_n
-    valid = (left_n >= min_leaf) & (right_n >= max(min_leaf, 1))
+    valid = (left_n >= min_leaf) & (right_n >= min_leaf)
     valid[:-1] &= xs[:-1] < xs[1:]
     k = np.flatnonzero(valid)
     if k.size == 0:
@@ -296,6 +298,8 @@ def _grow_trees(X, y, samples, rngs, max_depth, min_leaf, feature_subsample):
     call then splits the nodes all trees reached. Returns one ``TreeTable``:
     the roots first, then each split's two children as it is made.
     """
+    max_depth = int_field(max_depth, "max_depth", 1)
+    min_leaf = int_field(min_leaf, "min_leaf", 1)
     if min(len(s) for s in samples) < min_leaf:
         raise LearnerError(f"need at least min_leaf={min_leaf} rows")
     rows = np.concatenate(samples)
@@ -456,8 +460,7 @@ def train_bagged(
     1:1 data however extreme the original imbalance.
     """
     rng = ensure_rng(rng)
-    if num_trees < 1:
-        raise LearnerError("num_trees must be >= 1")
+    num_trees = int_field(num_trees, "num_trees", 1)
     if not (math.isfinite(undersample_ratio) and undersample_ratio > 0):
         raise LearnerError(f"undersample_ratio must be finite and > 0, got {undersample_ratio}")
     pos = np.flatnonzero(data.labels)
@@ -715,14 +718,14 @@ def median_heuristic_lengthscale(X: np.ndarray) -> float:
 
 
 def _stratified_cap(labels: np.ndarray, max_points: int, rng: np.random.Generator) -> np.ndarray:
-    """Indices capped at max_points, keeping every positive row."""
+    """Indices capped at max_points, keeping every positive row: more than
+    max_points where the positives alone exceed it."""
     n = labels.shape[0]
     if n <= max_points:
         return np.arange(n)
     pos = np.flatnonzero(labels)
-    neg = np.flatnonzero(~labels)
-    room = max(max_points - pos.size, 0)
-    take_neg = np.sort(rng.choice(neg, size=min(room, neg.size), replace=False)) if room else np.empty(0, int)
+    take_neg = rng.choice(np.flatnonzero(~labels), size=max(max_points - pos.size, 0),
+                          replace=False)
     return np.sort(np.concatenate([pos, take_neg]))
 
 
@@ -744,7 +747,9 @@ def train_gp(
     max_points: int = 400,
     rng=None,
 ) -> GpClassifier:
-    """Fit the Laplace GP on (at most) max_points stratified rows.
+    """Fit the Laplace GP on at most max_points rows: every positive row,
+    and a uniform draw of the negatives that fills the rest. The kept rows
+    must hold both classes, so max_points must exceed the positive count.
 
     ``lengthscale`` None takes the median pairwise distance of the kept
     rows. Newton iterations run until the mode moves by less than 1e-6 or
@@ -752,10 +757,14 @@ def train_gp(
     to 1e-2 before giving up.
     """
     _check_hyperparameters(lengthscale, signal_var, jitter)
+    max_points = int_field(max_points, "max_points", 2)
     rng = ensure_rng(rng)
     keep = _stratified_cap(data.labels, max_points, rng)
-    if keep.size < 2:
-        raise LearnerError("GP needs at least two rows after subsampling")
+    pos = int(data.labels[keep].sum())
+    if pos in (0, keep.size):
+        raise LearnerError(f"the GP needs positive and negative rows, but {pos} of the "
+                           f"{keep.size} rows it keeps are positive: max_points={max_points} "
+                           "keeps every positive row and fills the rest with negatives")
     X = data.rows[keep]
     y = np.where(data.labels[keep], 1.0, -1.0)
     ell = lengthscale if lengthscale is not None else median_heuristic_lengthscale(X)

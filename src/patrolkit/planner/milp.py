@@ -34,13 +34,13 @@ which repeats exactly because HiGHS is deterministic.
 
 A beta sweep changes only the costs: every beta has the same flow
 polytope. The branch and bounds of one sweep share an ``LpSweep``, one
-HiGHS instance and the basis of the first root's optimum. The first runs
-as a lone branch and bound does; each later one sets its costs, restarts
-its root by primal simplex from that root basis, which stays primal
-feasible, and hot-starts its nodes as usual. It restarts from the root's
-basis, not the last node's: where a later beta's costs are a positive
-multiple of the first's, its root then stops at once on the first
-root's optimum, and its search repeats the first one exactly.
+HiGHS instance and the basis of the first root's optimum; a lone branch
+and bound is the first of a sweep of its own. Each later one sets its
+costs, restarts its root by primal simplex from that root basis, which
+stays primal feasible, and hot-starts its nodes as usual. It restarts
+from the root's basis, not the last node's: where a later beta's costs
+are a positive multiple of the first's, its root then stops at once on
+the first root's optimum, and its search repeats the first one exactly.
 """
 
 from __future__ import annotations
@@ -364,16 +364,18 @@ def branch_and_bound(model: MilpModel, sweep: LpSweep | None = None):
     Returns (x, objective). Depth-first over breakpoint
     windows; each relaxation's flow doubles as a primal incumbent, and a
     node is closed once its relaxation value is within the MIP gap of the
-    interpolated utility of its own flow. With ``sweep``, the search runs
-    on the sweep's instance (see ``LpSweep``); without it, on a fresh one.
+    interpolated utility of its own flow. The search runs on ``sweep``'s
+    instance (see ``LpSweep``); a lone search is the first of a new sweep.
     """
+    if sweep is None:
+        sweep = LpSweep()
     n_cells = len(model.cells)
     br = model.problem.pwl.breakpoints
     U = model.util[model.cells]
     best_x, best_obj = None, -np.inf
     stack = [np.tile(np.array([0, model.n_bp - 1]), (n_cells, 1))]
     nodes = 0
-    highs = load_lp(model.obj, model.A_eq, model.b_eq) if sweep is None else sweep.root_lp(model)
+    highs = sweep.root_lp(model)
 
     while stack:
         windows = stack.pop()
@@ -381,7 +383,7 @@ def branch_and_bound(model: MilpModel, sweep: LpSweep | None = None):
         if nodes > NODE_LIMIT:
             raise PlannerError("branch-and-bound node limit exceeded")
         x = _solve_window_lp(model, highs, windows)
-        if sweep is not None and sweep.root_basis is None:
+        if sweep.root_basis is None:
             sweep.root_basis = highs.getBasis()
         if x is None:
             continue

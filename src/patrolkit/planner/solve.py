@@ -11,8 +11,8 @@ pure path.
 ``improvement_ratio`` solves one problem at every beta of a grid. Its
 branch and bounds share one HiGHS instance (``milp.LpSweep``): the beta
 grid changes only the costs of the same LP, and each root after the first
-restarts from the first root's optimal basis. ``solve`` plans alone, on a
-fresh instance.
+restarts from the first root's optimal basis. ``solve`` plans alone, as
+the first beta of a sweep of its own.
 
 Both solvers return an edge flow; one function (``_plan``) turns that
 flow into a ``PatrolPlan``: coverage, routes and both objectives. Edges
@@ -180,13 +180,13 @@ def improvement_ratio(problem: PlanProblem, beta_grid, method: str = "bnb",
     """Robustness sweep: for each beta, U_beta(C_beta) / U_beta(C_0).
 
     The beta = 0 row reuses the baseline plan so its ratio is exactly 1.
-    A zero baseline utility yields None (undefined). The whole grid is
-    checked before the first solve. Branch and bound (``bnb``) solves
-    every beta on one ``LpSweep``, beta = 0 first.
+    A zero baseline utility yields None (undefined). The whole grid, which
+    must not be empty, is checked before the first solve. Branch and bound
+    (``bnb``) solves every beta on one ``LpSweep``, beta = 0 first.
     """
     betas = [float(beta) for beta in beta_grid]
-    if not all(0.0 <= beta <= 1.0 for beta in betas):
-        raise PlannerError("beta grid must lie in [0, 1]")
+    if not betas or not all(0.0 <= beta <= 1.0 for beta in betas):
+        raise PlannerError("beta grid must be nonempty and lie in [0, 1]")
     sweep = LpSweep()
 
     def solve_at(beta):

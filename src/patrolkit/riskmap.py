@@ -35,8 +35,9 @@ class RiskMap:
 
     def __post_init__(self):
         lv = tuple(float(c) for c in self.effort_levels)
-        if not lv or not all(map(math.isfinite, lv)) or any(b <= a for a, b in zip(lv, lv[1:])):
-            raise IwareError("effort levels must be nonempty, finite and strictly increasing")
+        if (not lv or not all(map(math.isfinite, lv)) or lv[0] < 0
+                or any(b <= a for a, b in zip(lv, lv[1:]))):
+            raise IwareError("effort levels must be nonempty, finite, >= 0 and strictly increasing")
         object.__setattr__(self, "effort_levels", lv)
         for name in ("prob", "var"):
             arr = np.asarray(getattr(self, name), dtype=float)
@@ -136,8 +137,7 @@ def interp_rows(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
 
 def default_c_max(ds: PatrolDataset) -> float:
     """Twice the 95th percentile of positive historical row efforts."""
-    eff = ds.effort[:, ds.grid.masked_ids()].ravel()
-    eff = eff[eff > 0]
+    eff = ds.positive_efforts()
     if eff.size == 0:
         return 1.0
     return float(2.0 * np.quantile(eff, 0.95))

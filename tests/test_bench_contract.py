@@ -72,7 +72,7 @@ assert m["planner.lp_calls"][0] > 0 and m["planner.solves"][0] >= 1, m
 assert m["planner.lp_rows"][0] > 0, m
 
 # the GP hooks: fits inside train_iware, loads inside IWareEnsemble.from_dict
-gp = patrolkit.cli.train_iware(ds, I=2, learner_kind="gp", rng=0, max_points=40)
+gp = patrolkit.cli.train_iware(ds, I=2, learner_kind="gp", rng=0, max_points=200)
 iware.IWareEnsemble.from_dict(gp.to_dict())
 m = layer_metrics([tracer.spans], 1)
 assert m["learners.gp_fits"][0] == 2, m  # one fit per threshold

@@ -75,7 +75,6 @@ class TestConfig:
         # fractions of integer keys were truncated: --planner.T=2.5 planned at T=2
         ("--planner.T=2.5", "'planner.T' takes an integer, not '2.5'"),
         ("--planner.K=1.5", "'planner.K' takes an integer"),
-        ("--ensemble.num_trees=2.5", "'ensemble.num_trees' takes an integer"),
         ("--seed=7.5", "'seed' takes an integer"),
         ("--planner.post=NaN", "'planner.post' takes an integer"),
     ])
@@ -289,6 +288,33 @@ class TestMalformedInputs:
         capsys.readouterr()
         assert run(["train", *SMALL, "--output_dir=r", *setting]) == 2
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting", [
+        "num_trees=2.5", "max_depth=0", "max_depth=-3", "min_leaf=0", "min_leaf=-1",
+        "gp_max_points=1", "gp_max_points=-5", "gp_max_points=3"])
+    def test_unusable_integer_learner_setting(self, workdir, capsys, setting):
+        # the learner checks its own integers: before, max_depth <= 0 grew
+        # single-leaf trees, min_leaf <= 0 fit as min_leaf 1, and a GP capped
+        # at 3 points or fewer fit positive rows alone, each with exit 0
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        capsys.readouterr()
+        learner = "gp" if setting.startswith("gp_") else "trees"
+        assert run(["train", *SMALL, "--output_dir=r", f"--ensemble.learner={learner}",
+                    f"--ensemble.{setting}"]) == 2
+        assert setting.split("=")[0].removeprefix("gp_") in capsys.readouterr().err
+        assert not (workdir / "r" / "model.json").exists()
+
+    def test_gp_whose_cap_the_positives_fill(self, workdir, capsys):
+        # the park modelled on MFNP has more positive training rows than the
+        # default cap of 400 points; before, every GP fit positive rows alone
+        # and the held-out window called every cell positive, with exit 0
+        args = ["--simulate.preset=mfnp-like", "--seed=1", "--output_dir=r"]
+        assert run(["simulate", *args]) == 0
+        capsys.readouterr()
+        assert run(["train", *args, "--ensemble.learner=gp", "--ensemble.num_thresholds=4"]) == 2
+        err = capsys.readouterr().err
+        assert "773 of the 773 rows" in err and "max_points=400" in err
+        assert not (workdir / "r" / "model.json").exists()
 
     def test_model_with_version_only(self, workdir):
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
@@ -537,6 +563,32 @@ class TestMalformedInputs:
         assert run(["plan", *SMALL, "--output_dir=r", f"--riskmap.c_max={c_max}"]) == 2
         assert "c_max must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", [
+        "levels=[-1.0]", "levels=[-0.5,1.0]", "nominal_effort=-1", "nominal_effort=NaN",
+        "nominal_effort=-Infinity", "nominal_effort=Infinity"])
+    def test_riskmap_unusable_effort(self, workdir, capsys, setting):
+        # before, a negative level gave prob and var 0 in every cell, and a
+        # negative or NaN nominal effort was read as the default, with exit 0
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        assert run(["train", *SMALL, "--output_dir=r"]) == 0
+        capsys.readouterr()
+        assert run(["riskmap", *SMALL, "--output_dir=r", f"--riskmap.{setting}"]) == 2
+        err = capsys.readouterr().err
+        assert setting.split("=")[0] in err and ">= 0" in err
+        assert not (workdir / "r" / "riskmap.csv").exists()
+        assert not (workdir / "r" / "blocks.json").exists()
+
+    def test_beta_sweep_over_an_empty_grid(self, workdir, capsys):
+        # before, it solved beta = 0 for nothing and wrote a header-only
+        # beta_sweep.csv, with exit 0
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        assert run(["train", *SMALL, "--output_dir=r"]) == 0
+        capsys.readouterr()
+        assert run(["plan", "--beta-sweep", *SMALL, "--output_dir=r",
+                    "--planner.beta_grid=[]"]) == 2
+        assert "beta grid must be nonempty" in capsys.readouterr().err
+        assert not (workdir / "r" / "beta_sweep.csv").exists()
+
     def test_riskmap_nan_effort_level(self, workdir, capsys):
         # before, riskmap wrote rows at effort level nan with exit 0
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
@@ -562,6 +614,24 @@ def test_cli_defaults_are_library_defaults(workdir, kind):
     train_ds = assemble_dataset(grid, ds.effort[: T - 1], ds.labels[: T - 1])
     ens = train_iware(train_ds, I=2, rng=3, learner_kind=kind)
     assert json.loads((workdir / "r" / "model.json").read_text()) == ens.to_dict()
+
+
+@pytest.mark.parametrize("kind, settings", [
+    ("trees", ["--ensemble.num_trees=6.0", "--ensemble.max_depth=10.0",
+               "--ensemble.min_leaf=1", "--ensemble.undersample_ratio=1"]),
+    ("gp", ["--ensemble.gp_max_points=120.0", "--ensemble.gp_signal_var=1",
+            "--ensemble.gp_jitter=0.000001"]),
+])
+def test_learner_settings_in_either_number_form(workdir, kind, settings):
+    """The learner keys are passed on as given: an integer written 6.0 and a
+    float written 1 fit what their other form, or the default, fits."""
+    base = {"trees": [], "gp": ["--ensemble.gp_max_points=120"]}[kind]
+    for out, extra in (("a", base), ("b", settings)):
+        assert run(["simulate", *SMALL, f"--output_dir={out}"]) == 0
+        assert run(["train", *SMALL, f"--output_dir={out}", f"--ensemble.learner={kind}",
+                    "--ensemble.num_thresholds=2", *extra]) == 0
+    assert (workdir / "a" / "model.json").read_bytes() == \
+        (workdir / "b" / "model.json").read_bytes()
 
 
 def scipy_loaded(code: str) -> set[str]:

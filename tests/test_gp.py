@@ -163,6 +163,30 @@ class TestTraining:
         assert m.X.shape[0] == 100
         assert int((m.y_sign > 0).sum()) == int(y.sum())
 
+    @pytest.mark.parametrize("max_points", [1, 0, -5, 2.5, True])
+    def test_rejects_unusable_max_points(self, max_points):
+        # before, max_points 1 or less kept every positive row and no negative
+        with pytest.raises(LearnerError, match="max_points"):
+            train_gp(matrix([[0.0], [1.0], [2.0]], [0, 1, 0]), max_points=max_points, rng=0)
+
+    @pytest.mark.parametrize("max_points", [10, 9, 2])
+    def test_rejects_a_cap_the_positives_fill(self, max_points):
+        # the cap keeps every positive row; before, at or under their count
+        # the GP fit positives alone
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(40, 2))
+        y = np.zeros(40, bool)
+        y[::4] = True
+        with pytest.raises(LearnerError, match=f"10 of the 10 rows .* max_points={max_points}"):
+            train_gp(matrix(X, y), lengthscale=1.0, max_points=max_points, rng=0)
+        m = train_gp(matrix(X, y), lengthscale=1.0, max_points=11.0, rng=0)
+        assert m.X.shape[0] == 11 and int((m.y_sign > 0).sum()) == 10
+
+    def test_rejects_one_class(self):
+        for labels in ([1, 1, 1], [0, 0, 0]):
+            with pytest.raises(LearnerError, match="positive and negative rows"):
+                train_gp(matrix([[0.0], [1.0], [2.0]], labels), rng=0)
+
     def test_median_heuristic_default(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(20, 2)) * 3.0

@@ -296,6 +296,30 @@ class TestBagging:
             train_bagged(matrix([[0.0], [1.0]], [0, 1]), num_trees=3, rng=0,
                          undersample_ratio=ratio)
 
+    @pytest.mark.parametrize("fit, name, value", [
+        ("bag", "num_trees", 0), ("bag", "num_trees", 2.5), ("bag", "num_trees", True),
+        ("bag", "max_depth", 0), ("bag", "max_depth", -3), ("bag", "min_leaf", 0),
+        ("tree", "max_depth", 0), ("tree", "max_depth", 1.5), ("tree", "min_leaf", -1),
+        ("tree", "min_leaf", False), ("tree", "min_leaf", "2"),
+    ])
+    def test_rejects_unusable_integer_setting(self, fit, name, value):
+        # before, max_depth <= 0 grew single-leaf trees, min_leaf <= 0 fit
+        # as min_leaf 1, and a fractional num_trees ended in a TypeError
+        data = matrix([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1])
+        train = train_bagged if fit == "bag" else train_tree
+        with pytest.raises(LearnerError, match=name):
+            train(data, rng=0, **{name: value})
+
+    def test_integral_settings_of_any_number_type_fit_alike(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(80, 3))
+        data = matrix(X, X[:, 0] + 0.5 * rng.normal(size=80) > 0.3)
+        want = train_bagged(data, num_trees=5, max_depth=4, min_leaf=2, rng=1).to_dict()
+        for kind in (float, np.int64, np.int32):
+            got = train_bagged(data, num_trees=kind(5), max_depth=kind(4), min_leaf=kind(2),
+                               rng=1)
+            assert got.num_trees == 5 and got.to_dict() == want, kind
+
     def test_balanced_bags_are_one_to_one(self):
         rng = np.random.default_rng(0)
         X = rng.random((200, 2))
