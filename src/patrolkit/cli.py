@@ -108,6 +108,14 @@ def _ensemble_options(cfg) -> dict:
             if ens.get(prefix + name) is not None}
 
 
+def _metrics_threshold(cfg) -> float:
+    """``metrics.threshold``, checked before a command writes anything."""
+    threshold = float(cfg["metrics"]["threshold"])
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"metrics.threshold must be in [0, 1], got {threshold}")
+    return threshold
+
+
 def _holdout_metrics(ens, ds, test_windows, threshold: float) -> dict:
     ids = ds.grid.masked_ids()
     per_window = {}
@@ -127,6 +135,7 @@ def _holdout_metrics(ens, ds, test_windows, threshold: float) -> dict:
 
 
 def cmd_train(cfg) -> int:
+    threshold = _metrics_threshold(cfg)
     out = _outdir(cfg)
     grid, ds = _load_grid_dataset(cfg)
     train_ds, test_windows = _split_holdout(ds, int(cfg["train"]["holdout_windows"]))
@@ -143,7 +152,7 @@ def cmd_train(cfg) -> int:
         "thresholds": [float(t) for t in ens.thresholds.thresholds],
         "weights": [float(w) for w in ens.weights],
         "squash_scale": ens.squash_scale,
-        "test_windows": _holdout_metrics(ens, ds, test_windows, float(cfg["metrics"]["threshold"])),
+        "test_windows": _holdout_metrics(ens, ds, test_windows, threshold),
     }
     io.write_json(out / "metrics.json", report)
     print(f"train: {len(ens.learners)} learners -> {out}/model.json, metrics.json")
@@ -151,12 +160,13 @@ def cmd_train(cfg) -> int:
 
 
 def cmd_evaluate(cfg) -> int:
+    threshold = _metrics_threshold(cfg)
     out = _outdir(cfg)
     grid, ds = _load_grid_dataset(cfg)
     ens = IWareEnsemble.from_dict(io.read_json(out / "model.json"))
     _, test_windows = _split_holdout(ds, int(cfg["train"]["holdout_windows"]))
     report = {
-        "test_windows": _holdout_metrics(ens, ds, test_windows, float(cfg["metrics"]["threshold"])),
+        "test_windows": _holdout_metrics(ens, ds, test_windows, threshold),
     }
     io.write_json(out / "metrics.json", report)
     print(f"evaluate: windows {test_windows} -> {out}/metrics.json")

@@ -10,9 +10,12 @@ For a query at hypothetical effort c only learners with threshold <= c
 participate, with their weights renormalized (``mixture_weights``). One
 weight vector on the probability simplex is fit by minimizing the held-out
 log loss of that same mixture, each training row taken at its observed
-effort; ``IWareEnsemble.combine_at_effort`` applies it to batches of rows
-at one effort or at one effort per row. Each learner is fit once, and its
-held-out predictions come from that fit (``held_out_proba``).
+effort, by scipy's L-BFGS-B: its compiled ``setulb``, loaded alone, driven
+by the loop of ``scipy.optimize.minimize`` (``_lbfgsb``), so that training
+imports no ``scipy.optimize``. ``IWareEnsemble.combine_at_effort``
+applies the weights to batches of rows at one effort or at one effort per
+row. Each learner is fit once, and its held-out predictions come from
+that fit (``held_out_proba``).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 from .grid import PatrolDataset
 from .learners import (TrainMatrix, deserialize_learner, float_array_field, float_field, int_field,
                        train_bagged, train_gp)
+from .scipyext import load_extension
 
 PROB_CLAMP = 1e-6
 
@@ -154,25 +158,61 @@ def _mixture_log_loss(P, y, mask, weights):
     return loss, (W * (P - mix[:, None])).T @ dmix / n
 
 
+def _lbfgsb(fun, x0: np.ndarray, ftol: float, gtol: float) -> np.ndarray:
+    """The unbounded minimizer ``scipy.optimize.minimize(fun, x0, jac=True,
+    method="L-BFGS-B", options={"ftol": ftol, "gtol": gtol})`` returns, for
+    ``fun`` returning (value, gradient): scipy's reverse-communication loop
+    of ``_minimize_lbfgsb`` (scipy 1.17.1) around its compiled ``setulb``,
+    with its other settings (maxcor 10, maxls 20, maxiter and maxfun 15000).
+    """
+    m, maxls, maxiter, maxfun = 10, 20, 15000, 15000
+    n = x0.size
+    x = np.array(x0, dtype=np.float64)
+    f, g = np.array(0.0), np.zeros(n)
+    bound, nbd = np.zeros(n), np.zeros(n, np.int32)     # no bounds
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    setulb = load_extension("optimize._lbfgsb").setulb
+    factr = ftol / np.finfo(float).eps
+    n_iterations = n_evaluations = 0
+    while True:
+        setulb(m, x, bound, bound, nbd, f, g, factr, gtol, wa, iwa, task,
+               lsave, isave, dsave, maxls, ln_task)
+        if task[0] == 3:            # wants f and g at x
+            f, g = fun(x.copy())
+            f, g = float(f), np.ascontiguousarray(g, dtype=np.float64)
+            if g.shape != (n,):     # setulb reads n doubles and checks nothing
+                raise ValueError(f"gradient of shape {g.shape}, expected ({n},)")
+            n_evaluations += 1
+        elif task[0] == 1:          # a new iterate
+            n_iterations += 1
+            if n_iterations >= maxiter:
+                task[:] = 5, 504    # stop: iterations exceed the limit
+            elif n_evaluations > maxfun:
+                task[:] = 5, 502    # stop: evaluations exceed the limit
+        else:
+            return x
+
+
 def optimize_weights_from_probs(probs: np.ndarray, labels: np.ndarray,
                                 mask: np.ndarray) -> np.ndarray:
     """Simplex weights minimizing the mean log loss of each row's mixture
     over the learners ``mask`` admits (``mixture_weights``); rows that admit
-    none drop out. L-BFGS on softmax logits from the uniform start, with
-    tolerances tight enough to reach the simplex boundary. Identical learner
-    columns keep identical weights, which realizes the uniform tie-break.
+    none drop out. scipy's L-BFGS-B with scipy's defaults (``_lbfgsb``) on
+    softmax logits from the uniform start, with tolerances tight enough to
+    reach the simplex boundary. Identical learner columns keep identical
+    weights, which realizes the uniform tie-break.
     """
-    from scipy.optimize import minimize
-
     P = _clamp_probs(probs)
     y = np.asarray(labels, dtype=float)
     M = np.asarray(mask, dtype=bool)
     if P.shape[1] == 1:
         return np.ones(1)
-    res = minimize(lambda z: _mixture_log_loss(P, y, M, np.exp(z - z.max())),
-                   np.zeros(P.shape[1]), jac=True, method="L-BFGS-B",
-                   options={"ftol": 1e-15, "gtol": 1e-12})
-    w = np.exp(res.x - res.x.max())
+    z = _lbfgsb(lambda z: _mixture_log_loss(P, y, M, np.exp(z - z.max())),
+                np.zeros(P.shape[1]), ftol=1e-15, gtol=1e-12)
+    w = np.exp(z - z.max())
     return w / w.sum()
 
 

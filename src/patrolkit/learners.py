@@ -26,12 +26,13 @@ GP.
   which vanishes at training points and reverts to the signal variance far
   from data.
 
-Only the GP uses scipy. Its triangular solves run on LAPACK's routines
-from scipy's compiled ``scipy.linalg._flapack``, loaded alone from its
-file when the first one runs (``scipyext.load_extension``), so that a GP
-process that only predicts loads no ``scipy.linalg``, and a process that
-loads trees alone loads no scipy. Training also takes ``scipy.spatial``
-for the median-heuristic lengthscale.
+Only the GP uses scipy, and only compiled extensions of it, each loaded
+alone from its file when first called (``scipyext.load_extension``). Its
+triangular solves run on LAPACK's routines from ``scipy.linalg._flapack``,
+and its median-heuristic lengthscale on the Euclidean routine of
+``scipy.spatial._distance_pybind``. So a GP process loads no
+``scipy.linalg`` or ``scipy.spatial``, and a process that loads trees
+alone loads no scipy.
 
 Each learner's settings and their defaults are the keyword arguments of
 its training function (``train_bagged``, ``train_gp``) and are written
@@ -585,13 +586,17 @@ class GpClassifier:
         inputs: zero (up to jitter) at training points, signal_var far away.
         """
         Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-        ks = self.kernel(self.X, Xq)                      # (n, q)
+        # (n, q) arrays: the solves are squared in place, and each is dropped
+        # once used, which bounds the peak memory of predicting many rows
+        ks = self.kernel(self.X, Xq)
         mean = ks.T @ self._alpha
         v = _solve_lower(self._L_b, self._sqrt_w[:, None] * ks)
-        var_lap = np.maximum(self.signal_var - (v**2).sum(axis=0), 0.0)
+        var_lap = np.maximum(self.signal_var - np.square(v, out=v).sum(axis=0), 0.0)
+        del v
         prob = _sigmoid_stable(mean / np.sqrt(1.0 + np.pi * var_lap / 8.0))
         u = _solve_lower(self._L_k, ks)
-        var_latent = np.maximum(self.signal_var - (u**2).sum(axis=0), 0.0)
+        del ks
+        var_latent = np.maximum(self.signal_var - np.square(u, out=u).sum(axis=0), 0.0)
         return prob, var_latent
 
     def held_out_proba(self, X: np.ndarray):
@@ -707,12 +712,12 @@ def _finalize_gp(model: GpClassifier, f_mode: np.ndarray | None = None) -> None:
 
 
 def median_heuristic_lengthscale(X: np.ndarray) -> float:
-    """Median nonzero pairwise Euclidean distance; 1.0 for degenerate data."""
-    from scipy.spatial.distance import pdist
-
+    """Median nonzero pairwise Euclidean distance; 1.0 for degenerate data.
+    The distances come from the compiled routine that
+    ``scipy.spatial.distance.pdist(X)`` calls, loaded alone."""
     if X.shape[0] < 2:
         return 1.0
-    d = pdist(X)
+    d = load_extension("spatial._distance_pybind").pdist_euclidean(X)
     d = d[d > 0]
     return float(np.median(d)) if d.size else 1.0
 

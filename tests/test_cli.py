@@ -316,6 +316,21 @@ class TestMalformedInputs:
         assert "773 of the 773 rows" in err and "max_points=400" in err
         assert not (workdir / "r" / "model.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("threshold", ["2", "-1", "NaN", "1.0000001"])
+    def test_metrics_threshold_outside_unit_interval(self, workdir, capsys, command, threshold):
+        # before, each wrote a metrics.json with exit 0: precision null and
+        # recall 0 above 1, every cell called positive below 0
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        if command == "evaluate":
+            assert run(["train", *SMALL, "--output_dir=r"]) == 0
+            (workdir / "r" / "metrics.json").unlink()
+        capsys.readouterr()
+        assert run([command, *SMALL, "--output_dir=r", f"--metrics.threshold={threshold}"]) == 2
+        assert "metrics.threshold" in capsys.readouterr().err
+        assert not (workdir / "r" / "metrics.json").exists()
+        assert (workdir / "r" / "model.json").exists() == (command == "evaluate")
+
     def test_model_with_version_only(self, workdir):
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
         (workdir / "r" / "model.json").write_text('{"version": 3}\n')
@@ -780,6 +795,76 @@ prob, var = train_gp(data, lengthscale=1.0, rng=0).predict_proba(np.array([[0.0]
 assert prob[0] < 0.5 < prob[1] and np.all(var > 0), (prob, var)
 """
     assert "scipy.linalg" in scipy_loaded(code)
+
+
+LBFGSB = "scipy.optimize._lbfgsb"
+DISTANCE = "scipy.spatial._distance_pybind"
+
+
+@pytest.mark.parametrize("kind, extensions", [
+    ("trees", {LBFGSB}),
+    ("gp", {LBFGSB, DISTANCE, LAPACK}),
+], ids=["trees", "gp"])
+def test_train_loads_extensions_alone(workdir, kind, extensions):
+    # the weight fit runs on L-BFGS-B's extension and the GP's lengthscale
+    # on pdist's, each loaded from its file: before, train imported all of
+    # scipy.optimize, and on a GP scipy.spatial too
+    args = [*SMALL, f"--ensemble.learner={kind}", "--output_dir=r"]
+    assert run(["simulate", *args]) == 0
+    assert scipy_loaded(command_code("train", *args)) == extensions
+
+
+def test_scipy_optimize_and_spatial_reuse_the_training_extensions():
+    # the later imports find the extensions under their own names
+    code = """
+import sys
+import numpy as np
+from patrolkit import iware, learners
+rng = np.random.default_rng(0)
+P, y = rng.random((40, 3)), rng.random(40) < 0.4
+w = iware.optimize_weights_from_probs(P, y, np.ones((40, 3), bool))
+X = rng.normal(size=(30, 4))
+ell = learners.median_heuristic_lengthscale(X)
+lbfgsb = sys.modules["scipy.optimize._lbfgsb"]
+distance = sys.modules["scipy.spatial._distance_pybind"]
+assert "scipy.optimize" not in sys.modules and "scipy.spatial" not in sys.modules
+import scipy.optimize, scipy.spatial.distance
+assert sys.modules["scipy.optimize._lbfgsb"] is scipy.optimize._lbfgsb_py._lbfgsb is lbfgsb
+assert sys.modules["scipy.spatial._distance_pybind"] is scipy.spatial.distance._distance_pybind is distance
+d = scipy.spatial.distance.pdist(X)
+assert ell == float(np.median(d[d > 0]))
+assert np.array_equal(iware.optimize_weights_from_probs(P, y, np.ones((40, 3), bool)), w)
+"""
+    loaded = scipy_loaded(code)
+    assert "scipy.optimize" in loaded and "scipy.spatial" in loaded
+
+
+def test_training_falls_back_to_importing_the_extensions(tmp_path):
+    # where the files are not found, L-BFGS-B's and pdist's bindings come
+    # from plain imports, with the rest of scipy.optimize and scipy.spatial
+    code = f"""
+import importlib.machinery, importlib.util
+import numpy as np
+find_spec = importlib.util.find_spec
+def scipy_elsewhere(name, package=None):
+    if name != "scipy":
+        return find_spec(name, package)
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [{str(tmp_path)!r}]
+    return spec
+importlib.util.find_spec = scipy_elsewhere
+from patrolkit.iware import optimize_weights_from_probs
+from patrolkit.learners import TrainMatrix, train_gp
+y = np.array([False, False, True, True])
+P = np.column_stack([np.where(y, 0.9, 0.1), np.full(4, 0.5)])
+w = optimize_weights_from_probs(P, y, np.ones((4, 2), bool))
+assert w[0] > 0.99, w
+X = np.array([[0.0], [1.0], [2.0], [4.0]])
+model = train_gp(TrainMatrix(rows=X, labels=y, row_ids=np.arange(4)), rng=0)
+assert model.lengthscale == 2.0, model.lengthscale
+"""
+    loaded = scipy_loaded(code)
+    assert "scipy.optimize" in loaded and "scipy.spatial" in loaded
 
 
 class TestDeterminism:

@@ -7,6 +7,7 @@ from patrolkit.learners import (
     _solve_lower,
     deserialize_learner,
     gp_lml_and_gradient,
+    median_heuristic_lengthscale,
     train_gp,
 )
 
@@ -192,6 +193,19 @@ class TestTraining:
         X = rng.normal(size=(20, 2)) * 3.0
         m = train_gp(matrix(X, X[:, 0] > 0), rng=0)
         assert m.lengthscale > 0
+
+    def test_median_heuristic_is_the_median_of_pdist(self):
+        # the distances come from pdist's own compiled routine, loaded alone
+        from scipy.spatial.distance import pdist
+
+        rng = np.random.default_rng(7)
+        for shape in [(3, 1), (25, 3), (60, 7)]:
+            X = rng.normal(size=shape) * 2.5
+            X[-1] = X[0]  # a zero distance, which the heuristic skips
+            d = pdist(X)
+            assert median_heuristic_lengthscale(X) == float(np.median(d[d > 0]))
+        assert median_heuristic_lengthscale(np.ones((2, 3))) == 1.0
+        assert median_heuristic_lengthscale(np.ones((1, 3))) == 1.0
 
     def test_duplicate_points_survive_via_jitter(self):
         X = np.array([[0.0, 0.0]] * 10 + [[1.0, 1.0]] * 10)

@@ -200,6 +200,39 @@ class TestOptimizeWeights:
         np.testing.assert_array_equal(optimize_weights_from_probs(P, y, mask), w)
         assert np.isfinite(log_loss(P, y, w, mask))
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_scipy_minimize(self, seed):
+        # the fit drives L-BFGS-B's compiled routine with scipy's own loop,
+        # so it ends where scipy.optimize.minimize ends, bit for bit
+        from scipy.optimize import minimize
+
+        rng = np.random.default_rng([24, seed])
+        n, I = int(rng.integers(30, 300)), int(rng.integers(2, 9))
+        y = rng.random(n) < 0.3
+        P = rng.random((n, I))
+        P[:, -1] = np.where(y, 0.02, 0.98)  # wrong on every row: it ends at weight 0
+        mask = rng.random((n, I)) < 0.7
+        mask[: n // 10] = False             # rows admitting no learner
+        mask[n // 10:, -1] = True
+        w = optimize_weights_from_probs(P, y, mask)
+        Pc, yf = iware._clamp_probs(P), y.astype(float)
+        res = minimize(lambda z: iware._mixture_log_loss(Pc, yf, mask, np.exp(z - z.max())),
+                       np.zeros(I), jac=True, method="L-BFGS-B",
+                       options={"ftol": 1e-15, "gtol": 1e-12})
+        expected = np.exp(res.x - res.x.max())
+        np.testing.assert_array_equal(w, expected / expected.sum())
+        assert w[-1] < 1e-6
+
+    def test_driver_equals_scipy_minimize_on_rosenbrock(self):
+        from scipy.optimize import minimize, rosen, rosen_der
+
+        x0 = np.array([-1.2, 1.0, -0.5, 0.8])
+        res = minimize(lambda x: (rosen(x), rosen_der(x)), x0, jac=True, method="L-BFGS-B",
+                       options={"ftol": 1e-12, "gtol": 1e-8})
+        x = iware._lbfgsb(lambda x: (rosen(x), rosen_der(x)), x0, ftol=1e-12, gtol=1e-8)
+        np.testing.assert_array_equal(x, res.x)
+        assert res.nit > 20 and np.allclose(x, 1.0, atol=1e-4)
+
 
 class TestPredictEffortConditioned:
     def test_qualified_renormalization(self):
