@@ -15,7 +15,9 @@ by the loop of ``scipy.optimize.minimize`` (``_lbfgsb``), so that training
 imports no ``scipy.optimize``. ``IWareEnsemble.combine_at_effort``
 applies the weights to batches of rows at one effort or at one effort per
 row. Each learner is fit once, and its held-out predictions come from
-that fit (``held_out_proba``).
+that fit (``held_out_proba``). A learner predicts only the rows whose
+effort qualifies it (``IWareEnsemble.member_outputs``): the mixture gives
+it weight 0 everywhere else.
 """
 
 from __future__ import annotations
@@ -244,20 +246,27 @@ class IWareEnsemble:
         self.weights = w
 
     # -- batched prediction ------------------------------------------------
-    def member_outputs(self, X: np.ndarray):
+    def member_outputs(self, X: np.ndarray, effort):
         """Per-learner probabilities and variances for query rows.
 
-        Returns (P, V) of shape (n, I); V is 0 for learners without a
-        native variance (their contribution to uncertainty is then only
-        the spread between members).
+        ``effort`` is one effort for every row of X, or one per row. Learner
+        i predicts only the rows whose effort is at least its threshold, in
+        one batch; every other entry of (P, V), shape (n, I), is NaN, since
+        the mixture at that effort gives the learner weight 0. V is 0 for
+        learners without a native variance (their contribution to
+        uncertainty is then only the spread between members).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        probs, povs = [], []
-        for lrn in self.learners:
-            p, v = lrn.predict_proba(X)
-            probs.append(_clamp_probs(p))
-            povs.append(np.zeros(X.shape[0]) if v is None else np.maximum(v, 0.0))
-        return np.column_stack(probs), np.column_stack(povs)
+        Q = np.broadcast_to(self.thresholds.qualified(effort), (X.shape[0], self.thresholds.count))
+        P, V = np.full(Q.shape, np.nan), np.full(Q.shape, np.nan)
+        for i, lrn in enumerate(self.learners):
+            rows = np.flatnonzero(Q[:, i])
+            if rows.size == 0:
+                continue
+            p, v = lrn.predict_proba(X if rows.size == X.shape[0] else X[rows])
+            P[rows, i] = _clamp_probs(p)
+            V[rows, i] = 0.0 if v is None else np.maximum(v, 0.0)
+        return P, V
 
     def combine_at_effort(self, P: np.ndarray, V: np.ndarray, effort):
         """Qualified, renormalized mixture mean and raw mixture variance.
@@ -265,15 +274,20 @@ class IWareEnsemble:
         ``effort`` is one hypothetical effort for every row of the member
         outputs (P, V), or a vector with one effort per row. Each row is
         mixed over the learners whose threshold does not exceed its effort,
-        by ``mixture_weights``.
+        by ``mixture_weights``. Only entries of nonzero weight are read, so
+        the NaN ``member_outputs`` leaves at a learner it did not run drops
+        out, unless ``effort`` here exceeds the one it ran at: then the
+        result is NaN.
         """
         W = mixture_weights(np.broadcast_to(self.thresholds.qualified(effort), P.shape),
                             self.weights)
+        used = W != 0
+        P, V = np.where(used, P, 0.0), np.where(used, V, 0.0)
         g = (W * P).sum(axis=1)
         return g, np.maximum((W * (V + P**2)).sum(axis=1) - g**2, 0.0)
 
     def predict_rows(self, X: np.ndarray, effort):
-        P, V = self.member_outputs(X)
+        P, V = self.member_outputs(X, effort)
         return self.combine_at_effort(P, V, effort)
 
     def squash(self, var_raw) -> np.ndarray:
@@ -360,13 +374,16 @@ def train_iware(
     """Full ensemble training.
 
     Thresholds come from effort percentiles; each threshold learner is fit
-    once on its filtered subset. Its held-out predictions come from that
-    fit (``held_out_proba``: out-of-bag votes for trees, the leave-one-out
+    once on its filtered subset. A learner predicts only the training rows
+    it qualifies for, those whose observed effort is at least its threshold
+    (``member_outputs``), and the weight fit leaves it out of every other
+    row's mixture. Its held-out predictions come from that fit
+    (``held_out_proba``: out-of-bag votes for trees, the leave-one-out
     predictive for the GP) on the rows the fit used, and are its plain
-    predictions on every other row. A row every tree drew has none from
-    that learner and leaves it out of the row's mixture in the weight fit.
-    The squashing scale is the median raw mixture variance over the
-    training rows at their observed efforts, from the same member outputs.
+    predictions on its other qualified rows. A row every tree drew has none
+    from that learner and leaves it out of the row's mixture too. The
+    squashing scale is the median raw mixture variance over the training
+    rows at their observed efforts, from the same member outputs.
     ``options`` are settings of the chosen learner kind (LEARNER_OPTIONS);
     learner defaults fill in the rest.
     """
@@ -388,7 +405,7 @@ def train_iware(
     ens = IWareEnsemble(thresholds=ths, learners=learners,
                         weights=np.full(ths.count, 1 / ths.count),  # fit below
                         learner_kind=learner_kind, squash_scale=1.0, n_features=X.shape[1])
-    P, V = ens.member_outputs(X)
+    P, V = ens.member_outputs(X, eff)
     held = P.copy()
     for i, (lrn, keep) in enumerate(zip(learners, keeps)):
         used, prob = lrn.held_out_proba(X[keep])

@@ -518,7 +518,13 @@ def jackknife_variance_batch(model: BaggedClassifier, X: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 def _rbf(sqdist: np.ndarray, lengthscale: float, signal_var: float) -> np.ndarray:
-    return signal_var * np.exp(-0.5 * sqdist / lengthscale**2)
+    """``signal_var * exp(-0.5 * sqdist / lengthscale**2)`` in one new array,
+    each step in the same order, so bit for bit."""
+    k = np.multiply(-0.5, sqdist)
+    k /= lengthscale**2
+    np.exp(k, out=k)
+    k *= signal_var
+    return k
 
 
 def _lapack():
@@ -546,8 +552,16 @@ def _solve_lower(L: np.ndarray, B: np.ndarray, transposed: bool = False) -> np.n
 
 
 def _sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    d = (A**2).sum(axis=1)[:, None] + (B**2).sum(axis=1)[None, :] - 2.0 * A @ B.T
-    return np.maximum(d, 0.0)
+    """Squared distances ``max(|a|^2 + |b|^2 - 2 a.b, 0)``, each step in
+    that order, in one (n, q) array: the sums of squares are added and
+    subtracted a block of about 64k entries at a time."""
+    d = (2.0 * A) @ B.T
+    a2, b2 = (A**2).sum(axis=1)[:, None], (B**2).sum(axis=1)
+    step = max(65536 // max(d.shape[1], 1), 1)
+    for i in range(0, d.shape[0], step):
+        block = d[i:i + step]
+        np.subtract(a2[i:i + step] + b2, block, out=block)
+    return np.maximum(d, 0.0, out=d)
 
 
 @dataclass

@@ -21,6 +21,14 @@ from .grid import ParkGrid, PatrolDataset
 from .iware import IWareEnsemble, IwareError
 
 
+def _checked_levels(effort_levels) -> tuple[float, ...]:
+    lv = tuple(float(c) for c in effort_levels)
+    if (not lv or not all(map(math.isfinite, lv)) or lv[0] < 0
+            or any(b <= a for a, b in zip(lv, lv[1:]))):
+        raise IwareError("effort levels must be nonempty, finite, >= 0 and strictly increasing")
+    return lv
+
+
 @dataclass(frozen=True)
 class RiskMap:
     """Per-cell prediction and squashed uncertainty at each effort level.
@@ -34,10 +42,7 @@ class RiskMap:
     var: np.ndarray   # (levels, n_cells), squashed to [0, 1)
 
     def __post_init__(self):
-        lv = tuple(float(c) for c in self.effort_levels)
-        if (not lv or not all(map(math.isfinite, lv)) or lv[0] < 0
-                or any(b <= a for a, b in zip(lv, lv[1:]))):
-            raise IwareError("effort levels must be nonempty, finite, >= 0 and strictly increasing")
+        lv = _checked_levels(self.effort_levels)
         object.__setattr__(self, "effort_levels", lv)
         for name in ("prob", "var"):
             arr = np.asarray(getattr(self, name), dtype=float)
@@ -59,18 +64,19 @@ def sweep_riskmap(
     ds: PatrolDataset,
     effort_levels,
 ) -> RiskMap:
-    """Evaluate the ensemble at each hypothetical effort level."""
-    levels = [float(c) for c in effort_levels]
+    """Evaluate the ensemble at each hypothetical effort level. A learner
+    whose threshold exceeds the top level is never run."""
+    levels = _checked_levels(effort_levels)
     ids = grid.masked_ids()
     X = _query_features(grid, ds)[ids]
-    P, V = ens.member_outputs(X)
+    P, V = ens.member_outputs(X, levels[-1])
     prob = np.full((len(levels), grid.n_cells), np.nan)
     var = np.full((len(levels), grid.n_cells), np.nan)
     for j, c in enumerate(levels):
         g, v_raw = ens.combine_at_effort(P, V, c)
         prob[j, ids] = g
         var[j, ids] = ens.squash(v_raw)
-    return RiskMap(grid=grid, effort_levels=tuple(levels), prob=prob, var=var)
+    return RiskMap(grid=grid, effort_levels=levels, prob=prob, var=var)
 
 
 @dataclass(frozen=True)

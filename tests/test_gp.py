@@ -4,7 +4,9 @@ import pytest
 from patrolkit.learners import (
     LearnerError,
     TrainMatrix,
+    _rbf,
     _solve_lower,
+    _sqdist,
     deserialize_learner,
     gp_lml_and_gradient,
     median_heuristic_lengthscale,
@@ -302,3 +304,26 @@ class TestTriangularSolve:
         for transposed in (False, True):
             with pytest.raises(np.linalg.LinAlgError, match="singular"):
                 _solve_lower(L, np.ones(5), transposed=transposed)
+
+
+class TestKernel:
+    """``_sqdist`` and ``_rbf`` work in place but keep the order of the
+    textbook expressions, so they equal them bit for bit."""
+
+    @pytest.mark.parametrize("n, q", [(1, 1), (7, 1), (300, 500), (40, 70000), (400, 20)])
+    def test_equals_the_plain_expressions(self, n, q):
+        rng = np.random.default_rng([n, q])
+        A, B = rng.normal(size=(n, 4)), rng.normal(size=(q, 4)) * 3
+        d = _sqdist(A, B)
+        plain = np.maximum((A**2).sum(axis=1)[:, None] + (B**2).sum(axis=1)[None, :]
+                           - 2.0 * A @ B.T, 0.0)
+        np.testing.assert_array_equal(d, plain)
+        kept = d.copy()
+        np.testing.assert_array_equal(_rbf(d, 0.7, 1.3), 1.3 * np.exp(-0.5 * d / 0.7**2))
+        np.testing.assert_array_equal(d, kept)
+
+    def test_self_distances_are_zero_and_symmetric(self):
+        A = np.random.default_rng(1).normal(size=(50, 3))
+        d = _sqdist(A, A)
+        assert np.all(d >= 0) and np.abs(np.diag(d)).max() < 1e-12
+        np.testing.assert_allclose(d, d.T, rtol=0, atol=1e-12)

@@ -274,7 +274,7 @@ class TestPredictEffortConditioned:
                             [ConstLearner(0.4, 0.01), ConstLearner(0.6, 0.02),
                              ConstLearner(0.8)])
         efforts = np.array([2.5, 0.0, 1.0, 0.4, 1.9, 7.0])
-        P, V = ens.member_outputs(np.zeros((efforts.size, 1)))
+        P, V = ens.member_outputs(np.zeros((efforts.size, 1)), efforts)
         g, v = ens.combine_at_effort(P, V, efforts)
         for i, c in enumerate(efforts):
             g1, v1 = ens.combine_at_effort(P[i:i + 1], V[i:i + 1], float(c))
@@ -309,6 +309,14 @@ class TestSquash:
             squash_uncertainty(-0.1, scale=1.0)
 
 
+def full_outputs(ens, X):
+    """Every learner's (P, V) on every row of X, each in one batch."""
+    outs = [lrn.predict_proba(X) for lrn in ens.learners]
+    return (np.column_stack([iware._clamp_probs(p) for p, _ in outs]),
+            np.column_stack([np.zeros(len(X)) if v is None else np.maximum(v, 0.0)
+                             for _, v in outs]))
+
+
 def _toy_training_dataset(seed=0, T=6, n=36):
     rng = np.random.default_rng(seed)
     grid = flat_grid(6, n // 6, k=2)
@@ -316,6 +324,60 @@ def _toy_training_dataset(seed=0, T=6, n=36):
     prob = 0.35 * (1 - np.exp(-effort))
     labels = (rng.random((T, n)) < prob).astype(np.int8)
     return assemble_dataset(grid, effort, labels)
+
+
+class TestQualifiedRows:
+    """A learner predicts only the rows whose effort reaches its threshold."""
+
+    @pytest.mark.parametrize("kind, options, tol", [("trees", {"num_trees": 4}, 0.0),
+                                                    ("gp", {"max_points": 30}, 1e-12)])
+    def test_member_outputs_equal_full_batch(self, kind, options, tol):
+        ds = _toy_training_dataset(seed=5, T=4, n=24)
+        ens = train_iware(ds, I=3, learner_kind=kind, rng=1, **options)
+        X, _, eff, _ = iware._dataset_rows(ds)
+        P, V = ens.member_outputs(X, eff)
+        full_P, full_V = full_outputs(ens, X)
+        Q = ens.thresholds.qualified(eff)
+        assert Q[:, 0].all() and not Q.all()
+        np.testing.assert_allclose(P[Q], full_P[Q], rtol=0, atol=tol)
+        np.testing.assert_allclose(V[Q], full_V[Q], rtol=0, atol=tol)
+        assert np.isnan(P[~Q]).all() and np.isnan(V[~Q]).all()
+
+    def test_combining_above_the_covered_effort_gives_nan(self):
+        ens = stub_ensemble([0.0, 1.0, 2.0], [0.2, 0.3, 0.5],
+                            [ConstLearner(0.4, 0.01), ConstLearner(0.6), ConstLearner(0.8)])
+        P, V = ens.member_outputs(np.zeros((3, 1)), 1.5)
+        assert np.isnan(P[:, 2]).all() and not np.isnan(P[:, :2]).any()
+        g, v = ens.combine_at_effort(P, V, 1.5)
+        assert g == pytest.approx([0.52] * 3) and np.isfinite(v).all()
+        g, v = ens.combine_at_effort(P, V, 2.5)
+        assert np.isnan(g).all() and np.isnan(v).all()
+        g, v = ens.combine_at_effort(P, V, np.array([0.5, 2.0, 1.0]))
+        assert np.isnan(g[1]) and np.isnan(v[1])
+        assert np.isfinite(g[[0, 2]]).all() and np.isfinite(v[[0, 2]]).all()
+
+    def test_trees_weights_match_every_row_oracle(self):
+        """Weights and squash scale are those of running every learner on
+        every training row and mixing with weight 0 where it does not
+        qualify, bit for bit."""
+        ds = _toy_training_dataset(seed=5)
+        ens = train_iware(ds, I=4, learner_kind="trees", rng=3, num_trees=5)
+        X, y, eff, _ = iware._dataset_rows(ds)
+        P, V = full_outputs(ens, X)
+        held = P.copy()
+        for i, (lrn, theta) in enumerate(zip(ens.learners, ens.thresholds.thresholds)):
+            keep = iware._one_sided(y, eff, theta)
+            used, prob = lrn.held_out_proba(X[keep])
+            held[np.flatnonzero(keep)[used], i] = prob
+        Q = ens.thresholds.qualified(eff)
+        assert not Q.all()
+        w = optimize_weights_from_probs(held, y, Q & ~np.isnan(held))
+        W = iware.mixture_weights(Q, w)
+        g = (W * P).sum(axis=1)
+        raw = np.maximum((W * (V + P**2)).sum(axis=1) - g**2, 0.0)
+        assert np.median(raw) > 0
+        np.testing.assert_array_equal(ens.weights, w)
+        assert ens.squash_scale == float(np.median(raw))
 
 
 class TestTrainIware:
@@ -391,22 +453,32 @@ class TestTrainIware:
                                                ("gp", {"max_points": 30})])
     def test_held_out_matrix(self, monkeypatch, kind, options):
         """Each learner's column holds its held-out predictions on the rows
-        its fit used and its plain predictions on every other row."""
+        its fit used, its plain predictions, made in one batch, on its other
+        qualified rows, and NaN on the rest, which the weight fit leaves
+        out."""
         ds = _toy_training_dataset(seed=5, T=4, n=24)
         seen = []
         fit = iware.optimize_weights_from_probs
         monkeypatch.setattr(iware, "optimize_weights_from_probs",
-                            lambda P, y, mask: seen.append(P) or fit(P, y, mask))
+                            lambda P, y, mask: seen.append((P, mask)) or fit(P, y, mask))
         ens = train_iware(ds, I=3, learner_kind=kind, rng=1, **options)
         X, y, eff, _ = iware._dataset_rows(ds)
-        held, (P, _) = seen[0], ens.member_outputs(X)
+        (held, mask), = seen
+        plain_rows = 0
         for i, (lrn, theta) in enumerate(zip(ens.learners, ens.thresholds.thresholds)):
             fitted = np.flatnonzero(iware._one_sided(y, eff, theta))
             rows, prob = lrn.held_out_proba(X[fitted])
-            other = np.setdiff1d(np.arange(y.size), fitted[rows])
             np.testing.assert_array_equal(held[fitted[rows], i], prob)
-            np.testing.assert_array_equal(held[other, i], P[other, i])
-            assert other.size > 0
+            qualified = np.flatnonzero(theta <= eff)
+            other = np.isin(qualified, fitted[rows], invert=True)
+            plain = iware._clamp_probs(lrn.predict_proba(X[qualified])[0])
+            np.testing.assert_array_equal(held[qualified[other], i], plain[other])
+            plain_rows += other.sum()
+            unqualified = np.setdiff1d(np.arange(y.size), qualified)
+            assert not mask[unqualified, i].any()
+            assert np.isnan(held[np.setdiff1d(unqualified, fitted[rows]), i]).all()
+            assert (unqualified.size > 0) == (i > 0)
+        assert plain_rows > 0
 
     def test_out_of_bag_votes(self):
         X, y, eff, ids = iware._dataset_rows(_toy_training_dataset(seed=1))

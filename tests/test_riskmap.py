@@ -4,6 +4,7 @@ import pytest
 from patrolkit.grid import assemble_dataset
 from patrolkit.iware import IwareError, train_iware
 from patrolkit.riskmap import (
+    _query_features,
     PwlRiskModel,
     build_pwl,
     default_c_max,
@@ -13,7 +14,7 @@ from patrolkit.riskmap import (
 )
 
 from conftest import flat_grid
-from test_iware import ConstLearner, stub_ensemble
+from test_iware import ConstLearner, _toy_training_dataset, full_outputs, stub_ensemble
 
 
 def _tiny_dataset(grid, seed=0, T=4):
@@ -51,6 +52,33 @@ class TestSweep:
         ens.n_features = 2
         with pytest.raises(IwareError):
             sweep_riskmap(ens, grid, _tiny_dataset(grid), [2.0, 1.0])
+
+    def test_levels_checked_before_predicting(self):
+        grid = flat_grid(2, 1, k=1)
+        ens = stub_ensemble([0.0], [1.0], [ConstLearner(0.4)])
+        ens.n_features = 2
+        for levels in ([], [np.nan], [-1.0, 1.0], [0.0, np.inf]):
+            with pytest.raises(IwareError, match="effort levels must be nonempty"):
+                sweep_riskmap(ens, grid, _tiny_dataset(grid), levels)
+
+    def test_learners_above_the_top_level_never_run(self, monkeypatch):
+        ds = _toy_training_dataset(seed=5)
+        ens = train_iware(ds, I=4, learner_kind="trees", rng=3, num_trees=5)
+        levels = [0.0, 0.5, 1.2]
+        ids = ds.grid.masked_ids()
+        P, V = full_outputs(ens, _query_features(ds.grid, ds)[ids])
+        calls = [0] * ens.thresholds.count
+        for i, lrn in enumerate(ens.learners):
+            monkeypatch.setattr(lrn, "predict_proba", lambda X, i=i, run=lrn.predict_proba:
+                                calls.__setitem__(i, calls[i] + 1) or run(X))
+        rm = sweep_riskmap(ens, ds.grid, ds, levels)
+        above = np.asarray(ens.thresholds.thresholds) > levels[-1]
+        assert above.any() and not above.all()
+        assert calls == [0 if a else 1 for a in above]
+        for j, c in enumerate(levels):
+            g, v = ens.combine_at_effort(P, V, c)
+            np.testing.assert_array_equal(rm.prob[j, ids], g)
+            np.testing.assert_array_equal(rm.var[j, ids], ens.squash(v))
 
     def test_sweep_mostly_nondecreasing_on_trained_ensemble(self):
         # Fig. 6 shape: g generally rises with hypothetical effort. GP weak
