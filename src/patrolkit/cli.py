@@ -27,7 +27,7 @@ from .config import ConfigError, load_config
 from .grid import assemble_dataset, reconstruct_effort, build_labels
 from .iware import LEARNER_OPTIONS, IWareEnsemble, IwareError, train_iware
 from .metrics import FieldTestTable, ScoredSet, auc, chi_squared_field_test, ll_score, obs_per_cell, pr_metrics
-from .riskmap import (RiskMap, build_pwl, default_c_max, select_field_test_blocks,
+from .riskmap import (RiskMap, build_pwl, default_c_max, query_rows, select_field_test_blocks,
                       sweep_riskmap)
 
 
@@ -146,6 +146,8 @@ def cmd_train(cfg) -> int:
         rng=int(cfg["seed"]),
         **_ensemble_options(cfg),
     )
+    # riskmap and plan query these rows; they reuse what every learner gives there
+    ens.keep_query_outputs(query_rows(grid, ds))
     io.write_json(out / "model.json", ens.to_dict(), indent=None)
     report = {
         "learner": ens.learner_kind,

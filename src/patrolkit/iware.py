@@ -18,6 +18,10 @@ row. Each learner is fit once, and its held-out predictions come from
 that fit (``held_out_proba``). A learner predicts only the rows whose
 effort qualifies it (``IWareEnsemble.member_outputs``): the mixture gives
 it weight 0 everywhere else.
+
+``train`` also keeps the member outputs of the prediction-period query
+rows at every learner (``QueryOutputs``), and ``member_outputs`` returns
+them for those same rows, so the commands that query them run no learner.
 """
 
 from __future__ import annotations
@@ -224,6 +228,59 @@ def log_loss(probs, labels, weights, mask) -> float:
                              np.asarray(mask, dtype=bool), np.asarray(weights, dtype=float))[0]
 
 
+def rows_digest(X: np.ndarray) -> str:
+    """SHA-256 of query rows as float64: their shape, then their bytes in C order."""
+    # imported here: hashlib loads OpenSSL's libcrypto, about 4 MB, which a
+    # process that predicts nothing, such as a planner benchmark, never needs
+    import hashlib
+
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    return hashlib.sha256(repr(X.shape).encode() + X.tobytes()).hexdigest()
+
+
+@dataclass(frozen=True)
+class QueryOutputs:
+    """Member outputs (P, V) of one set of query rows at every learner, each
+    (n, I), and the ``rows_digest`` of those rows."""
+
+    digest: str
+    prob: np.ndarray
+    var: np.ndarray
+
+    def to_dict(self) -> dict:
+        return {"digest": self.digest, "prob": self.prob.tolist(), "var": self.var.tolist()}
+
+    @classmethod
+    def from_dict(cls, d, count: int) -> "QueryOutputs":
+        """The block as ``to_dict`` wrote it for ``count`` learners, with
+        what ``member_outputs`` gives at every learner: probabilities in
+        (0, 1), and finite variances >= 0."""
+        if not isinstance(d, dict):
+            raise ValueError("query_outputs must be an object")
+        if not isinstance(d["digest"], str):
+            raise ValueError(f"query_outputs.digest must be a string, got {d['digest']!r}")
+        arrays = []
+        for name in ("prob", "var"):
+            what = f"query_outputs.{name}"
+            try:
+                a = float_array_field(d[name], what)
+            except ValueError:
+                raise ValueError(f"{what} must be a matrix of numbers") from None
+            if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] != count:
+                raise ValueError(f"{what} must be a matrix with one column per learner "
+                                 f"({count}), got shape {a.shape}")
+            arrays.append(a)
+        prob, var = arrays
+        if var.shape != prob.shape:
+            raise ValueError(f"query_outputs.var has shape {var.shape}, "
+                             f"query_outputs.prob {prob.shape}")
+        if not np.all((prob > 0) & (prob < 1)):
+            raise ValueError("query_outputs.prob must lie in (0, 1)")
+        if not np.all(np.isfinite(var) & (var >= 0)):
+            raise ValueError("query_outputs.var must be finite and >= 0")
+        return cls(d["digest"], prob, var)
+
+
 @dataclass
 class IWareEnsemble:
     """Trained threshold ensemble with optimized simplex weights."""
@@ -234,6 +291,7 @@ class IWareEnsemble:
     learner_kind: str
     squash_scale: float
     n_features: int
+    query_outputs: QueryOutputs | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -254,15 +312,24 @@ class IWareEnsemble:
         one batch; every other entry of (P, V), shape (n, I), is NaN, since
         the mixture at that effort gives the learner weight 0. V is 0 for
         learners without a native variance (their contribution to
-        uncertainty is then only the spread between members).
+        uncertainty is then only the spread between members). Where X are
+        the rows of ``query_outputs``, by digest, its P and V are returned,
+        with the same NaN entries, and no learner runs.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Q = np.broadcast_to(self.thresholds.qualified(effort), (X.shape[0], self.thresholds.count))
+        kept = self.query_outputs
+        if kept is not None and kept.prob.shape == Q.shape and kept.digest == rows_digest(X):
+            return np.where(Q, kept.prob, np.nan), np.where(Q, kept.var, np.nan)
         P, V = np.full(Q.shape, np.nan), np.full(Q.shape, np.nan)
-        for i, lrn in enumerate(self.learners):
-            rows = np.flatnonzero(Q[:, i])
-            if rows.size == 0:
-                continue
+        runs = [(lrn, i, np.flatnonzero(Q[:, i])) for i, lrn in enumerate(self.learners)
+                if Q[:, i].any()]
+        # every learner's state first: a GP builds its factors with numpy's
+        # BLAS and predicts with scipy's LAPACK, and on 2 cores the two
+        # libraries' threads slow each other down where their calls alternate
+        for lrn, _, _ in runs:
+            lrn.prepare()
+        for lrn, i, rows in runs:
             p, v = lrn.predict_proba(X if rows.size == X.shape[0] else X[rows])
             P[rows, i] = _clamp_probs(p)
             V[rows, i] = 0.0 if v is None else np.maximum(v, 0.0)
@@ -290,11 +357,18 @@ class IWareEnsemble:
         P, V = self.member_outputs(X, effort)
         return self.combine_at_effort(P, V, effort)
 
+    def keep_query_outputs(self, X: np.ndarray) -> None:
+        """Run every learner on the query rows X once, and keep the result
+        as ``query_outputs``."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        P, V = self.member_outputs(X, np.inf)
+        self.query_outputs = QueryOutputs(rows_digest(X), P, V)
+
     def squash(self, var_raw) -> np.ndarray:
         return squash_uncertainty(var_raw, self.squash_scale)
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "version": 3,
             "thresholds": [float(t) for t in self.thresholds.thresholds],
             "weights": [float(w) for w in self.weights],
@@ -303,6 +377,9 @@ class IWareEnsemble:
             "n_features": int(self.n_features),
             "learners": [l.to_dict() for l in self.learners],
         }
+        if self.query_outputs is not None:
+            d["query_outputs"] = self.query_outputs.to_dict()
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "IWareEnsemble":
@@ -322,6 +399,8 @@ class IWareEnsemble:
                 learner_kind=d["learner_kind"],
                 squash_scale=float_field(d["squash_scale"], "squash_scale"),
                 n_features=int_field(d["n_features"], "n_features"),
+                query_outputs=(QueryOutputs.from_dict(d["query_outputs"], len(thresholds))
+                               if "query_outputs" in d else None),
             )
         except KeyError as err:
             raise IwareError(f"ensemble document lacks key {err}") from None

@@ -1,7 +1,9 @@
 """Weak learners for the effort-aware ensemble.
 
 Three families, one contract: ``predict_proba(X) -> (prob, latent_var)``
-where ``latent_var`` is None for learners without a native uncertainty.
+where ``latent_var`` is None for learners without a native uncertainty,
+and ``prepare()``, which builds what prediction needs and loading left
+out (a loaded GP's factors; nothing for a bag).
 The learners an ensemble keeps also give held-out predictions for the
 rows they were fit on, from that single fit (``held_out_proba``): the
 out-of-bag votes of a bag, the closed-form leave-one-out predictive of a
@@ -414,6 +416,9 @@ class BaggedClassifier:
         votes = self.tree_votes(X)
         return votes.mean(axis=0), None
 
+    def prepare(self) -> None:
+        """Nothing to build: a loaded bag predicts as it is."""
+
     def held_out_proba(self, X: np.ndarray):
         """(rows, prob) for the rows X the bag was drawn from: each row's
         mean vote over the trees whose bag did not draw it (Breiman's
@@ -571,7 +576,9 @@ class GpClassifier:
     Kept after training: the (possibly subsampled) inputs, the latent
     posterior mode and its likelihood gradient, the Cholesky factor of
     B = I + sqrt(W) K sqrt(W) used for predictions, and the Cholesky factor
-    of K + jitter*I used for the exposed latent variance. ``kept_rows``,
+    of K + jitter*I used for the exposed latent variance. A model loaded
+    from its document holds the inputs and the mode alone, and builds the
+    rest at its first prediction (``prepare``). ``kept_rows``,
     set by ``train_gp`` only, records which of its input rows the
     ``max_points`` cap kept; it is not serialized.
     """
@@ -591,6 +598,11 @@ class GpClassifier:
     def kernel(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return _rbf(_sqdist(A, B), self.lengthscale, self.signal_var)
 
+    def prepare(self) -> None:
+        """Build the factors at the stored mode, if not built yet."""
+        if self._L_b is None:
+            _finalize_gp(self, self.f_mode)
+
     def predict_proba(self, Xq: np.ndarray):
         """(probability, latent variance) for query rows.
 
@@ -600,6 +612,7 @@ class GpClassifier:
         inputs: zero (up to jitter) at training points, signal_var far away.
         """
         Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
+        self.prepare()
         # (n, q) arrays: the solves are squared in place, and each is dropped
         # once used, which bounds the peak memory of predicting many rows
         ks = self.kernel(self.X, Xq)
@@ -623,6 +636,7 @@ class GpClassifier:
         is the probit approximation ``predict_proba`` uses. Rows the cap
         dropped did not enter the fit, so their plain prediction is held
         out."""
+        self.prepare()
         K = self.kernel(self.X, self.X) + self.jitter * np.eye(self.X.shape[0])
         C = _solve_lower(self._L_b, self._sqrt_w[:, None] * K)
         s = np.diag(K) - (C**2).sum(axis=0)
@@ -644,7 +658,8 @@ class GpClassifier:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GpClassifier":
-        """Rebuild the prediction state from the stored latent mode."""
+        """The stored model, its fields checked; its prediction state is
+        built from the stored latent mode at the first prediction."""
         model = cls(
             X=float_array_field(d["X"], "X"),
             y_sign=float_array_field(d["y_sign"], "y_sign"),
@@ -661,7 +676,7 @@ class GpClassifier:
         f_mode = float_array_field(d.get("f_mode"), "f_mode")
         if f_mode.shape != model.y_sign.shape or not np.all(np.isfinite(f_mode)):
             raise LearnerError(f"f_mode must be a finite vector of length {model.y_sign.size}")
-        _finalize_gp(model, f_mode)
+        model.f_mode = f_mode
         return model
 
 

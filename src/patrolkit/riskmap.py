@@ -51,11 +51,13 @@ class RiskMap:
             object.__setattr__(self, name, arr)
 
 
-def _query_features(grid: ParkGrid, ds: PatrolDataset) -> np.ndarray:
-    """Feature matrix for prediction period queries: static features plus
-    the last observed effort as the previous-coverage covariate."""
+def query_rows(grid: ParkGrid, ds: PatrolDataset) -> np.ndarray:
+    """Prediction-period query rows, one per masked cell in ``masked_ids``
+    order: static features plus the last observed effort as the
+    previous-coverage covariate. ``train`` keeps the ensemble's outputs on
+    these rows (``IWareEnsemble.keep_query_outputs``)."""
     prev = ds.effort[ds.num_timesteps - 1]
-    return np.concatenate([grid.features, prev[:, None]], axis=1)
+    return np.concatenate([grid.features, prev[:, None]], axis=1)[grid.masked_ids()]
 
 
 def sweep_riskmap(
@@ -68,8 +70,7 @@ def sweep_riskmap(
     whose threshold exceeds the top level is never run."""
     levels = _checked_levels(effort_levels)
     ids = grid.masked_ids()
-    X = _query_features(grid, ds)[ids]
-    P, V = ens.member_outputs(X, levels[-1])
+    P, V = ens.member_outputs(query_rows(grid, ds), levels[-1])
     prob = np.full((len(levels), grid.n_cells), np.nan)
     var = np.full((len(levels), grid.n_cells), np.nan)
     for j, c in enumerate(levels):

@@ -30,7 +30,10 @@ def load_extension(name: str):
 
     It is registered under its own dotted name, so that a later import of
     its package reuses it: an extension module must not be loaded twice.
-    Where its file is not found, it falls back to the plain import.
+    Where the package is already imported, the module also becomes its
+    attribute, as an import makes it. A package imported later does not
+    get that attribute, but its own ``from . import`` finds the module by
+    name. Where its file is not found, it falls back to the plain import.
     """
     full_name = "scipy." + name
     if full_name in sys.modules:
@@ -47,4 +50,7 @@ def load_extension(name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[full_name] = module
     spec.loader.exec_module(module)
+    package = sys.modules.get(full_name.rpartition(".")[0])
+    if package is not None:
+        setattr(package, leaf, module)
     return module

@@ -12,6 +12,8 @@ from patrolkit.cli import main
 from patrolkit.config import ConfigError, load_config
 from patrolkit.grid import assemble_dataset
 from patrolkit.iware import train_iware
+from patrolkit.learners import BaggedClassifier, GpClassifier
+from patrolkit.riskmap import query_rows
 
 
 def run(args):
@@ -628,6 +630,7 @@ def test_cli_defaults_are_library_defaults(workdir, kind):
     T = ds.num_timesteps
     train_ds = assemble_dataset(grid, ds.effort[: T - 1], ds.labels[: T - 1])
     ens = train_iware(train_ds, I=2, rng=3, learner_kind=kind)
+    ens.keep_query_outputs(query_rows(grid, ds))
     assert json.loads((workdir / "r" / "model.json").read_text()) == ens.to_dict()
 
 
@@ -745,15 +748,17 @@ LAPACK = "scipy.linalg._flapack"
 
 def test_gp_commands_load_lapack_and_highs_alone(workdir):
     # a GP's triangular solves run on LAPACK's extension, loaded from its
-    # file: before, prediction imported all of scipy.linalg
+    # file: before, prediction imported all of scipy.linalg. riskmap and
+    # plan take the GP's outputs from model.json and load no LAPACK; before,
+    # each loaded it to rebuild and run every GP
     gp = [*SMALL, "--ensemble.learner=gp", "--output_dir=r"]
     assert run(["simulate", *gp]) == 0
     assert run(["train", *gp]) == 0
-    for command in ("riskmap", "evaluate"):
-        assert scipy_loaded(command_code(command, *gp)) == {LAPACK}, command
+    assert scipy_loaded(command_code("riskmap", *gp)) == set()
+    assert scipy_loaded(command_code("evaluate", *gp)) == {LAPACK}
     for extra in ([], ["--beta-sweep"]):
         loaded = scipy_loaded(command_code("plan", *gp, *extra))
-        assert LAPACK in loaded and highs_only(loaded - {LAPACK}), (extra, sorted(loaded))
+        assert highs_only(loaded), (extra, sorted(loaded))
 
 
 def test_scipy_linalg_reuses_the_gps_lapack():
@@ -865,6 +870,172 @@ assert model.lengthscale == 2.0, model.lengthscale
 """
     loaded = scipy_loaded(code)
     assert "scipy.optimize" in loaded and "scipy.spatial" in loaded
+
+
+def test_scipy_works_after_patrolkit_loads_its_extensions():
+    # patrolkit loads its four extensions alone; the packages imported after
+    # them in the same process find them by name, and their public functions
+    # work on them
+    code = """
+import numpy as np
+from patrolkit import iware, learners
+import patrolkit.planner
+L = np.array([[2.0, 0.0], [1.0, 3.0]])
+b = np.array([2.0, 4.0])
+x = learners._solve_lower(L, b)
+X = np.random.default_rng(0).normal(size=(20, 3))
+ell = learners.median_heuristic_lengthscale(X)
+iware.optimize_weights_from_probs(np.array([[0.9, 0.5], [0.1, 0.5]]), np.array([1.0, 0.0]),
+                                  np.ones((2, 2), bool))
+import scipy.linalg, scipy.optimize, scipy.spatial
+from scipy.spatial.distance import pdist
+assert np.array_equal(scipy.linalg.solve_triangular(L, b, lower=True), x)
+res = scipy.optimize.minimize(lambda z: (((z - 1.5) ** 2).sum(), 2 * (z - 1.5)), np.zeros(2),
+                              jac=True, method="L-BFGS-B")
+assert res.success and np.allclose(res.x, 1.5), res
+d = pdist(X)
+assert ell == float(np.median(d[d > 0]))
+res = scipy.optimize.milp(c=[-1, -1], integrality=[1, 1],
+                          constraints=scipy.optimize.LinearConstraint([[2, 2]], -np.inf, 5))
+assert res.status == 0 and res.fun == -2.0, res
+"""
+    loaded = scipy_loaded(code)
+    assert {"scipy.linalg", "scipy.optimize", "scipy.spatial", LAPACK, LBFGSB, DISTANCE,
+            HIGHS} <= loaded
+
+
+def test_extension_is_an_attribute_of_its_imported_package():
+    # before, it was in sys.modules alone, and the package imported before
+    # it had no attribute by its name
+    code = """
+import sys, types
+from patrolkit import scipyext
+package = sys.modules["scipy.optimize"] = types.ModuleType("scipy.optimize")
+lbfgsb = scipyext.load_extension("optimize._lbfgsb")
+assert lbfgsb.__name__ == "scipy.optimize._lbfgsb" and package._lbfgsb is lbfgsb
+"""
+    assert LBFGSB in scipy_loaded(code)
+
+
+def _predictions(monkeypatch) -> list:
+    """Records one entry per learner prediction from now on."""
+    calls = []
+    for cls in (BaggedClassifier, GpClassifier):
+        monkeypatch.setattr(cls, "predict_proba", lambda self, X, run=cls.predict_proba:
+                            calls.append(len(X)) or run(self, X))
+    return calls
+
+
+QUERY_ARTIFACTS = ("riskmap.csv", "blocks.json", "plan.json", "beta_sweep.csv")
+
+
+def _query_commands(out: str, args: list) -> None:
+    for extra in (["riskmap"], ["plan"], ["plan", "--beta-sweep"]):
+        assert run([*extra, *args, f"--output_dir={out}"]) == 0, extra
+
+
+class TestStoredQueryOutputs:
+    """train stores every learner's outputs on the prediction-period rows in
+    model.json; riskmap and plan take them from there."""
+
+    @staticmethod
+    def _trained(learner) -> list:
+        args = [*SMALL, f"--ensemble.learner={learner}"]
+        assert run(["simulate", *args, "--output_dir=a"]) == 0
+        assert run(["train", *args, "--output_dir=a"]) == 0
+        return args
+
+    @staticmethod
+    def _without_block(workdir, src: str, dst: str) -> None:
+        (workdir / dst).mkdir()
+        for name in ("cells.csv", "dataset.csv"):
+            (workdir / dst / name).write_bytes((workdir / src / name).read_bytes())
+        doc = json.loads((workdir / src / "model.json").read_text())
+        del doc["query_outputs"]
+        io.write_json(workdir / dst / "model.json", doc, indent=None)
+
+    @pytest.mark.parametrize("learner", ["trees", "gp"])
+    def test_outputs_equal_those_of_a_model_without_the_block(self, workdir, monkeypatch,
+                                                             learner):
+        args = self._trained(learner)
+        doc = json.loads((workdir / "a" / "model.json").read_text())
+        masked = io.read_cells_csv(workdir / "a" / "cells.csv").masked_ids().size
+        assert len(doc["query_outputs"]["prob"]) == masked
+        self._without_block(workdir, "a", "b")
+        calls = _predictions(monkeypatch)
+        _query_commands("a", args)
+        assert calls == []
+        _query_commands("b", args)
+        assert calls
+        for name in QUERY_ARTIFACTS:
+            assert (workdir / "a" / name).read_bytes() == (workdir / "b" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("learner", ["trees", "gp"])
+    def test_other_rows_miss_the_block(self, workdir, monkeypatch, learner):
+        # the last window's effort is the rows' previous-effort feature
+        args = self._trained(learner)
+        self._without_block(workdir, "a", "b")
+        grid = io.read_cells_csv(workdir / "a" / "cells.csv")
+        ds = io.read_dataset_csv(workdir / "a" / "dataset.csv", grid)
+        cell = int(grid.masked_ids()[0])
+        effort = ds.effort.copy()
+        effort[-1, cell] += 1.5
+        changed = assemble_dataset(grid, effort, ds.labels)
+        for out in ("a", "b"):
+            io.write_dataset_csv(workdir / out / "dataset.csv", changed)
+        calls = _predictions(monkeypatch)
+        _query_commands("a", args)
+        assert calls
+        _query_commands("b", args)
+        for name in QUERY_ARTIFACTS:
+            assert (workdir / "a" / name).read_bytes() == (workdir / "b" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("edit, field", [
+        ("a row short", "query_outputs.prob"),
+        ("a column fewer", "query_outputs.var"),
+        ("var a row short", "query_outputs.var"),
+        ("nan prob", "query_outputs.prob"),
+        ("nan var", "query_outputs.var"),
+        ("negative var", "query_outputs.var"),
+        ("prob 0", "query_outputs.prob"),
+        ("prob 1", "query_outputs.prob"),
+        ("bool prob", "query_outputs.prob"),
+        ("digest a number", "query_outputs.digest"),
+        ("digest null", "query_outputs.digest"),
+    ])
+    def test_malformed_block(self, workdir, capsys, edit, field):
+        # before, riskmap read past a malformed block with exit 0
+        args = self._trained("trees")
+        path = workdir / "a" / "model.json"
+        doc = json.loads(path.read_text())
+        block = doc["query_outputs"]
+        prob, var = block["prob"], block["var"]
+        if edit == "a row short":
+            prob[0] = prob[0][:-1]
+        elif edit == "a column fewer":
+            block["var"] = [row[:-1] for row in var]
+        elif edit == "var a row short":
+            block["var"] = var[:-1]
+        elif edit == "nan prob":
+            prob[1][0] = float("nan")
+        elif edit == "nan var":
+            var[1][0] = float("nan")
+        elif edit == "negative var":
+            var[0][0] = -1e-9
+        elif edit in ("prob 0", "prob 1"):
+            prob[0][1] = float(edit[-1])
+        elif edit == "bool prob":
+            prob[2][0] = True
+        else:
+            block["digest"] = None if edit == "digest null" else 7
+        path.write_text(json.dumps(doc) + "\n")
+        before = sorted(p.name for p in (workdir / "a").iterdir())
+        capsys.readouterr()
+        for extra in (["riskmap"], ["plan"]):
+            assert run([*extra, *args, "--output_dir=a"]) == 2, extra
+            err = capsys.readouterr().err
+            assert "malformed field" in err and field in err, (extra, err)
+        assert sorted(p.name for p in (workdir / "a").iterdir()) == before
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from patrolkit import learners
 from patrolkit.learners import (
     LearnerError,
     TrainMatrix,
@@ -227,6 +228,27 @@ class TestTraining:
         p1, v1 = back.predict_proba(q)
         np.testing.assert_array_equal(p0, p1)
         np.testing.assert_array_equal(v0, v1)
+
+    def test_loaded_model_factors_its_kernel_at_first_prediction(self, monkeypatch):
+        # before, loading built every GP's kernel and factors, whether or
+        # not the process then predicted with it
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(20, 2))
+        m = train_gp(matrix(X, X[:, 1] > 0), rng=0)
+        calls = []
+        finalize = learners._finalize_gp
+        monkeypatch.setattr(learners, "_finalize_gp",
+                            lambda model, f_mode=None: calls.append(1) or finalize(model, f_mode))
+        for first in ("predict_proba", "held_out_proba"):
+            back = deserialize_learner(m.to_dict())
+            assert calls == [] and back._L_b is None and back._L_k is None
+            getattr(back, first)(X[:3])
+            back.predict_proba(X[3:])
+            back.prepare()
+            assert calls == [1], first
+            for name in ("f_mode", "_alpha", "_sqrt_w", "_L_b", "_L_k"):
+                np.testing.assert_array_equal(getattr(back, name), getattr(m, name))
+            calls.clear()
 
     def test_load_rejects_bad_mode(self):
         rng = np.random.default_rng(7)

@@ -29,6 +29,9 @@ class ConstLearner:
         self.p = p
         self.var = var
 
+    def prepare(self):
+        pass
+
     def predict_proba(self, X):
         n = np.atleast_2d(X).shape[0]
         v = None if self.var is None else np.full(n, self.var)
@@ -494,3 +497,59 @@ class TestTrainIware:
             else:
                 assert np.isnan(held[j])
         assert np.isnan(held).any()
+
+
+class TestQueryOutputs:
+    """An ensemble that keeps its outputs on one set of query rows returns
+    them for those rows, as its learners would give them."""
+
+    @staticmethod
+    def _round_trip(ens):
+        import json
+        return IWareEnsemble.from_dict(json.loads(json.dumps(ens.to_dict())))
+
+    @pytest.mark.parametrize("kind, options, tol", [("trees", {"num_trees": 4}, 0.0),
+                                                    ("gp", {"max_points": 30}, 1e-12)])
+    def test_kept_outputs_equal_computed_ones(self, monkeypatch, kind, options, tol):
+        ds = _toy_training_dataset(seed=5, T=4, n=24)
+        ens = train_iware(ds, I=3, learner_kind=kind, rng=1, **options)
+        X = ds.design_matrix[-1]
+        efforts = [0.0, ens.thresholds.thresholds[1], np.inf, ds.effort[-1]]
+        computed = [self._round_trip(ens).member_outputs(X, c) for c in efforts]
+        ens.keep_query_outputs(X)
+        loaded = self._round_trip(ens)
+        for lrn in loaded.learners:
+            monkeypatch.setattr(lrn, "predict_proba", None)  # no learner may run
+        for c, (P0, V0) in zip(efforts, computed):
+            P, V = loaded.member_outputs(X.copy(), c)
+            assert np.array_equal(np.isnan(P), np.isnan(P0))
+            assert np.array_equal(np.isnan(V), np.isnan(V0))
+            # a per-row effort runs a learner on fewer rows than the kept batch
+            exact = tol if np.ndim(c) else 0.0
+            np.testing.assert_allclose(P, P0, rtol=0, atol=exact)
+            np.testing.assert_allclose(V, V0, rtol=0, atol=exact)
+
+    def test_other_rows_are_computed(self):
+        ds = _toy_training_dataset(seed=5, T=4, n=24)
+        ens = train_iware(ds, I=3, learner_kind="trees", rng=1, num_trees=4)
+        X = ds.design_matrix[-1]
+        other = X.copy()
+        other[0, -1] += 1.0
+        others = (other, X[:-1])
+        expected = [ens.member_outputs(rows, np.inf) for rows in others]
+        ens.keep_query_outputs(X)
+        assert not np.array_equal(expected[0][0], ens.query_outputs.prob)
+        for rows, (P0, V0) in zip(others, expected):
+            P, V = ens.member_outputs(rows, np.inf)
+            np.testing.assert_array_equal(P, P0)
+            np.testing.assert_array_equal(V, V0)
+
+    def test_document_without_the_block(self):
+        ds = _toy_training_dataset(seed=5, T=4, n=24)
+        ens = train_iware(ds, I=3, learner_kind="trees", rng=1, num_trees=4)
+        assert "query_outputs" not in ens.to_dict()
+        ens.keep_query_outputs(ds.design_matrix[-1])
+        doc = ens.to_dict()
+        assert len(doc["query_outputs"]["prob"]) == ds.design_matrix.shape[1]
+        del doc["query_outputs"]
+        assert IWareEnsemble.from_dict(doc).query_outputs is None

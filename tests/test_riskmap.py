@@ -4,11 +4,11 @@ import pytest
 from patrolkit.grid import assemble_dataset
 from patrolkit.iware import IwareError, train_iware
 from patrolkit.riskmap import (
-    _query_features,
     PwlRiskModel,
     build_pwl,
     default_c_max,
     interp_rows,
+    query_rows,
     select_field_test_blocks,
     sweep_riskmap,
 )
@@ -66,7 +66,7 @@ class TestSweep:
         ens = train_iware(ds, I=4, learner_kind="trees", rng=3, num_trees=5)
         levels = [0.0, 0.5, 1.2]
         ids = ds.grid.masked_ids()
-        P, V = full_outputs(ens, _query_features(ds.grid, ds)[ids])
+        P, V = full_outputs(ens, query_rows(ds.grid, ds))
         calls = [0] * ens.thresholds.count
         for i, lrn in enumerate(ens.learners):
             monkeypatch.setattr(lrn, "predict_proba", lambda X, i=i, run=lrn.predict_proba:
