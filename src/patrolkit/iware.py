@@ -324,11 +324,6 @@ class IWareEnsemble:
         P, V = np.full(Q.shape, np.nan), np.full(Q.shape, np.nan)
         runs = [(lrn, i, np.flatnonzero(Q[:, i])) for i, lrn in enumerate(self.learners)
                 if Q[:, i].any()]
-        # every learner's state first: a GP builds its factors with numpy's
-        # BLAS and predicts with scipy's LAPACK, and on 2 cores the two
-        # libraries' threads slow each other down where their calls alternate
-        for lrn, _, _ in runs:
-            lrn.prepare()
         for lrn, i, rows in runs:
             p, v = lrn.predict_proba(X if rows.size == X.shape[0] else X[rows])
             P[rows, i] = _clamp_probs(p)

@@ -30,8 +30,11 @@ GP.
 
 Only the GP uses scipy, and only compiled extensions of it, each loaded
 alone from its file when first called (``scipyext.load_extension``). Its
-triangular solves run on LAPACK's routines from ``scipy.linalg._flapack``,
-and its median-heuristic lengthscale on the Euclidean routine of
+Cholesky factors and triangular solves run on LAPACK's routines from
+``scipy.linalg._flapack``, its matrix products on BLAS's from
+``scipy.linalg._fblas``: none on numpy's own build of OpenBLAS, whose
+second thread pool would contend with scipy's. Its median-heuristic
+lengthscale runs on the Euclidean routine of
 ``scipy.spatial._distance_pybind``. So a GP process loads no
 ``scipy.linalg`` or ``scipy.spatial``, and a process that loads trees
 alone loads no scipy.
@@ -537,18 +540,38 @@ def _lapack():
     return load_extension("linalg._flapack")
 
 
+def _blas():
+    """scipy's BLAS binding, ``scipy.linalg._fblas``, loaded alone."""
+    return load_extension("linalg._fblas")
+
+
+def _cholesky(A: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of A, Fortran-ordered, from its lower
+    triangle: LAPACK's dpotrf, as ``scipy.linalg.cholesky(A, lower=True)``
+    calls it, so bit for bit, but without that function's finite check: a
+    NaN in A gives NaN in L, which ``_solve_lower`` rejects. Where A is not
+    positive definite it raises LinAlgError, which ``train_gp`` answers with
+    more jitter."""
+    L, info = _lapack().dpotrf(A, lower=1, clean=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrf")
+    return L
+
+
 def _solve_lower(L: np.ndarray, B: np.ndarray, transposed: bool = False) -> np.ndarray:
     """x with L x = B, or L.T x = B where ``transposed``, for a lower
-    triangular, C-ordered L such as ``np.linalg.cholesky`` returns.
+    triangular, Fortran-ordered L such as ``_cholesky`` returns.
 
-    It is ``scipy.linalg.solve_triangular`` bit for bit, with its checks:
-    that function hands LAPACK's dtrtrs the Fortran-ordered view L.T, as
-    an upper triangle, and so does this. A non-finite operand raises
-    ValueError, a zero on the diagonal LinAlgError.
+    It is ``scipy.linalg.solve_triangular(L, B, lower=True)`` bit for bit,
+    with its checks: for a Fortran-ordered L that function hands LAPACK's
+    dtrtrs L itself, as a lower triangle, and so does this. A non-finite
+    operand raises ValueError, a zero on the diagonal LinAlgError.
     """
     if not (np.isfinite(L).all() and np.isfinite(B).all()):
         raise ValueError("array must not contain infs or NaNs")
-    x, info = _lapack().dtrtrs(L.T, B, lower=0, trans=0 if transposed else 1)
+    x, info = _lapack().dtrtrs(L, B, lower=1, trans=int(transposed))
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     if info < 0:
@@ -556,16 +579,38 @@ def _solve_lower(L: np.ndarray, B: np.ndarray, transposed: bool = False) -> np.n
     return x
 
 
+def _gemm_t(alpha: float, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``alpha * A @ B.T``, Fortran-ordered: BLAS's dgemm, as
+    ``scipy.linalg.blas.dgemm(alpha, A, B, trans_b=True)``."""
+    return _blas().dgemm(alpha, A, B, trans_b=1)
+
+
+def _gemv(A: np.ndarray, x: np.ndarray, transposed: bool = False) -> np.ndarray:
+    """``A @ x``, or ``A.T @ x`` where ``transposed``: BLAS's dgemv, as
+    ``scipy.linalg.blas.dgemv(1.0, A, x, trans=transposed)``. It reads a
+    Fortran-ordered A without a copy."""
+    return _blas().dgemv(1.0, A, x, trans=int(transposed))
+
+
+def _add_to_diagonal(A: np.ndarray, value: float) -> np.ndarray:
+    """A with ``value`` added to its diagonal, in place and in A's memory
+    order: ``A + value * np.eye(n)`` bit for bit where A holds no -0.0."""
+    A[np.diag_indices_from(A)] += value
+    return A
+
+
 def _sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Squared distances ``max(|a|^2 + |b|^2 - 2 a.b, 0)``, each step in
-    that order, in one (n, q) array: the sums of squares are added and
-    subtracted a block of about 64k entries at a time."""
-    d = (2.0 * A) @ B.T
-    a2, b2 = (A**2).sum(axis=1)[:, None], (B**2).sum(axis=1)
-    step = max(65536 // max(d.shape[1], 1), 1)
-    for i in range(0, d.shape[0], step):
-        block = d[i:i + step]
-        np.subtract(a2[i:i + step] + b2, block, out=block)
+    that order, in one Fortran-ordered (n, q) array: the sums of squares
+    are added and subtracted a block of columns of about 64k entries at a
+    time."""
+    d = _gemm_t(2.0, A, B)
+    a2, b2 = (A**2).sum(axis=1), (B**2).sum(axis=1)
+    columns = d.T  # C-ordered (q, n): row j is column j of d
+    step = max(65536 // max(columns.shape[1], 1), 1)
+    for j in range(0, columns.shape[0], step):
+        block = columns[j:j + step]
+        np.subtract(a2 + b2[j:j + step, None], block, out=block)
     return np.maximum(d, 0.0, out=d)
 
 
@@ -616,7 +661,7 @@ class GpClassifier:
         # (n, q) arrays: the solves are squared in place, and each is dropped
         # once used, which bounds the peak memory of predicting many rows
         ks = self.kernel(self.X, Xq)
-        mean = ks.T @ self._alpha
+        mean = _gemv(ks, self._alpha, transposed=True)
         v = _solve_lower(self._L_b, self._sqrt_w[:, None] * ks)
         var_lap = np.maximum(self.signal_var - np.square(v, out=v).sum(axis=0), 0.0)
         del v
@@ -637,7 +682,7 @@ class GpClassifier:
         dropped did not enter the fit, so their plain prediction is held
         out."""
         self.prepare()
-        K = self.kernel(self.X, self.X) + self.jitter * np.eye(self.X.shape[0])
+        K = _add_to_diagonal(self.kernel(self.X, self.X), self.jitter)
         C = _solve_lower(self._L_b, self._sqrt_w[:, None] * K)
         s = np.diag(K) - (C**2).sum(axis=0)
         w = self._sqrt_w**2
@@ -700,20 +745,17 @@ def _newton_mode(K: np.ndarray, y: np.ndarray):
 
     Raises on Cholesky failure; the caller escalates jitter.
     """
-    n = K.shape[0]
     t = (y + 1.0) / 2.0
-    f = np.zeros(n)
-    eye = np.eye(n)
+    f = np.zeros(K.shape[0])
     for _ in range(100):
         pi = _sigmoid_stable(f)
         w = pi * (1.0 - pi)
         sw = np.sqrt(w)
-        B = eye + sw[:, None] * K * sw[None, :]
-        L = np.linalg.cholesky(B)
+        L = _cholesky(_laplace_b(K, sw))
         b = w * f + (t - pi)
-        rhs = sw * (K @ b)
+        rhs = sw * _gemv(K, b)
         a = b - sw * _solve_lower(L, _solve_lower(L, rhs), transposed=True)
-        f_new = K @ a
+        f_new = _gemv(K, a)
         delta = float(np.max(np.abs(f_new - f)))
         f = f_new
         if delta < 1e-6:
@@ -721,11 +763,16 @@ def _newton_mode(K: np.ndarray, y: np.ndarray):
     return f
 
 
+def _laplace_b(K: np.ndarray, sw: np.ndarray) -> np.ndarray:
+    """B = I + sqrt(W) K sqrt(W), in K's memory order."""
+    return _add_to_diagonal(sw[:, None] * K * sw[None, :], 1.0)
+
+
 def _mode_state(K: np.ndarray, y: np.ndarray, f: np.ndarray):
     """Laplace state at the latent mode f: (pi, sqrt_w, L_b, alpha, lml)."""
     pi = _sigmoid_stable(f)
     sw = np.sqrt(pi * (1.0 - pi))
-    L = np.linalg.cholesky(np.eye(K.shape[0]) + sw[:, None] * K * sw[None, :])
+    L = _cholesky(_laplace_b(K, sw))
     alpha = (y + 1.0) / 2.0 - pi
     lml = float(-0.5 * alpha @ f + _log_sigmoid(y * f).sum() - np.log(np.diag(L)).sum())
     return pi, sw, L, alpha, lml
@@ -733,11 +780,11 @@ def _mode_state(K: np.ndarray, y: np.ndarray, f: np.ndarray):
 
 def _finalize_gp(model: GpClassifier, f_mode: np.ndarray | None = None) -> None:
     """Prediction state at the given latent mode, found by Newton when None."""
-    K = model.kernel(model.X, model.X) + model.jitter * np.eye(model.X.shape[0])
+    K = _add_to_diagonal(model.kernel(model.X, model.X), model.jitter)
     f = _newton_mode(K, model.y_sign) if f_mode is None else f_mode
     _, sw, L, alpha, _ = _mode_state(K, model.y_sign, f)
     model.f_mode, model._sqrt_w, model._L_b, model._alpha = f, sw, L, alpha
-    model._L_k = np.linalg.cholesky(K)
+    model._L_k = _cholesky(K)
 
 
 def median_heuristic_lengthscale(X: np.ndarray) -> float:
@@ -829,10 +876,9 @@ def gp_lml_and_gradient(model: GpClassifier, lengthscale=None, signal_var=None):
     ell = model.lengthscale if lengthscale is None else float(lengthscale)
     sv = model.signal_var if signal_var is None else float(signal_var)
     X, y = model.X, model.y_sign
-    n = X.shape[0]
     d2 = _sqdist(X, X)
     K_rbf = _rbf(d2, ell, sv)
-    K = K_rbf + model.jitter * np.eye(n)
+    K = _add_to_diagonal(K_rbf.copy(order="F"), model.jitter)
     f = _newton_mode(K, y)
     pi, sw, L, alpha, lml = _mode_state(K, y, f)
 
@@ -846,9 +892,9 @@ def gp_lml_and_gradient(model: GpClassifier, lengthscale=None, signal_var=None):
 
     grads = []
     for dK in (K_rbf * d2 / ell**3, K_rbf / sv):
-        s1 = 0.5 * alpha @ (dK @ alpha) - 0.5 * np.sum(R * dK)
-        b = dK @ alpha
-        s3 = b - K @ (R @ b)
+        b = _gemv(dK, alpha)
+        s1 = 0.5 * alpha @ b - 0.5 * np.sum(R * dK)
+        s3 = b - _gemv(K, _gemv(R, b))
         grads.append(float(s1 + s2 @ s3))
     return lml, grads[0], grads[1]
 

@@ -1,16 +1,17 @@
 """scipy's compiled extensions, each loaded alone.
 
 The planner runs on scipy's HiGHS binding, the weight fit on its
-L-BFGS-B routine, and the GP on LAPACK's routines and its Euclidean
-pairwise distances. Importing any of them by name first runs the
+L-BFGS-B routine, and the GP on its LAPACK and BLAS routines and its
+Euclidean pairwise distances. Importing any of them by name first runs the
 packages above it: ``scipy.optimize`` loads ``scipy.sparse`` and much
 else in about 0.5 s, ``scipy.spatial`` takes about 0.3 s and
 ``scipy.linalg`` about 0.2 s. ``load_extension`` reads the extension
-from its file instead. These are:
+from its file instead. These five are:
 
 * ``optimize._highspy._core``, HiGHS (``planner.milp``);
 * ``optimize._lbfgsb``, L-BFGS-B's ``setulb`` (``iware._lbfgsb``);
 * ``linalg._flapack``, LAPACK (``learners._lapack``);
+* ``linalg._fblas``, BLAS (``learners._blas``);
 * ``spatial._distance_pybind``, ``pdist``'s compiled metrics
   (``learners.median_heuristic_lengthscale``).
 """

@@ -744,46 +744,58 @@ def test_tree_commands_load_no_scipy(workdir):
 
 
 LAPACK = "scipy.linalg._flapack"
+FBLAS = "scipy.linalg._fblas"
 
 
 def test_gp_commands_load_lapack_and_highs_alone(workdir):
-    # a GP's triangular solves run on LAPACK's extension, loaded from its
-    # file: before, prediction imported all of scipy.linalg. riskmap and
-    # plan take the GP's outputs from model.json and load no LAPACK; before,
-    # each loaded it to rebuild and run every GP
+    # a GP's factors and triangular solves run on LAPACK's extension and its
+    # matrix products on BLAS's, each loaded from its file: before,
+    # prediction imported all of scipy.linalg, and then its products and
+    # factors ran on numpy's BLAS. riskmap and plan take the GP's outputs
+    # from model.json and load neither; before, each loaded LAPACK to
+    # rebuild and run every GP
     gp = [*SMALL, "--ensemble.learner=gp", "--output_dir=r"]
     assert run(["simulate", *gp]) == 0
     assert run(["train", *gp]) == 0
     assert scipy_loaded(command_code("riskmap", *gp)) == set()
-    assert scipy_loaded(command_code("evaluate", *gp)) == {LAPACK}
+    assert scipy_loaded(command_code("evaluate", *gp)) == {LAPACK, FBLAS}
     for extra in ([], ["--beta-sweep"]):
         loaded = scipy_loaded(command_code("plan", *gp, *extra))
         assert highs_only(loaded), (extra, sorted(loaded))
 
 
 def test_scipy_linalg_reuses_the_gps_lapack():
-    # the later import of scipy.linalg finds the GP's module under its own name
+    # the later import of scipy.linalg finds the GP's modules under their own names
     code = """
 import sys
 import numpy as np
 from patrolkit import learners
-L = np.linalg.cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
+A = np.array([[4.0, 2.0], [2.0, 3.0]])
+L = learners._cholesky(A)
 b = np.array([1.0, 2.0])
 x = learners._solve_lower(L, b)
-assert "scipy.linalg._flapack" in sys.modules and "scipy.linalg" not in sys.modules
+y = learners._gemv(A, b)
+assert {"scipy.linalg._flapack", "scipy.linalg._fblas"} <= set(sys.modules)
+assert "scipy.linalg" not in sys.modules
 import scipy.linalg
 assert sys.modules["scipy.linalg._flapack"] is learners._lapack()
+assert sys.modules["scipy.linalg._fblas"] is learners._blas()
 assert scipy.linalg.lapack.dtrtrs is learners._lapack().dtrtrs
+assert scipy.linalg.blas.dgemv is learners._blas().dgemv
+assert np.array_equal(scipy.linalg.cholesky(A, lower=True), L)
 assert np.array_equal(scipy.linalg.solve_triangular(L, b, lower=True), x)
+assert np.array_equal(scipy.linalg.blas.dgemv(1.0, A, b), y)
 """
     assert "scipy.linalg" in scipy_loaded(code)
 
 
 def test_gp_falls_back_to_importing_lapack(tmp_path):
-    # where the extension's file is not found, LAPACK's binding comes from a
-    # plain import, with the rest of scipy.linalg
-    code = f"""
-import importlib.machinery, importlib.util
+    # where the extensions' files are not found, LAPACK's and BLAS's
+    # bindings come from plain imports, with the rest of scipy.linalg; each
+    # is loaded first once, so each falls back on its own
+    for first in ("_lapack", "_blas"):
+        code = f"""
+import importlib.machinery, importlib.util, sys
 import numpy as np
 find_spec = importlib.util.find_spec
 def scipy_elsewhere(name, package=None):
@@ -793,13 +805,19 @@ def scipy_elsewhere(name, package=None):
     spec.submodule_search_locations = [{str(tmp_path)!r}]
     return spec
 importlib.util.find_spec = scipy_elsewhere
+from patrolkit import learners
 from patrolkit.learners import TrainMatrix, train_gp
+learners.{first}()
+assert "scipy.linalg" in sys.modules
 X = np.array([[0.0], [1.0], [2.0], [3.0]])
 data = TrainMatrix(rows=X, labels=np.array([False, False, True, True]), row_ids=np.arange(4))
 prob, var = train_gp(data, lengthscale=1.0, rng=0).predict_proba(np.array([[0.0], [3.0]]))
 assert prob[0] < 0.5 < prob[1] and np.all(var > 0), (prob, var)
+import scipy.linalg
+assert learners._lapack() is sys.modules["scipy.linalg._flapack"] is scipy.linalg._flapack
+assert learners._blas() is sys.modules["scipy.linalg._fblas"] is scipy.linalg._fblas
 """
-    assert "scipy.linalg" in scipy_loaded(code)
+        assert {"scipy.linalg", LAPACK, FBLAS} <= scipy_loaded(code), first
 
 
 LBFGSB = "scipy.optimize._lbfgsb"
@@ -808,12 +826,13 @@ DISTANCE = "scipy.spatial._distance_pybind"
 
 @pytest.mark.parametrize("kind, extensions", [
     ("trees", {LBFGSB}),
-    ("gp", {LBFGSB, DISTANCE, LAPACK}),
+    ("gp", {LBFGSB, DISTANCE, LAPACK, FBLAS}),
 ], ids=["trees", "gp"])
 def test_train_loads_extensions_alone(workdir, kind, extensions):
-    # the weight fit runs on L-BFGS-B's extension and the GP's lengthscale
-    # on pdist's, each loaded from its file: before, train imported all of
-    # scipy.optimize, and on a GP scipy.spatial too
+    # the weight fit runs on L-BFGS-B's extension, the GP's lengthscale on
+    # pdist's and its linear algebra on LAPACK's and BLAS's, each loaded from
+    # its file: before, train imported all of scipy.optimize, and on a GP
+    # scipy.spatial too
     args = [*SMALL, f"--ensemble.learner={kind}", "--output_dir=r"]
     assert run(["simulate", *args]) == 0
     assert scipy_loaded(command_code("train", *args)) == extensions
@@ -873,16 +892,18 @@ assert model.lengthscale == 2.0, model.lengthscale
 
 
 def test_scipy_works_after_patrolkit_loads_its_extensions():
-    # patrolkit loads its four extensions alone; the packages imported after
+    # patrolkit loads its five extensions alone; the packages imported after
     # them in the same process find them by name, and their public functions
     # work on them
     code = """
 import numpy as np
 from patrolkit import iware, learners
 import patrolkit.planner
-L = np.array([[2.0, 0.0], [1.0, 3.0]])
+L = np.array([[2.0, 0.0], [1.0, 3.0]], order="F")
 b = np.array([2.0, 4.0])
 x = learners._solve_lower(L, b)
+M = np.arange(6.0).reshape(2, 3)
+P = learners._gemm_t(2.0, M, M)
 X = np.random.default_rng(0).normal(size=(20, 3))
 ell = learners.median_heuristic_lengthscale(X)
 iware.optimize_weights_from_probs(np.array([[0.9, 0.5], [0.1, 0.5]]), np.array([1.0, 0.0]),
@@ -890,6 +911,8 @@ iware.optimize_weights_from_probs(np.array([[0.9, 0.5], [0.1, 0.5]]), np.array([
 import scipy.linalg, scipy.optimize, scipy.spatial
 from scipy.spatial.distance import pdist
 assert np.array_equal(scipy.linalg.solve_triangular(L, b, lower=True), x)
+assert np.array_equal(scipy.linalg.blas.dgemm(2.0, M, M, trans_b=True), P)
+assert np.array_equal(P, 2.0 * M @ M.T)
 res = scipy.optimize.minimize(lambda z: (((z - 1.5) ** 2).sum(), 2 * (z - 1.5)), np.zeros(2),
                               jac=True, method="L-BFGS-B")
 assert res.success and np.allclose(res.x, 1.5), res
@@ -900,8 +923,8 @@ res = scipy.optimize.milp(c=[-1, -1], integrality=[1, 1],
 assert res.status == 0 and res.fun == -2.0, res
 """
     loaded = scipy_loaded(code)
-    assert {"scipy.linalg", "scipy.optimize", "scipy.spatial", LAPACK, LBFGSB, DISTANCE,
-            HIGHS} <= loaded
+    assert {"scipy.linalg", "scipy.optimize", "scipy.spatial", LAPACK, FBLAS, LBFGSB,
+            DISTANCE, HIGHS} <= loaded
 
 
 def test_extension_is_an_attribute_of_its_imported_package():

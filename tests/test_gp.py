@@ -5,6 +5,9 @@ from patrolkit import learners
 from patrolkit.learners import (
     LearnerError,
     TrainMatrix,
+    _cholesky,
+    _gemm_t,
+    _gemv,
     _rbf,
     _solve_lower,
     _sqdist,
@@ -286,26 +289,29 @@ class TestTraining:
 
 def lower_factor(n, seed):
     A = np.random.default_rng(seed).normal(size=(n, n))
-    return np.linalg.cholesky(A @ A.T + n * np.eye(n))
+    return _cholesky(A @ A.T + n * np.eye(n))
 
 
 class TestTriangularSolve:
-    """``_solve_lower`` is LAPACK's dtrtrs on L.T, the call that
-    ``scipy.linalg.solve_triangular`` makes for a C-ordered L, with that
-    function's checks."""
+    """``_solve_lower`` is LAPACK's dtrtrs on L, the call that
+    ``scipy.linalg.solve_triangular`` makes for a Fortran-ordered L such as
+    ``_cholesky`` returns, with that function's checks."""
 
     @pytest.mark.parametrize("transposed", [False, True])
     @pytest.mark.parametrize("rhs_shape", [(30,), (30, 7), (30, 1)])
     def test_equals_lapack_dtrtrs(self, transposed, rhs_shape):
+        from scipy.linalg import solve_triangular
         from scipy.linalg.lapack import dtrtrs
 
         L = lower_factor(30, 1)
+        assert L.flags.f_contiguous
         B = np.random.default_rng(2).normal(size=rhs_shape)
         x = _solve_lower(L, B, transposed=transposed)
-        ref, info = dtrtrs(L.T, B, lower=0, trans=0 if transposed else 1)
+        ref, info = dtrtrs(L, B, lower=1, trans=int(transposed))
         assert info == 0
         assert x.shape == B.shape
         np.testing.assert_array_equal(x, ref)
+        np.testing.assert_array_equal(x, solve_triangular(L, B, trans=int(transposed), lower=True))
         residual = (L.T if transposed else L) @ x - B
         assert np.abs(residual).max() < 1e-12
 
@@ -328,17 +334,87 @@ class TestTriangularSolve:
                 _solve_lower(L, np.ones(5), transposed=transposed)
 
 
+class TestBlasAndLapack:
+    """The GP's Cholesky factors and matrix products come from scipy's
+    BLAS and LAPACK bindings, as scipy's public functions call them."""
+
+    @pytest.mark.parametrize("n", [1, 30, 400])
+    def test_cholesky_equals_scipy(self, n):
+        from scipy.linalg import cholesky
+
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 3))
+        sw = rng.random(n)
+        # I + sqrt(W) K sqrt(W), whose two triangles differ at round-off
+        B = np.eye(n) + sw[:, None] * np.exp(-0.5 * _sqdist(X, X)) * sw[None, :]
+        for A in (B, np.asfortranarray(B)):
+            L = _cholesky(A)
+            assert L.flags.f_contiguous
+            np.testing.assert_array_equal(L, cholesky(A, lower=True))
+        np.testing.assert_allclose(L @ L.T, np.tril(B) + np.tril(B, -1).T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("A", [
+        [[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, -1e-9]],
+    ], ids=["indefinite", "zero", "negative-pivot"])
+    def test_cholesky_rejects_a_matrix_not_positive_definite(self, A):
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            _cholesky(np.array(A))
+
+    @pytest.mark.parametrize("n, q", [(1, 1), (30, 7), (400, 3000)])
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_gemm_equals_scipy(self, n, q, alpha):
+        from scipy.linalg.blas import dgemm
+
+        rng = np.random.default_rng([n, q])
+        A, B = rng.normal(size=(n, 5)), rng.normal(size=(q, 5))
+        C = _gemm_t(alpha, A, B)
+        assert C.shape == (n, q) and C.flags.f_contiguous
+        np.testing.assert_array_equal(C, dgemm(alpha, A, B, trans_b=True))
+        np.testing.assert_allclose(C, alpha * A @ B.T, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_gemv_equals_scipy(self, transposed, order):
+        from scipy.linalg.blas import dgemv
+
+        rng = np.random.default_rng(3)
+        A = np.asarray(rng.normal(size=(40, 25)), order=order)
+        x = rng.normal(size=25 if not transposed else 40)
+        y = _gemv(A, x, transposed=transposed)
+        np.testing.assert_array_equal(y, dgemv(1.0, A, x, trans=int(transposed)))
+        np.testing.assert_allclose(y, (A.T if transposed else A) @ x, rtol=1e-12, atol=1e-12)
+
+    def test_gp_runs_without_numpys_cholesky(self, monkeypatch):
+        # before, the GP's factors came from np.linalg.cholesky, on numpy's
+        # BLAS build, and its triangular solves from scipy's
+        def unused(*args, **kwargs):
+            raise AssertionError("np.linalg.cholesky called")
+
+        monkeypatch.setattr(np.linalg, "cholesky", unused)
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(40, 3))
+        m = train_gp(matrix(X, X[:, 0] + 0.5 * rng.normal(size=40) > 0), rng=0)
+        prob, var = m.predict_proba(rng.normal(size=(15, 3)))
+        assert np.all((prob > 0) & (prob < 1)) and np.all(var >= 0)
+        rows, loo = m.held_out_proba(X)
+        assert rows.shape == loo.shape == (40,) and np.all((loo > 0) & (loo < 1))
+
+
 class TestKernel:
     """``_sqdist`` and ``_rbf`` work in place but keep the order of the
-    textbook expressions, so they equal them bit for bit."""
+    textbook expressions, with the products from the same GEMM, so they
+    equal them bit for bit."""
 
     @pytest.mark.parametrize("n, q", [(1, 1), (7, 1), (300, 500), (40, 70000), (400, 20)])
     def test_equals_the_plain_expressions(self, n, q):
+        from scipy.linalg.blas import dgemm
+
         rng = np.random.default_rng([n, q])
         A, B = rng.normal(size=(n, 4)), rng.normal(size=(q, 4)) * 3
         d = _sqdist(A, B)
+        assert d.flags.f_contiguous
         plain = np.maximum((A**2).sum(axis=1)[:, None] + (B**2).sum(axis=1)[None, :]
-                           - 2.0 * A @ B.T, 0.0)
+                           - dgemm(2.0, A, B, trans_b=True), 0.0)
         np.testing.assert_array_equal(d, plain)
         kept = d.copy()
         np.testing.assert_array_equal(_rbf(d, 0.7, 1.3), 1.3 * np.exp(-0.5 * d / 0.7**2))
