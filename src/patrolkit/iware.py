@@ -44,6 +44,8 @@ LEARNER_OPTIONS = {
     "trees": ("num_trees", "undersample_ratio", "max_depth", "min_leaf", "feature_subsample"),
     "gp": ("lengthscale", "signal_var", "jitter", "max_points"),
 }
+# the ``kind`` of every stored learner of an ensemble of each learner kind
+LEARNER_BLOB_KINDS = {"trees": "bagged_trees", "gp": "gp"}
 
 
 class IwareError(ValueError):
@@ -386,12 +388,19 @@ class IWareEnsemble:
             blobs = d["learners"]
             if not isinstance(blobs, list) or not all(isinstance(b, dict) for b in blobs):
                 raise IwareError("ensemble document's learners must be a list of objects")
+            kind = d["learner_kind"]
+            if not (isinstance(kind, str) and kind in LEARNER_OPTIONS):
+                raise IwareError(f"unknown learner kind {kind!r}; "
+                                 f"choose from {tuple(LEARNER_OPTIONS)}")
+            if any(b.get("kind") != LEARNER_BLOB_KINDS[kind] for b in blobs):
+                raise IwareError(f"every learner of a {kind!r} ensemble must be of kind "
+                                 f"{LEARNER_BLOB_KINDS[kind]!r}")
             thresholds = float_array_field(d["thresholds"], "thresholds").tolist()
             return cls(
                 thresholds=ThresholdSet(tuple(thresholds)),
                 learners=[deserialize_learner(b) for b in blobs],
                 weights=float_array_field(d["weights"], "weights"),
-                learner_kind=d["learner_kind"],
+                learner_kind=kind,
                 squash_scale=float_field(d["squash_scale"], "squash_scale"),
                 n_features=int_field(d["n_features"], "n_features"),
                 query_outputs=(QueryOutputs.from_dict(d["query_outputs"], len(thresholds))

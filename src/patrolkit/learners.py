@@ -1,9 +1,7 @@
 """Weak learners for the effort-aware ensemble.
 
 Three families, one contract: ``predict_proba(X) -> (prob, latent_var)``
-where ``latent_var`` is None for learners without a native uncertainty,
-and ``prepare()``, which builds what prediction needs and loading left
-out (a loaded GP's factors; nothing for a bag).
+where ``latent_var`` is None for learners without a native uncertainty.
 The learners an ensemble keeps also give held-out predictions for the
 rows they were fit on, from that single fit (``held_out_proba``): the
 out-of-bag votes of a bag, the closed-form leave-one-out predictive of a
@@ -418,9 +416,6 @@ class BaggedClassifier:
     def predict_proba(self, X: np.ndarray):
         votes = self.tree_votes(X)
         return votes.mean(axis=0), None
-
-    def prepare(self) -> None:
-        """Nothing to build: a loaded bag predicts as it is."""
 
     def held_out_proba(self, X: np.ndarray):
         """(rows, prob) for the rows X the bag was drawn from: each row's

@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import ParkGrid, PatrolDataset
 from .iware import IWareEnsemble, IwareError
@@ -197,22 +198,13 @@ class BlockSelection:
         }
 
 
-def _valid_blocks(grid: ParkGrid, values: np.ndarray, block: int):
-    """Mean of ``values`` over every fully masked block; yields
-    (block_index, center_cell, mean)."""
-    W, H = grid.width, grid.height
-    vals = values.reshape(H, W)
-    mask = grid.mask.reshape(H, W).astype(float)
-    out = []
-    bi = 0
-    for y0 in range(H - block + 1):
-        for x0 in range(W - block + 1):
-            sub_mask = mask[y0:y0 + block, x0:x0 + block]
-            if sub_mask.sum() == block * block:
-                centre = (y0 + block // 2) * W + (x0 + block // 2)
-                out.append((bi, centre, float(vals[y0:y0 + block, x0:x0 + block].mean())))
-            bi += 1
-    return out
+def _window_means(grid: ParkGrid, values, b: int) -> np.ndarray:
+    """Mean of per-cell ``values`` over every ``b`` x ``b`` window of the
+    grid, in window-index order (row-major by top-left cell). The reshape
+    copies each window into its own contiguous row, which makes each mean
+    the ``.mean()`` of that window's 2-D slice bit for bit."""
+    vals = np.asarray(values, dtype=float).reshape(grid.height, grid.width)
+    return sliding_window_view(vals, (b, b)).reshape(-1, b * b).mean(axis=1)
 
 
 def select_field_test_blocks(
@@ -230,33 +222,33 @@ def select_field_test_blocks(
     ``per_band`` blocks per band (descending risk, ties by lowest block
     index) are returned.
     """
-    if grid.width < block_size or grid.height < block_size:
+    b = block_size
+    if grid.width < b or grid.height < b:
         raise IwareError("grid smaller than the block size")
-    risk_blocks = _valid_blocks(grid, np.asarray(risk, dtype=float), block_size)
-    eff_blocks = _valid_blocks(grid, np.asarray(historical_effort, dtype=float), block_size)
-    if not risk_blocks:
+    valid = _window_means(grid, grid.mask, b) == 1.0
+    if not valid.any():
         raise IwareError("no fully masked blocks available")
-    efforts = np.asarray([e for _, _, e in eff_blocks])
-    cutoff = np.percentile(efforts, EFFORT_CUTOFF_PERCENTILE)
-    kept = [(bi, ctr, r) for (bi, ctr, r), (_, _, e) in zip(risk_blocks, eff_blocks) if e <= cutoff]
+    cells = np.arange(grid.n_cells).reshape(grid.height, grid.width)
+    centres = sliding_window_view(cells, (b, b))[:, :, b // 2, b // 2].ravel()[valid]
+    effort = _window_means(grid, historical_effort, b)[valid]
+    kept = effort <= np.percentile(effort, EFFORT_CUTOFF_PERCENTILE)
+    centres, risks = centres[kept], _window_means(grid, risk, b)[valid][kept]
 
-    nk = len(kept)
-    order = sorted(range(nk), key=lambda i: (kept[i][2], kept[i][0]))
+    nk = risks.size
     pct = np.empty(nk)
-    for rank, i in enumerate(order):
-        pct[i] = 100.0 * rank / (nk - 1) if nk > 1 else 100.0
+    pct[np.argsort(risks, kind="stable")] = 100.0 * np.arange(nk) / (nk - 1) if nk > 1 else 100.0
 
     truncated = False
     chosen: list[tuple[tuple[int, float], ...]] = []
     for lo, hi in PERCENTILE_BANDS:
-        members = [i for i in range(nk) if lo <= pct[i] <= hi]
-        members.sort(key=lambda i: (-kept[i][2], kept[i][0]))
-        if len(members) < per_band:
+        members = np.flatnonzero((lo <= pct) & (pct <= hi))
+        if members.size < per_band:
             truncated = True
             warnings.warn(
-                f"band {lo}-{hi} has only {len(members)} valid blocks "
+                f"band {lo}-{hi} has only {members.size} valid blocks "
                 f"(requested {per_band})", stacklevel=2)
-        chosen.append(tuple((kept[i][1], kept[i][2]) for i in members[:per_band]))
+        top = members[np.argsort(-risks[members], kind="stable")][:per_band]
+        chosen.append(tuple(zip(centres[top].tolist(), risks[top].tolist())))
 
     return BlockSelection(block_size_cells=block_size, high=chosen[0],
                           medium=chosen[1], low=chosen[2], truncated=truncated)

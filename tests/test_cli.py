@@ -363,6 +363,26 @@ class TestMalformedInputs:
         (workdir / "r" / "model.json").write_text(json.dumps(doc) + "\n")
         assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
 
+    @pytest.mark.parametrize("learner, kind, message", [
+        ("trees", 5, "unknown learner kind 5"),
+        ("trees", "svm", "unknown learner kind 'svm'"),
+        ("trees", None, "unknown learner kind None"),
+        ("trees", "gp", "every learner of a 'gp' ensemble must be of kind 'gp'"),
+        ("gp", "trees", "every learner of a 'trees' ensemble must be of kind 'bagged_trees'"),
+    ])
+    def test_model_with_unusable_learner_kind(self, workdir, capsys, learner, kind, message):
+        # before, each loaded, and riskmap exited 0
+        args = [*SMALL, f"--ensemble.learner={learner}", "--output_dir=r"]
+        assert run(["simulate", *args]) == 0
+        assert run(["train", *args]) == 0
+        path = workdir / "r" / "model.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "learner_kind": kind}) + "\n")
+        capsys.readouterr()
+        assert run(["riskmap", *args]) == 2
+        assert message in capsys.readouterr().err
+        assert not (workdir / "r" / "riskmap.csv").exists()
+
     @pytest.mark.parametrize("key", ["thresholds", "n_features"])
     def test_model_with_null_field(self, workdir, key):
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0

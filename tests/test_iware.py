@@ -29,9 +29,6 @@ class ConstLearner:
         self.p = p
         self.var = var
 
-    def prepare(self):
-        pass
-
     def predict_proba(self, X):
         n = np.atleast_2d(X).shape[0]
         v = None if self.var is None else np.full(n, self.var)

@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from patrolkit.grid import assemble_dataset
 from patrolkit.iware import IwareError, train_iware
 from patrolkit.riskmap import (
+    EFFORT_CUTOFF_PERCENTILE,
+    PERCENTILE_BANDS,
+    BlockSelection,
     PwlRiskModel,
     build_pwl,
     default_c_max,
@@ -207,7 +212,8 @@ class TestBlockSelection:
         rng = np.random.default_rng(0)
         grid = flat_grid(12, 12, k=1)
         risk = rng.random(144)
-        sel = select_field_test_blocks(grid, risk, np.zeros(144), per_band=100)
+        with pytest.warns(UserWarning, match="valid blocks"):
+            sel = select_field_test_blocks(grid, risk, np.zeros(144), per_band=100)
         all_cells = [c for band in (sel.high, sel.medium, sel.low) for c, _ in band]
         assert len(all_cells) == len(set(all_cells))
 
@@ -215,8 +221,9 @@ class TestBlockSelection:
         # 1-cell blocks on a 10x10 grid: block risks are exactly 1..100
         grid = flat_grid(10, 10, k=1)
         risk = np.arange(1.0, 101.0)
-        sel = select_field_test_blocks(grid, risk, np.zeros(100), block_size=1,
-                                       per_band=100)
+        with pytest.warns(UserWarning, match="valid blocks"):
+            sel = select_field_test_blocks(grid, risk, np.zeros(100), block_size=1,
+                                           per_band=100)
         high = sorted(r for _, r in sel.high)
         low = sorted(r for _, r in sel.low)
         assert high == [float(v) for v in range(81, 101)]
@@ -227,7 +234,8 @@ class TestBlockSelection:
         effort = np.zeros(18)
         effort[4] = 100.0  # poisons every block containing cell 4
         risk = np.linspace(0, 1, 18)
-        sel = select_field_test_blocks(grid, risk, effort, per_band=50)
+        with pytest.warns(UserWarning, match="valid blocks"):
+            sel = select_field_test_blocks(grid, risk, effort, per_band=50)
         chosen = {c for band in (sel.high, sel.medium, sel.low) for c, _ in band}
         # cell 4 = (x4, y0); the 3x3 blocks containing it have centers 9 and 10
         assert not {9, 10} & chosen
@@ -237,7 +245,8 @@ class TestBlockSelection:
         rng = np.random.default_rng(1)
         grid = flat_grid(7, 7, k=1)
         risk = rng.random(49)
-        sel = select_field_test_blocks(grid, risk, np.zeros(49), per_band=100)
+        with pytest.warns(UserWarning, match="valid blocks"):
+            sel = select_field_test_blocks(grid, risk, np.zeros(49), per_band=100)
         for c, r in sel.high + sel.medium + sel.low:
             x, y = grid.cell_xy(c)
             block = [risk[(y + dy) * 7 + (x + dx)] for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
@@ -253,3 +262,91 @@ class TestBlockSelection:
         grid = flat_grid(2, 2, k=1)
         with pytest.raises(IwareError):
             select_field_test_blocks(grid, np.zeros(4), np.zeros(4), block_size=3)
+
+
+def _reference_blocks(grid, risk, historical_effort, block_size=3, per_band=5):
+    """Block selection as plain nested loops over the windows: the reference
+    whose outputs, warnings and errors ``select_field_test_blocks`` must
+    match."""
+
+    def valid_blocks(values, block):
+        W, H = grid.width, grid.height
+        vals = values.reshape(H, W)
+        mask = grid.mask.reshape(H, W).astype(float)
+        out = []
+        bi = 0
+        for y0 in range(H - block + 1):
+            for x0 in range(W - block + 1):
+                sub_mask = mask[y0:y0 + block, x0:x0 + block]
+                if sub_mask.sum() == block * block:
+                    centre = (y0 + block // 2) * W + (x0 + block // 2)
+                    out.append((bi, centre, float(vals[y0:y0 + block, x0:x0 + block].mean())))
+                bi += 1
+        return out
+
+    if grid.width < block_size or grid.height < block_size:
+        raise IwareError("grid smaller than the block size")
+    risk_blocks = valid_blocks(np.asarray(risk, dtype=float), block_size)
+    eff_blocks = valid_blocks(np.asarray(historical_effort, dtype=float), block_size)
+    if not risk_blocks:
+        raise IwareError("no fully masked blocks available")
+    efforts = np.asarray([e for _, _, e in eff_blocks])
+    cutoff = np.percentile(efforts, EFFORT_CUTOFF_PERCENTILE)
+    kept = [(bi, ctr, r) for (bi, ctr, r), (_, _, e) in zip(risk_blocks, eff_blocks) if e <= cutoff]
+
+    nk = len(kept)
+    order = sorted(range(nk), key=lambda i: (kept[i][2], kept[i][0]))
+    pct = np.empty(nk)
+    for rank, i in enumerate(order):
+        pct[i] = 100.0 * rank / (nk - 1) if nk > 1 else 100.0
+
+    truncated = False
+    chosen = []
+    for lo, hi in PERCENTILE_BANDS:
+        members = [i for i in range(nk) if lo <= pct[i] <= hi]
+        members.sort(key=lambda i: (-kept[i][2], kept[i][0]))
+        if len(members) < per_band:
+            truncated = True
+            warnings.warn(
+                f"band {lo}-{hi} has only {len(members)} valid blocks "
+                f"(requested {per_band})", stacklevel=2)
+        chosen.append(tuple((kept[i][1], kept[i][2]) for i in members[:per_band]))
+
+    return BlockSelection(block_size_cells=block_size, high=chosen[0],
+                          medium=chosen[1], low=chosen[2], truncated=truncated)
+
+
+def _selection_outcome(select, *args, **kwargs):
+    """(to_dict() or the error text, the warnings' categories and texts)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = select(*args, **kwargs).to_dict()
+        except IwareError as err:
+            result = f"IwareError: {err}"
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestBlockSelectionMatchesReference:
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_random_grids(self, chunk):
+        # rounded risks and efforts make ties, within and across bands; most
+        # cases fit the block in the grid and leave few holes in the park, so
+        # that most select blocks. Block sizes start at 1: the CLI rejects 0
+        for seed in range(150 * chunk, 150 * chunk + 150):
+            rng = np.random.default_rng(seed)
+            width, height = (int(v) for v in rng.integers(1, 60 if seed % 10 == 0 else 25, size=2))
+            n = width * height
+            mask = rng.random(n) >= rng.choice([0.0, 0.01, 0.05, 0.2, 0.4])
+            mask[0] = True
+            grid = flat_grid(width, height, mask=mask)
+            risk = np.round(rng.random(n), int(rng.integers(1, 4)))
+            if seed % 3 == 0:
+                risk[~mask] = np.nan
+            effort = np.round(rng.gamma(1.0, 1.0, n) * (rng.random(n) < 0.7), int(rng.integers(0, 3)))
+            largest = 8 if seed % 10 == 5 else min(8, width, height)
+            kwargs = dict(block_size=int(rng.integers(1, largest + 1)),
+                          per_band=int(rng.integers(1, 12)))
+            want = _selection_outcome(_reference_blocks, grid, risk, effort, **kwargs)
+            got = _selection_outcome(select_field_test_blocks, grid, risk, effort, **kwargs)
+            assert got == want, seed
