@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import PatrolDataset
-from .learners import (TrainMatrix, deserialize_learner, float_array_field, float_field, int_field,
-                       train_bagged, train_gp)
+from .learners import (BaggedClassifier, GpClassifier, TrainMatrix, float_array_field, float_field,
+                       int_field, train_bagged, train_gp)
 from .scipyext import load_extension
 
 PROB_CLAMP = 1e-6
@@ -44,8 +44,8 @@ LEARNER_OPTIONS = {
     "trees": ("num_trees", "undersample_ratio", "max_depth", "min_leaf", "feature_subsample"),
     "gp": ("lengthscale", "signal_var", "jitter", "max_points"),
 }
-# the ``kind`` of every stored learner of an ensemble of each learner kind
-LEARNER_BLOB_KINDS = {"trees": "bagged_trees", "gp": "gp"}
+# the class of every stored learner of an ensemble of each learner kind
+LEARNER_CLASSES = {"trees": BaggedClassifier, "gp": GpClassifier}
 
 
 class IwareError(ValueError):
@@ -97,14 +97,12 @@ class RiskQuery:
 
 
 def _dataset_rows(ds: PatrolDataset):
-    """Flatten (window, masked cell) rows: features, labels, effort, ids."""
+    """Flatten (window, masked cell) rows: features, labels, effort."""
     ids = ds.grid.masked_ids()
-    T = ds.num_timesteps
-    X = ds.design_matrix[:, ids, :].reshape(T * ids.size, -1)
+    X = ds.design_matrix[:, ids, :].reshape(ds.num_timesteps * ids.size, -1)
     y = ds.labels[:, ids].ravel().astype(bool)
     eff = ds.effort[:, ids].ravel()
-    row_ids = (np.arange(T)[:, None] * ds.grid.n_cells + ids[None, :]).ravel()
-    return X, y, eff, row_ids
+    return X, y, eff
 
 
 def select_thresholds(ds: PatrolDataset, I: int) -> ThresholdSet:
@@ -130,11 +128,6 @@ def _one_sided(y: np.ndarray, eff: np.ndarray, theta: float) -> np.ndarray:
     """Rows a learner at threshold theta trains on: all positives, plus
     negatives whose effort exceeds theta."""
     return y | (eff > theta)
-
-
-def _subset(rows, keep: np.ndarray) -> TrainMatrix:
-    X, y, _, row_ids = rows
-    return TrainMatrix(rows=X[keep], labels=y[keep], row_ids=row_ids[keep])
 
 
 def _clamp_probs(p: np.ndarray) -> np.ndarray:
@@ -316,9 +309,12 @@ class IWareEnsemble:
         learners without a native variance (their contribution to
         uncertainty is then only the spread between members). Where X are
         the rows of ``query_outputs``, by digest, its P and V are returned,
-        with the same NaN entries, and no learner runs.
+        with the same NaN entries, and no learner runs. Rows of another
+        width than ``n_features`` raise IwareError.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[1] != self.n_features:
+            raise IwareError(f"expected {self.n_features} features, got {X.shape[1]}")
         Q = np.broadcast_to(self.thresholds.qualified(effort), (X.shape[0], self.thresholds.count))
         kept = self.query_outputs
         if kept is not None and kept.prob.shape == Q.shape and kept.digest == rows_digest(X):
@@ -361,9 +357,6 @@ class IWareEnsemble:
         P, V = self.member_outputs(X, np.inf)
         self.query_outputs = QueryOutputs(rows_digest(X), P, V)
 
-    def squash(self, var_raw) -> np.ndarray:
-        return squash_uncertainty(var_raw, self.squash_scale)
-
     def to_dict(self) -> dict:
         d = {
             "version": 3,
@@ -392,17 +385,23 @@ class IWareEnsemble:
             if not (isinstance(kind, str) and kind in LEARNER_OPTIONS):
                 raise IwareError(f"unknown learner kind {kind!r}; "
                                  f"choose from {tuple(LEARNER_OPTIONS)}")
-            if any(b.get("kind") != LEARNER_BLOB_KINDS[kind] for b in blobs):
+            learner_class = LEARNER_CLASSES[kind]
+            if any(b.get("kind") != learner_class.KIND for b in blobs):
                 raise IwareError(f"every learner of a {kind!r} ensemble must be of kind "
-                                 f"{LEARNER_BLOB_KINDS[kind]!r}")
+                                 f"{learner_class.KIND!r}")
             thresholds = float_array_field(d["thresholds"], "thresholds").tolist()
+            learners = [learner_class.from_dict(b) for b in blobs]
+            n_features = int_field(d["n_features"], "n_features")
+            if any(lrn.n_features != n_features for lrn in learners):
+                raise ValueError(f"every learner must take the ensemble's {n_features} "
+                                 "features (n_features of a bag, X columns of a GP)")
             return cls(
                 thresholds=ThresholdSet(tuple(thresholds)),
-                learners=[deserialize_learner(b) for b in blobs],
+                learners=learners,
                 weights=float_array_field(d["weights"], "weights"),
                 learner_kind=kind,
                 squash_scale=float_field(d["squash_scale"], "squash_scale"),
-                n_features=int_field(d["n_features"], "n_features"),
+                n_features=n_features,
                 query_outputs=(QueryOutputs.from_dict(d["query_outputs"], len(thresholds))
                                if "query_outputs" in d else None),
             )
@@ -421,8 +420,6 @@ def predict_effort_conditioned(ens: IWareEnsemble, query: RiskQuery) -> tuple[fl
     the variance is the mixture variance, counting both per-learner
     variances and the spread between learner means.
     """
-    if query.features.shape != (ens.n_features,):
-        raise IwareError(f"expected {ens.n_features} features, got {query.features.shape}")
     g, v = ens.predict_rows(query.features[None, :], query.hypothetical_effort)
     return float(g[0]), float(v[0])
 
@@ -479,10 +476,9 @@ def train_iware(
                          f"{', '.join(unknown)}; choose from {LEARNER_OPTIONS[learner_kind]}")
     seed_root = rng if isinstance(rng, (int, np.integer)) else int(np.random.default_rng(rng).integers(2**62))
     ths = select_thresholds(ds, I)
-    rows = _dataset_rows(ds)
-    X, y, eff, _ = rows
+    X, y, eff = _dataset_rows(ds)
     keeps = [_one_sided(y, eff, theta) for theta in ths.thresholds]
-    learners = [_fit_learner(learner_kind, _subset(rows, keep),
+    learners = [_fit_learner(learner_kind, TrainMatrix(X[keep], y[keep]),
                              np.random.default_rng([seed_root, 1, i]), options)
                 for i, keep in enumerate(keeps)]
     ens = IWareEnsemble(thresholds=ths, learners=learners,

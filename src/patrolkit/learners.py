@@ -24,7 +24,12 @@ GP.
   averaged predictive; the exposed latent variance is the noise-free
   posterior variance of the latent function given the training inputs,
   which vanishes at training points and reverts to the signal variance far
-  from data.
+  from data. Its factors are built once (``GpClassifier._factors``): in
+  ``train_gp`` for a fit, at the first prediction for a loaded model.
+
+The two learners an ensemble stores, ``BaggedClassifier`` and
+``GpClassifier``, each name the ``kind`` of their document in ``KIND``,
+which ``to_dict`` writes and ``iware`` checks before ``from_dict`` reads it.
 
 Only the GP uses scipy, and only compiled extensions of it, each loaded
 alone from its file when first called (``scipyext.load_extension``). Its
@@ -48,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -115,25 +121,22 @@ def ensure_rng(rng) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class TrainMatrix:
-    """Feature rows with binary labels and bookkeeping row ids."""
+    """Feature rows with binary labels."""
 
     rows: np.ndarray     # (n, d) float
     labels: np.ndarray   # (n,) bool
-    row_ids: np.ndarray  # (n,) int, identifiers into the source dataset
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
         labels = np.asarray(self.labels, dtype=bool)
-        ids = np.asarray(self.row_ids, dtype=np.int64)
         if rows.ndim != 2 or rows.shape[0] < 1:
             raise LearnerError("rows must be a nonempty (n, d) matrix")
-        if labels.shape != (rows.shape[0],) or ids.shape != (rows.shape[0],):
-            raise LearnerError("labels/row_ids must align with rows")
+        if labels.shape != (rows.shape[0],):
+            raise LearnerError("labels must align with rows")
         if not np.all(np.isfinite(rows)):
             raise LearnerError("rows contain non-finite values")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "row_ids", ids)
 
     @property
     def n(self) -> int:
@@ -388,6 +391,8 @@ class BaggedClassifier:
     only, for ``held_out_proba``; it is not serialized.
     """
 
+    KIND = "bagged_trees"  # the ``kind`` of its document
+
     trees: TreeTable
     draw_gram: np.ndarray           # (B, B) float
     draw_var_sum: float
@@ -428,7 +433,7 @@ class BaggedClassifier:
 
     def to_dict(self) -> dict:
         return {
-            "kind": "bagged_trees",
+            "kind": self.KIND,
             "trees": self.trees.to_dict(),
             "n_features": int(self.n_features),
             "draw_gram": self.draw_gram.tolist(),
@@ -613,15 +618,18 @@ def _sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class GpClassifier:
     """Laplace-approximation GP classifier state.
 
-    Kept after training: the (possibly subsampled) inputs, the latent
-    posterior mode and its likelihood gradient, the Cholesky factor of
-    B = I + sqrt(W) K sqrt(W) used for predictions, and the Cholesky factor
-    of K + jitter*I used for the exposed latent variance. A model loaded
-    from its document holds the inputs and the mode alone, and builds the
-    rest at its first prediction (``prepare``). ``kept_rows``,
-    set by ``train_gp`` only, records which of its input rows the
-    ``max_points`` cap kept; it is not serialized.
+    Its document stores the (possibly subsampled) inputs and the latent
+    posterior mode ``f_mode``. The rest of its state, ``_factors``, is built
+    once, by ``train_gp`` for a fit and at the first prediction for a loaded
+    model: sqrt(W) at the mode, the Cholesky factor of
+    B = I + sqrt(W) K sqrt(W) used for predictions, the likelihood gradient
+    at the mode, and the Cholesky factor of K + jitter*I used for the
+    exposed latent variance. ``kept_rows``, set by ``train_gp`` only,
+    records which of its input rows the ``max_points`` cap kept; it is not
+    serialized.
     """
+
+    KIND = "gp"  # the ``kind`` of its document
 
     X: np.ndarray
     y_sign: np.ndarray           # (n,) in {-1, +1}
@@ -629,19 +637,26 @@ class GpClassifier:
     signal_var: float
     jitter: float
     f_mode: np.ndarray = field(repr=False, default=None)
-    _alpha: np.ndarray = field(repr=False, default=None)
-    _sqrt_w: np.ndarray = field(repr=False, default=None)
-    _L_b: np.ndarray = field(repr=False, default=None)
-    _L_k: np.ndarray = field(repr=False, default=None)
     kept_rows: np.ndarray = field(repr=False, default=None)
+
+    @property
+    def n_features(self) -> int:
+        return self.X.shape[1]
 
     def kernel(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return _rbf(_sqdist(A, B), self.lengthscale, self.signal_var)
 
-    def prepare(self) -> None:
-        """Build the factors at the stored mode, if not built yet."""
-        if self._L_b is None:
-            _finalize_gp(self, self.f_mode)
+    @cached_property
+    def _factors(self):
+        """(sqrt_w, L_b, alpha, L_k) at the latent mode: the stored one of a
+        loaded model, or, where ``f_mode`` is None, the one Newton's method
+        finds, which is then stored. Raises LinAlgError where a Cholesky
+        factorization fails; ``train_gp`` then escalates the jitter."""
+        K = _add_to_diagonal(self.kernel(self.X, self.X), self.jitter)
+        if self.f_mode is None:
+            self.f_mode = _newton_mode(K, self.y_sign)
+        _, sw, L, alpha, _ = _mode_state(K, self.y_sign, self.f_mode)
+        return sw, L, alpha, _cholesky(K)
 
     def predict_proba(self, Xq: np.ndarray):
         """(probability, latent variance) for query rows.
@@ -652,16 +667,16 @@ class GpClassifier:
         inputs: zero (up to jitter) at training points, signal_var far away.
         """
         Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-        self.prepare()
+        sqrt_w, L_b, alpha, L_k = self._factors
         # (n, q) arrays: the solves are squared in place, and each is dropped
         # once used, which bounds the peak memory of predicting many rows
         ks = self.kernel(self.X, Xq)
-        mean = _gemv(ks, self._alpha, transposed=True)
-        v = _solve_lower(self._L_b, self._sqrt_w[:, None] * ks)
+        mean = _gemv(ks, alpha, transposed=True)
+        v = _solve_lower(L_b, sqrt_w[:, None] * ks)
         var_lap = np.maximum(self.signal_var - np.square(v, out=v).sum(axis=0), 0.0)
         del v
         prob = _sigmoid_stable(mean / np.sqrt(1.0 + np.pi * var_lap / 8.0))
-        u = _solve_lower(self._L_k, ks)
+        u = _solve_lower(L_k, ks)
         del ks
         var_latent = np.maximum(self.signal_var - np.square(u, out=u).sum(axis=0), 0.0)
         return prob, var_latent
@@ -676,18 +691,18 @@ class GpClassifier:
         is the probit approximation ``predict_proba`` uses. Rows the cap
         dropped did not enter the fit, so their plain prediction is held
         out."""
-        self.prepare()
+        sqrt_w, L_b, alpha, _ = self._factors
         K = _add_to_diagonal(self.kernel(self.X, self.X), self.jitter)
-        C = _solve_lower(self._L_b, self._sqrt_w[:, None] * K)
+        C = _solve_lower(L_b, sqrt_w[:, None] * K)
         s = np.diag(K) - (C**2).sum(axis=0)
-        w = self._sqrt_w**2
+        w = sqrt_w**2
         tau = 1.0 / s - w
-        mean = (self.f_mode / s - w * self.f_mode - self._alpha) / tau
+        mean = (self.f_mode / s - w * self.f_mode - alpha) / tau
         return self.kept_rows, _sigmoid_stable(mean / np.sqrt(1.0 + np.pi / (8.0 * tau)))
 
     def to_dict(self) -> dict:
         return {
-            "kind": "gp",
+            "kind": self.KIND,
             "X": [[float(v) for v in row] for row in self.X],
             "y_sign": [int(v) for v in self.y_sign],
             "lengthscale": float(self.lengthscale),
@@ -698,8 +713,8 @@ class GpClassifier:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GpClassifier":
-        """The stored model, its fields checked; its prediction state is
-        built from the stored latent mode at the first prediction."""
+        """The stored model, its fields checked; its factors are built from
+        the stored latent mode at the first prediction."""
         model = cls(
             X=float_array_field(d["X"], "X"),
             y_sign=float_array_field(d["y_sign"], "y_sign"),
@@ -711,8 +726,8 @@ class GpClassifier:
         n = model.y_sign.size
         if model.y_sign.ndim != 1 or not np.all(np.abs(model.y_sign) == 1.0):
             raise LearnerError("y_sign must be a list of -1 and +1")
-        if model.X.ndim != 2 or model.X.shape[0] != n:
-            raise LearnerError(f"X must be a matrix of {n} rows, one per y_sign entry")
+        if model.X.ndim != 2 or model.X.shape[0] != n or not np.all(np.isfinite(model.X)):
+            raise LearnerError(f"X must be a finite matrix of {n} rows, one per y_sign entry")
         f_mode = float_array_field(d.get("f_mode"), "f_mode")
         if f_mode.shape != model.y_sign.shape or not np.all(np.isfinite(f_mode)):
             raise LearnerError(f"f_mode must be a finite vector of length {model.y_sign.size}")
@@ -771,15 +786,6 @@ def _mode_state(K: np.ndarray, y: np.ndarray, f: np.ndarray):
     alpha = (y + 1.0) / 2.0 - pi
     lml = float(-0.5 * alpha @ f + _log_sigmoid(y * f).sum() - np.log(np.diag(L)).sum())
     return pi, sw, L, alpha, lml
-
-
-def _finalize_gp(model: GpClassifier, f_mode: np.ndarray | None = None) -> None:
-    """Prediction state at the given latent mode, found by Newton when None."""
-    K = _add_to_diagonal(model.kernel(model.X, model.X), model.jitter)
-    f = _newton_mode(K, model.y_sign) if f_mode is None else f_mode
-    _, sw, L, alpha, _ = _mode_state(K, model.y_sign, f)
-    model.f_mode, model._sqrt_w, model._L_b, model._alpha = f, sw, L, alpha
-    model._L_k = _cholesky(K)
 
 
 def median_heuristic_lengthscale(X: np.ndarray) -> float:
@@ -850,7 +856,7 @@ def train_gp(
         model = GpClassifier(X=X, y_sign=y, lengthscale=ell,
                              signal_var=signal_var, jitter=jitter)
         try:
-            _finalize_gp(model)
+            model._factors  # built here, so that a failed Cholesky escalates the jitter
         except np.linalg.LinAlgError as err:
             last_err = err
             jitter = jitter * 10 if jitter > 0 else 1e-8
@@ -892,12 +898,3 @@ def gp_lml_and_gradient(model: GpClassifier, lengthscale=None, signal_var=None):
         s3 = b - _gemv(K, _gemv(R, b))
         grads.append(float(s1 + s2 @ s3))
     return lml, grads[0], grads[1]
-
-
-def deserialize_learner(blob: dict):
-    kind = blob.get("kind")
-    if kind == "bagged_trees":
-        return BaggedClassifier.from_dict(blob)
-    if kind == "gp":
-        return GpClassifier.from_dict(blob)
-    raise LearnerError(f"unknown learner kind {kind!r}")

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import ParkGrid, PatrolDataset
-from .iware import IWareEnsemble, IwareError
+from .iware import IWareEnsemble, IwareError, squash_uncertainty
 
 
 def _checked_levels(effort_levels) -> tuple[float, ...]:
@@ -77,7 +77,7 @@ def sweep_riskmap(
     for j, c in enumerate(levels):
         g, v_raw = ens.combine_at_effort(P, V, c)
         prob[j, ids] = g
-        var[j, ids] = ens.squash(v_raw)
+        var[j, ids] = squash_uncertainty(v_raw, ens.squash_scale)
     return RiskMap(grid=grid, effort_levels=levels, prob=prob, var=var)
 
 

@@ -159,8 +159,8 @@ def _paired_auc_delta_trees(seed):
     Xte = ds.design_matrix[T - 1, ids, :]
     c_star = float(np.median(train_ds.effort[train_ds.effort > 0]))
     g, _ = ens.predict_rows(Xte, c_star)
-    Xtr, ytr, _, rid = _dataset_rows(train_ds)
-    base = train_bagged(TrainMatrix(Xtr, ytr, rid), num_trees=20, rng=seed + 1000)
+    Xtr, ytr, _ = _dataset_rows(train_ds)
+    base = train_bagged(TrainMatrix(Xtr, ytr), num_trees=20, rng=seed + 1000)
     pb, _ = base.predict_proba(Xte)
     a_iw = np.mean([auc(ScoredSet(g, synth.sample_attacks(truth, 1, seed * 31 + r)[0, ids].astype(bool)))
                     for r in range(3)])
@@ -179,8 +179,8 @@ def _paired_auc_delta_gp(seed):
     Xte = ds.design_matrix[T - 1, ids, :]
     c_star = float(np.median(train_ds.effort[train_ds.effort > 0]))
     g, _ = ens.predict_rows(Xte, c_star)
-    Xtr, ytr, _, rid = _dataset_rows(train_ds)
-    base = train_gp(TrainMatrix(Xtr, ytr, rid), max_points=400, rng=seed + 1000)
+    Xtr, ytr, _ = _dataset_rows(train_ds)
+    base = train_gp(TrainMatrix(Xtr, ytr), max_points=400, rng=seed + 1000)
     pb, _ = base.predict_proba(Xte)
     a_iw = np.mean([auc(ScoredSet(g, synth.sample_attacks(truth, 1, seed * 31 + r)[0, ids].astype(bool)))
                     for r in range(3)])
@@ -228,7 +228,7 @@ def test_criterion_6_gp_correctness():
         r = np.random.default_rng(seed)
         X = r.normal(size=(30, 3))
         y = (X[:, 0] - 0.4 * X[:, 2] + 0.2 * r.normal(size=30)) > 0
-        model = train_gp(TrainMatrix(X, y, np.arange(30)),
+        model = train_gp(TrainMatrix(X, y),
                          lengthscale=1.2, signal_var=0.9, rng=0)
         _, g_ell, g_sv = gp_lml_and_gradient(model)
         h = 1e-5
@@ -243,7 +243,7 @@ def test_criterion_6_gp_correctness():
     # (b) predictive variance vanishes at training inputs
     X = rng.normal(size=(25, 2))
     y = X[:, 0] > 0
-    model = train_gp(TrainMatrix(X, y, np.arange(25)),
+    model = train_gp(TrainMatrix(X, y),
                      lengthscale=1.0, signal_var=1.5, rng=0)
     _, v_train = model.predict_proba(X)
     max_train_var = float(v_train.max())
@@ -253,12 +253,12 @@ def test_criterion_6_gp_correctness():
     y8 = X8[:, 0] > 0
     cfg = dict(lengthscale=1.1, signal_var=1.0)
     queries = rng.normal(size=(15, 2)) * 2
-    full = train_gp(TrainMatrix(X8, y8, np.arange(8)), **cfg, rng=0)
+    full = train_gp(TrainMatrix(X8, y8), **cfg, rng=0)
     _, v_full = full.predict_proba(queries)
     monotone = True
     for drop in range(8):
         keep = [i for i in range(8) if i != drop]
-        sub = train_gp(TrainMatrix(X8[keep], y8[keep], np.arange(7)), **cfg, rng=0)
+        sub = train_gp(TrainMatrix(X8[keep], y8[keep]), **cfg, rng=0)
         _, v_sub = sub.predict_proba(queries)
         monotone = monotone and bool(np.all(v_sub >= v_full - 1e-9))
 
@@ -282,13 +282,13 @@ def test_criterion_7_uncertainty_correlation_contrast():
         T = ds.num_timesteps
         ids = grid.masked_ids()
         train_ds = assemble_dataset(grid, ds.effort[: T - 1], ds.labels[: T - 1])
-        Xtr, ytr, _, rid = _dataset_rows(train_ds)
+        Xtr, ytr, _ = _dataset_rows(train_ds)
         Xte = ds.design_matrix[T - 1, ids, :]
-        bag = train_bagged(TrainMatrix(Xtr, ytr, rid), num_trees=50, rng=seed,
+        bag = train_bagged(TrainMatrix(Xtr, ytr), num_trees=50, rng=seed,
                            max_depth=12)
         p_bag, _ = bag.predict_proba(Xte)
         v_bag = jackknife_variance_batch(bag, Xte)
-        gp = train_gp(TrainMatrix(Xtr, ytr, rid), max_points=1000, rng=seed)
+        gp = train_gp(TrainMatrix(Xtr, ytr), max_points=1000, rng=seed)
         p_gp, v_gp = gp.predict_proba(Xte)
         c_bag = abs(float(np.corrcoef(p_bag, v_bag)[0, 1]))
         c_gp = abs(float(np.corrcoef(p_gp, v_gp)[0, 1]))

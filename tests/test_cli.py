@@ -534,12 +534,15 @@ class TestMalformedInputs:
         ("jitter", float("nan")),
         ("jitter", -1e-3),
         ("X", "one row short"),
+        ("X", "a NaN entry"),
+        ("X", "its last column dropped"),
     ])
     def test_gp_model_with_unusable_field(self, workdir, capsys, field, value):
-        # before, a y_sign of 0.5 or 3 and a negated lengthscale gave exit 0;
-        # a lengthscale of 0 and a NaN jitter exited 2 only through the
-        # triangular solve's finiteness check, a negative signal_var or
-        # jitter through a Cholesky failure
+        # before, a y_sign of 0.5 or 3, a negated lengthscale and an X with a
+        # NaN or a column fewer than n_features gave exit 0; a lengthscale of
+        # 0 and a NaN jitter exited 2 only through the triangular solve's
+        # finiteness check, a negative signal_var or jitter through a
+        # Cholesky failure
         args = [*SMALL, "--ensemble.learner=gp", "--output_dir=r"]
         assert run(["simulate", *args]) == 0
         assert run(["train", *args]) == 0
@@ -552,6 +555,10 @@ class TestMalformedInputs:
             gp["lengthscale"] = -gp["lengthscale"]
         elif value == "one row short":
             gp["X"] = gp["X"][:-1]
+        elif value == "a NaN entry":
+            gp["X"][1][0] = float("nan")
+        elif value == "its last column dropped":
+            gp["X"] = [row[:-1] for row in gp["X"]]
         else:
             gp[field] = value
         path.write_text(json.dumps(doc) + "\n")
@@ -559,6 +566,35 @@ class TestMalformedInputs:
         assert run(["riskmap", *args]) == 2
         err = capsys.readouterr().err
         assert "malformed field" in err and field in err
+        assert not (workdir / "r" / "riskmap.csv").exists()
+
+    def test_bag_model_of_another_width(self, workdir, capsys):
+        # before, riskmap exited 0 from the stored outputs of the query rows
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        assert run(["train", *SMALL, "--output_dir=r"]) == 0
+        path = workdir / "r" / "model.json"
+        doc = json.loads(path.read_text())
+        doc["learners"][1]["n_features"] += 1
+        path.write_text(json.dumps(doc) + "\n")
+        capsys.readouterr()
+        assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
+        err = capsys.readouterr().err
+        assert "malformed field" in err and "n_features" in err
+        assert not (workdir / "r" / "riskmap.csv").exists()
+
+    @pytest.mark.parametrize("learner", ["trees", "gp"])
+    def test_rows_of_another_width(self, workdir, capsys, learner):
+        # before, the GP's riskmap and evaluate ended in a BLAS error, exit 1
+        args = [*SMALL, f"--ensemble.learner={learner}", "--output_dir=r"]
+        assert run(["simulate", *args]) == 0
+        assert run(["train", *args]) == 0
+        assert run(["simulate", *args, "--simulate.preset=oneside-noise", "--output_dir=wide"]) == 0
+        for name in ("cells.csv", "dataset.csv"):
+            (workdir / "r" / name).write_bytes((workdir / "wide" / name).read_bytes())
+        for command in ("riskmap", "evaluate"):
+            capsys.readouterr()
+            assert run([command, *args]) == 2, command
+            assert "expected 6 features, got 7" in capsys.readouterr().err, command
         assert not (workdir / "r" / "riskmap.csv").exists()
 
     def test_model_with_self_looping_tree(self, workdir, capsys):
@@ -830,7 +866,7 @@ from patrolkit.learners import TrainMatrix, train_gp
 learners.{first}()
 assert "scipy.linalg" in sys.modules
 X = np.array([[0.0], [1.0], [2.0], [3.0]])
-data = TrainMatrix(rows=X, labels=np.array([False, False, True, True]), row_ids=np.arange(4))
+data = TrainMatrix(rows=X, labels=np.array([False, False, True, True]))
 prob, var = train_gp(data, lengthscale=1.0, rng=0).predict_proba(np.array([[0.0], [3.0]]))
 assert prob[0] < 0.5 < prob[1] and np.all(var > 0), (prob, var)
 import scipy.linalg
@@ -904,7 +940,7 @@ P = np.column_stack([np.where(y, 0.9, 0.1), np.full(4, 0.5)])
 w = optimize_weights_from_probs(P, y, np.ones((4, 2), bool))
 assert w[0] > 0.99, w
 X = np.array([[0.0], [1.0], [2.0], [4.0]])
-model = train_gp(TrainMatrix(rows=X, labels=y, row_ids=np.arange(4)), rng=0)
+model = train_gp(TrainMatrix(rows=X, labels=y), rng=0)
 assert model.lengthscale == 2.0, model.lengthscale
 """
     loaded = scipy_loaded(code)

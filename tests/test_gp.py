@@ -3,6 +3,7 @@ import pytest
 
 from patrolkit import learners
 from patrolkit.learners import (
+    GpClassifier,
     LearnerError,
     TrainMatrix,
     _cholesky,
@@ -11,7 +12,6 @@ from patrolkit.learners import (
     _rbf,
     _solve_lower,
     _sqdist,
-    deserialize_learner,
     gp_lml_and_gradient,
     median_heuristic_lengthscale,
     train_gp,
@@ -20,8 +20,7 @@ from patrolkit.learners import (
 
 def matrix(rows, labels):
     rows = np.asarray(rows, dtype=float)
-    return TrainMatrix(rows=rows, labels=np.asarray(labels, bool),
-                       row_ids=np.arange(len(rows)))
+    return TrainMatrix(rows=rows, labels=np.asarray(labels, bool))
 
 
 def predict_one(model, x):
@@ -225,7 +224,7 @@ class TestTraining:
         X = rng.normal(size=(20, 2))
         y = X[:, 1] > 0
         m = train_gp(matrix(X, y), rng=0)
-        back = deserialize_learner(m.to_dict())
+        back = GpClassifier.from_dict(m.to_dict())
         q = rng.normal(size=(5, 2))
         p0, v0 = m.predict_proba(q)
         p1, v1 = back.predict_proba(q)
@@ -239,18 +238,18 @@ class TestTraining:
         X = rng.normal(size=(20, 2))
         m = train_gp(matrix(X, X[:, 1] > 0), rng=0)
         calls = []
-        finalize = learners._finalize_gp
-        monkeypatch.setattr(learners, "_finalize_gp",
-                            lambda model, f_mode=None: calls.append(1) or finalize(model, f_mode))
+        mode_state = learners._mode_state
+        monkeypatch.setattr(learners, "_mode_state",
+                            lambda *args: calls.append(1) or mode_state(*args))
         for first in ("predict_proba", "held_out_proba"):
-            back = deserialize_learner(m.to_dict())
-            assert calls == [] and back._L_b is None and back._L_k is None
+            back = GpClassifier.from_dict(m.to_dict())
+            assert calls == [] and "_factors" not in vars(back)
             getattr(back, first)(X[:3])
             back.predict_proba(X[3:])
-            back.prepare()
             assert calls == [1], first
-            for name in ("f_mode", "_alpha", "_sqrt_w", "_L_b", "_L_k"):
-                np.testing.assert_array_equal(getattr(back, name), getattr(m, name))
+            np.testing.assert_array_equal(back.f_mode, m.f_mode)
+            for built, trained in zip(back._factors, m._factors, strict=True):
+                np.testing.assert_array_equal(built, trained)
             calls.clear()
 
     def test_load_rejects_bad_mode(self):
@@ -259,7 +258,7 @@ class TestTraining:
         doc = train_gp(matrix(X, X[:, 0] > 0), rng=0).to_dict()
         for bad in (doc["f_mode"][:-1], doc["f_mode"][:-1] + [float("nan")], None):
             with pytest.raises(LearnerError, match="f_mode"):
-                deserialize_learner({**doc, "f_mode": bad})
+                GpClassifier.from_dict({**doc, "f_mode": bad})
 
 
     @pytest.mark.parametrize("field, value", [
@@ -284,7 +283,7 @@ class TestTraining:
         else:
             bad = value
         with pytest.raises(LearnerError, match=field):
-            deserialize_learner({**doc, field: bad})
+            GpClassifier.from_dict({**doc, field: bad})
 
 
 def lower_factor(n, seed):

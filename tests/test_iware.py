@@ -70,17 +70,19 @@ class TestSelectThresholds:
 
 def one_sided_subset(ds, theta):
     """The training subset train_iware fits at threshold theta."""
-    rows = iware._dataset_rows(ds)
-    return iware._subset(rows, iware._one_sided(rows[1], rows[2], theta))
+    X, y, eff = iware._dataset_rows(ds)
+    keep = iware._one_sided(y, eff, theta)
+    return TrainMatrix(X[keep], y[keep])
 
 
 class TestFilterDataset:
     def test_rule_application(self):
         ds = dataset_from_rows([(0.2, 1), (0.2, 0), (1.0, 0), (2.0, 1)])
-        kept = one_sided_subset(ds, 0.5)
-        assert sorted(zip(kept.labels.tolist(),
-                          [round(v, 3) for v in ds.effort.ravel()[kept.row_ids]])) == [
+        _, y, eff = iware._dataset_rows(ds)
+        keep = iware._one_sided(y, eff, 0.5)
+        assert sorted(zip(y[keep].tolist(), [round(v, 3) for v in eff[keep]])) == [
             (False, 1.0), (True, 0.2), (True, 2.0)]
+        np.testing.assert_array_equal(one_sided_subset(ds, 0.5).labels, y[keep])
 
     def test_zero_threshold_drops_zero_effort_negatives(self):
         ds = dataset_from_rows([(0.0, 0), (1.0, 0), (0.5, 1)])
@@ -334,7 +336,7 @@ class TestQualifiedRows:
     def test_member_outputs_equal_full_batch(self, kind, options, tol):
         ds = _toy_training_dataset(seed=5, T=4, n=24)
         ens = train_iware(ds, I=3, learner_kind=kind, rng=1, **options)
-        X, _, eff, _ = iware._dataset_rows(ds)
+        X, _, eff = iware._dataset_rows(ds)
         P, V = ens.member_outputs(X, eff)
         full_P, full_V = full_outputs(ens, X)
         Q = ens.thresholds.qualified(eff)
@@ -362,7 +364,7 @@ class TestQualifiedRows:
         qualify, bit for bit."""
         ds = _toy_training_dataset(seed=5)
         ens = train_iware(ds, I=4, learner_kind="trees", rng=3, num_trees=5)
-        X, y, eff, _ = iware._dataset_rows(ds)
+        X, y, eff = iware._dataset_rows(ds)
         P, V = full_outputs(ens, X)
         held = P.copy()
         for i, (lrn, theta) in enumerate(zip(ens.learners, ens.thresholds.thresholds)):
@@ -462,7 +464,7 @@ class TestTrainIware:
         monkeypatch.setattr(iware, "optimize_weights_from_probs",
                             lambda P, y, mask: seen.append((P, mask)) or fit(P, y, mask))
         ens = train_iware(ds, I=3, learner_kind=kind, rng=1, **options)
-        X, y, eff, _ = iware._dataset_rows(ds)
+        X, y, eff = iware._dataset_rows(ds)
         (held, mask), = seen
         plain_rows = 0
         for i, (lrn, theta) in enumerate(zip(ens.learners, ens.thresholds.thresholds)):
@@ -481,9 +483,9 @@ class TestTrainIware:
         assert plain_rows > 0
 
     def test_out_of_bag_votes(self):
-        X, y, eff, ids = iware._dataset_rows(_toy_training_dataset(seed=1))
+        X, y, eff = iware._dataset_rows(_toy_training_dataset(seed=1))
         keep = iware._one_sided(y, eff, 0.5)
-        model = train_bagged(TrainMatrix(X[keep], y[keep], ids[keep]), num_trees=3, rng=0)
+        model = train_bagged(TrainMatrix(X[keep], y[keep]), num_trees=3, rng=0)
         rows, held = model.held_out_proba(X[keep])
         votes = model.tree_votes(X[keep])
         np.testing.assert_array_equal(rows, np.arange(keep.sum()))

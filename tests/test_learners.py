@@ -11,7 +11,6 @@ from patrolkit.learners import (
     TreeTable,
     _best_splits,
     _sorted_columns,
-    deserialize_learner,
     jackknife_variance_batch,
     train_bagged,
     train_tree,
@@ -22,8 +21,7 @@ from patrolkit.metrics import ScoredSet, auc
 
 def matrix(rows, labels):
     rows = np.asarray(rows, dtype=float)
-    return TrainMatrix(rows=rows, labels=np.asarray(labels, bool),
-                       row_ids=np.arange(len(rows)))
+    return TrainMatrix(rows=rows, labels=np.asarray(labels, bool))
 
 
 def canonical(feature, threshold, left, right, value, node):
@@ -205,7 +203,7 @@ def depth_first_bag(data, num_trees, rng, max_depth, min_leaf, feature_subsample
         take_neg = child.choice(neg, size=min(neg.size, pos.size), replace=False)
         sample = np.concatenate([take_pos, take_neg])
         memberships.append(np.bincount(sample, minlength=data.n))
-        sub = TrainMatrix(data.rows[sample], data.labels[sample], data.row_ids[sample])
+        sub = TrainMatrix(data.rows[sample], data.labels[sample])
         trees.append(depth_first_tree(sub, max_depth, min_leaf, feature_subsample, child))
     return trees, np.array(memberships)
 
@@ -371,7 +369,7 @@ class TestBagging:
         X = rng.random((50, 2))
         y = X[:, 0] > 0.4
         model = train_bagged(matrix(X, y), num_trees=5, rng=3, max_depth=12)
-        back = deserialize_learner(model.to_dict())
+        back = BaggedClassifier.from_dict(model.to_dict())
         np.testing.assert_array_equal(model.predict_proba(X)[0], back.predict_proba(X)[0])
         np.testing.assert_array_equal(model.draw_gram, back.draw_gram)
         assert back.draw_var_sum == model.draw_var_sum

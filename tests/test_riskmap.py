@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from patrolkit.grid import assemble_dataset
-from patrolkit.iware import IwareError, train_iware
+from patrolkit.iware import IwareError, squash_uncertainty, train_iware
 from patrolkit.riskmap import (
     EFFORT_CUTOFF_PERCENTILE,
     PERCENTILE_BANDS,
@@ -83,7 +83,7 @@ class TestSweep:
         for j, c in enumerate(levels):
             g, v = ens.combine_at_effort(P, V, c)
             np.testing.assert_array_equal(rm.prob[j, ids], g)
-            np.testing.assert_array_equal(rm.var[j, ids], ens.squash(v))
+            np.testing.assert_array_equal(rm.var[j, ids], squash_uncertainty(v, ens.squash_scale))
 
     def test_sweep_mostly_nondecreasing_on_trained_ensemble(self):
         # Fig. 6 shape: g generally rises with hypothetical effort. GP weak
