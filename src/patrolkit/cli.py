@@ -27,8 +27,7 @@ from .config import ConfigError, load_config
 from .grid import assemble_dataset, reconstruct_effort, build_labels
 from .iware import LEARNER_OPTIONS, IWareEnsemble, IwareError, train_iware
 from .metrics import FieldTestTable, ScoredSet, auc, chi_squared_field_test, ll_score, obs_per_cell, pr_metrics
-from .riskmap import (RiskMap, build_pwl, default_c_max, query_rows, select_field_test_blocks,
-                      sweep_riskmap)
+from .riskmap import RiskMap, build_pwl, default_c_max, select_field_test_blocks, sweep_riskmap
 
 
 def _outdir(cfg) -> Path:
@@ -121,7 +120,7 @@ def _holdout_metrics(ens, ds, test_windows, threshold: float) -> dict:
     per_window = {}
     for t in test_windows:
         yte = ds.labels[t, ids].astype(bool)
-        scores, _ = ens.predict_rows(ds.design_matrix[t, ids, :], ds.effort[t, ids])
+        scores, _ = ens.predict_rows(ds.rows(t), ds.effort[t, ids])
         entry: dict = {"rows": int(ids.size), "positives": int(yte.sum())}
         if 0 < yte.sum() < yte.size:
             s = ScoredSet(scores, yte)
@@ -147,7 +146,7 @@ def cmd_train(cfg) -> int:
         **_ensemble_options(cfg),
     )
     # riskmap and plan query these rows; they reuse what every learner gives there
-    ens.keep_query_outputs(query_rows(grid, ds))
+    ens.keep_query_outputs(ds.rows(ds.num_timesteps))
     io.write_json(out / "model.json", ens.to_dict(), indent=None)
     report = {
         "learner": ens.learner_kind,

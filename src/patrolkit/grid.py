@@ -150,37 +150,23 @@ class ObservationLog:
 
 @dataclass(frozen=True)
 class PatrolDataset:
-    """Per-cell, per-window effort, labels, and model design matrix.
+    """Per-cell, per-window effort and labels; build it with
+    ``assemble_dataset``, which checks them.
 
-    ``design_matrix[t, n]`` is the static feature vector of cell ``n``
-    extended with one time-variant covariate: the patrol effort spent in
-    that cell during the previous window (0 at t=0). Labels are coerced to
-    0 wherever effort is 0, since a detection requires ranger presence;
-    ``coerced_label_count`` reports how many labels were dropped that way.
+    Labels are coerced to 0 wherever effort is 0, since a detection
+    requires ranger presence; ``coerced_label_count`` reports how many
+    labels were dropped that way. ``rows(t)`` gives the model rows of
+    window t.
     """
 
     grid: ParkGrid
     effort: np.ndarray         # (T, n_cells) float, km
     labels: np.ndarray         # (T, n_cells) int8 in {0, 1}
-    design_matrix: np.ndarray  # (T, n_cells, k+1) float
     coerced_label_count: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "effort", _frozen(np.asarray(self.effort, dtype=float)))
-        object.__setattr__(self, "labels", _frozen(np.asarray(self.labels, dtype=np.int8)))
-        object.__setattr__(self, "design_matrix", _frozen(np.asarray(self.design_matrix, dtype=float)))
-        if self.effort.ndim != 2 or self.effort.shape[1] != self.grid.n_cells:
-            raise GridError("effort matrix does not match grid")
-        if self.labels.shape != self.effort.shape:
-            raise GridError("labels shape does not match effort")
-        if self.design_matrix.shape != (*self.effort.shape, self.grid.num_features + 1):
-            raise GridError("design matrix shape mismatch")
-        if np.any(self.effort < 0):
-            raise GridError("effort must be nonnegative")
-        if not np.all((self.labels == 0) | (self.labels == 1)):
-            raise GridError("labels must be binary")
-        if np.any((self.labels == 1) & (self.effort <= 0)):
-            raise GridError("positive label with zero effort")
+        object.__setattr__(self, "effort", _frozen(self.effort))
+        object.__setattr__(self, "labels", _frozen(self.labels))
 
     @property
     def num_timesteps(self) -> int:
@@ -190,6 +176,17 @@ class PatrolDataset:
         """Every strictly positive effort of a park cell, over all windows."""
         eff = self.effort[:, self.grid.masked_ids()].ravel()
         return eff[eff > 0]
+
+    def rows(self, t: int) -> np.ndarray:
+        """Model rows of window t, one per park cell in ``masked_ids``
+        order: the cell's static features, then its effort in window t - 1
+        (0 at t = 0). ``t = num_timesteps`` gives the prediction-period
+        rows, whose previous effort is the last window's."""
+        if not 0 <= t <= self.num_timesteps:
+            raise GridError(f"window {t} is outside [0, {self.num_timesteps}]")
+        ids = self.grid.masked_ids()
+        prev = self.effort[t - 1, ids] if t > 0 else np.zeros(ids.size)
+        return np.column_stack([self.grid.features[ids], prev])
 
 
 def _window_index(windows: list[tuple[float, float]], t: float) -> int:
@@ -301,11 +298,10 @@ def build_labels(
 
 
 def assemble_dataset(grid: ParkGrid, effort: np.ndarray, labels: np.ndarray) -> PatrolDataset:
-    """Combine effort and labels into a modeling dataset.
+    """Check effort and labels and combine them into a modeling dataset.
 
-    The design matrix appends previous-window effort to the static
-    features. Labels at cells with zero effort are coerced to 0 (a snare
-    cannot be found where nobody patrolled); the count is recorded.
+    Labels at cells with zero effort are coerced to 0 (a snare cannot be
+    found where nobody patrolled); the count is recorded.
     """
     effort = np.asarray(effort, dtype=float)
     labels = np.asarray(labels)
@@ -319,16 +315,6 @@ def assemble_dataset(grid: ParkGrid, effort: np.ndarray, labels: np.ndarray) -> 
         raise GridError("labels must be binary")
 
     bad = (labels == 1) & (effort <= 0)
-    coerced = int(bad.sum())
     clean = np.where(bad, 0, labels).astype(np.int8)
-
-    T = effort.shape[0]
-    prev = np.zeros_like(effort)
-    prev[1:] = effort[:-1]
-    design = np.concatenate(
-        [np.broadcast_to(grid.features, (T, *grid.features.shape)), prev[:, :, None]],
-        axis=2,
-    )
     return PatrolDataset(grid=grid, effort=effort, labels=clean,
-                         design_matrix=design, coerced_label_count=coerced)
-
+                         coerced_label_count=int(bad.sum()))

@@ -141,18 +141,35 @@ def write_dataset_csv(path, ds: PatrolDataset) -> None:
     for t in range(ds.num_timesteps):
         for cid in range(ds.grid.n_cells):
             rows.append([t, cid, ds.effort[t, cid], int(ds.labels[t, cid]),
-                         ds.design_matrix[t, cid, -1]] + list(ds.grid.features[cid]))
+                         ds.effort[t - 1, cid] if t else 0.0] + list(ds.grid.features[cid]))
     _write_rows(path, header, rows)
 
 
 def read_dataset_csv(path, grid: ParkGrid) -> PatrolDataset:
     """Rebuild a dataset from dataset.csv, which must hold one row per
-    window and grid cell; features come from the grid."""
-    _, rows = _read_csv(path, ["t", "cell_id", "effort_km", "label"])
-    if not rows:
+    window and grid cell; features come from the grid. Columns after
+    ``label``, where the file has them, must be ``prev_effort_km`` and the
+    grid's feature names, and hold exactly the values rebuilt from
+    ``effort_km`` and the grid."""
+    expected = ["t", "cell_id", "effort_km", "label"]
+    with open(path, newline="") as fh:
+        header = next(csv.reader([fh.readline()]))
+        lines = [line for line in fh if line.strip()]
+    if header[:4] != expected:
+        raise GridError(f"bad dataset.csv header {header[:4]}, expected {expected}")
+    derived = ["prev_effort_km", *grid.feature_names]
+    if header[4:] and header[4:] != derived:
+        raise GridError(f"dataset.csv: columns after label must be {derived}, "
+                        f"the features of cells.csv; got {header[4:]}")
+    if not lines:
         raise GridError("dataset.csv contains no rows")
+    vals = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    if vals.shape[1] != len(header):
+        raise GridError(f"dataset.csv: rows have {vals.shape[1]} fields, header has {len(header)}")
+    if np.any(vals[:, :2] % 1 != 0):
+        raise GridError("dataset.csv: t and cell_id must be integers")
     n = grid.n_cells
-    t, cid = np.array([(int(r[0]), int(r[1])) for r in rows]).T
+    t, cid = vals[:, :2].astype(np.int64).T
     if t.min() < 0 or cid.min() < 0 or cid.max() >= n:
         raise GridError(f"dataset.csv: t must be >= 0 and cell_id in [0, {n})")
     count = np.bincount(t * n + cid, minlength=(t.max() + 1) * n)
@@ -160,10 +177,17 @@ def read_dataset_csv(path, grid: ParkGrid) -> PatrolDataset:
         bad = int(np.argmax(count != 1))
         raise GridError(f"dataset.csv: {count[bad]} rows for t={bad // n}, cell_id={bad % n}; "
                         "need exactly one")
-    order = np.argsort(t * n + cid)
-    effort = np.array([float(r[2]) for r in rows])[order].reshape(-1, n)
-    labels = np.array([int(r[3]) for r in rows], dtype=np.int8)[order].reshape(-1, n)
-    return assemble_dataset(grid, effort, labels)
+    vals = vals[np.argsort(t * n + cid)].reshape(-1, n, len(header))
+    ds = assemble_dataset(grid, vals[:, :, 2], vals[:, :, 3])
+    if len(header) > 4:
+        prev = np.concatenate([np.zeros((1, n)), ds.effort[:-1]])
+        want = np.dstack([prev, np.broadcast_to(grid.features, (len(prev), *grid.features.shape))])
+        wrong = np.argwhere(vals[:, :, 4:] != want)
+        if wrong.size:
+            w, c, j = wrong[0]
+            raise GridError(f"dataset.csv: t={w}, cell_id={c}: {derived[j]} is {float(vals[w, c, 4 + j])!r}, "
+                            f"expected {float(want[w, c, j])!r} from effort_km and cells.csv")
+    return ds
 
 
 def write_riskmap_csv(path, riskmap) -> None:

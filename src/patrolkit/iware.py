@@ -97,9 +97,10 @@ class RiskQuery:
 
 
 def _dataset_rows(ds: PatrolDataset):
-    """Flatten (window, masked cell) rows: features, labels, effort."""
+    """Stack every window's rows (``PatrolDataset.rows``) with their labels
+    and efforts."""
     ids = ds.grid.masked_ids()
-    X = ds.design_matrix[:, ids, :].reshape(ds.num_timesteps * ids.size, -1)
+    X = np.concatenate([ds.rows(t) for t in range(ds.num_timesteps)])
     y = ds.labels[:, ids].ravel().astype(bool)
     eff = ds.effort[:, ids].ravel()
     return X, y, eff

@@ -113,12 +113,6 @@ def float_array_field(values, what: str) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
-def ensure_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 @dataclass(frozen=True)
 class TrainMatrix:
     """Feature rows with binary labels."""
@@ -374,7 +368,7 @@ def train_tree(
 ) -> TreeTable:
     """Greedy CART fit of one tree. ``feature_subsample`` draws that many
     candidate features per node from rng (all features when None)."""
-    return _grow_trees(data.rows, data.labels, [np.arange(data.n)], [ensure_rng(rng)],
+    return _grow_trees(data.rows, data.labels, [np.arange(data.n)], [np.random.default_rng(rng)],
                        max_depth, min_leaf, feature_subsample)
 
 
@@ -468,7 +462,7 @@ def train_bagged(
     ``undersample_ratio`` negatives per positive, so it trains on roughly
     1:1 data however extreme the original imbalance.
     """
-    rng = ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     num_trees = int_field(num_trees, "num_trees", 1)
     if not (math.isfinite(undersample_ratio) and undersample_ratio > 0):
         raise LearnerError(f"undersample_ratio must be finite and > 0, got {undersample_ratio}")
@@ -840,7 +834,7 @@ def train_gp(
     """
     _check_hyperparameters(lengthscale, signal_var, jitter)
     max_points = int_field(max_points, "max_points", 2)
-    rng = ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     keep = _stratified_cap(data.labels, max_points, rng)
     pos = int(data.labels[keep].sum())
     if pos in (0, keep.size):

@@ -181,17 +181,19 @@ def improvement_ratio(problem: PlanProblem, beta_grid, method: str = "bnb",
 
     The beta = 0 row reuses the baseline plan so its ratio is exactly 1.
     A zero baseline utility yields None (undefined). The whole grid, which
-    must not be empty, is checked before the first solve. Branch and bound
-    (``bnb``) solves every beta on one ``LpSweep``, beta = 0 first.
+    must not be empty, and ``method`` are checked before the first solve.
+    The only method is branch and bound (``bnb``): it solves every beta on
+    one ``LpSweep``, beta = 0 first.
     """
     betas = [float(beta) for beta in beta_grid]
     if not betas or not all(0.0 <= beta <= 1.0 for beta in betas):
         raise PlannerError("beta grid must be nonempty and lie in [0, 1]")
+    if method != "bnb":
+        raise PlannerError(f"unknown sweep method {method!r}; the sweep solves by 'bnb' only")
     sweep = LpSweep()
 
     def solve_at(beta):
-        at_beta = replace(problem, beta=beta)
-        return _solve_bnb(at_beta, sweep) if method == "bnb" else solve(at_beta, method=method)
+        return _solve_bnb(replace(problem, beta=beta), sweep)
 
     base_plan = solve_at(0.0)
     table = []

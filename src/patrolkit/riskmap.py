@@ -52,15 +52,6 @@ class RiskMap:
             object.__setattr__(self, name, arr)
 
 
-def query_rows(grid: ParkGrid, ds: PatrolDataset) -> np.ndarray:
-    """Prediction-period query rows, one per masked cell in ``masked_ids``
-    order: static features plus the last observed effort as the
-    previous-coverage covariate. ``train`` keeps the ensemble's outputs on
-    these rows (``IWareEnsemble.keep_query_outputs``)."""
-    prev = ds.effort[ds.num_timesteps - 1]
-    return np.concatenate([grid.features, prev[:, None]], axis=1)[grid.masked_ids()]
-
-
 def sweep_riskmap(
     ens: IWareEnsemble,
     grid: ParkGrid,
@@ -68,10 +59,11 @@ def sweep_riskmap(
     effort_levels,
 ) -> RiskMap:
     """Evaluate the ensemble at each hypothetical effort level. A learner
-    whose threshold exceeds the top level is never run."""
+    whose threshold exceeds the top level is never run. The cells' rows are
+    the prediction-period rows ``ds.rows(ds.num_timesteps)``."""
     levels = _checked_levels(effort_levels)
     ids = grid.masked_ids()
-    P, V = ens.member_outputs(query_rows(grid, ds), levels[-1])
+    P, V = ens.member_outputs(ds.rows(ds.num_timesteps), levels[-1])
     prob = np.full((len(levels), grid.n_cells), np.nan)
     var = np.full((len(levels), grid.n_cells), np.nan)
     for j, c in enumerate(levels):

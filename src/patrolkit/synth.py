@@ -218,7 +218,6 @@ class SynthBundle:
     name: str
     grid: ParkGrid
     truth: GroundTruth
-    effort: np.ndarray
     dataset: PatrolDataset
 
 
@@ -277,4 +276,4 @@ def generate_preset(name: str, seed: int) -> SynthBundle:
         attack_features=list(spec.attack_features) if spec.attack_features else None,
     )
     ds = sample_dataset(grid, truth, spec.T, effort, seed)
-    return SynthBundle(name=name, grid=grid, truth=truth, effort=effort, dataset=ds)
+    return SynthBundle(name=name, grid=grid, truth=truth, dataset=ds)

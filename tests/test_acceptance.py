@@ -156,7 +156,7 @@ def _paired_auc_delta_trees(seed):
     ids = grid.masked_ids()
     train_ds = assemble_dataset(grid, ds.effort[: T - 1], ds.labels[: T - 1])
     ens = train_iware(train_ds, I=10, learner_kind="trees", rng=seed, num_trees=20)
-    Xte = ds.design_matrix[T - 1, ids, :]
+    Xte = ds.rows(T - 1)
     c_star = float(np.median(train_ds.effort[train_ds.effort > 0]))
     g, _ = ens.predict_rows(Xte, c_star)
     Xtr, ytr, _ = _dataset_rows(train_ds)
@@ -176,7 +176,7 @@ def _paired_auc_delta_gp(seed):
     ids = grid.masked_ids()
     train_ds = assemble_dataset(grid, ds.effort[: T - 1], ds.labels[: T - 1])
     ens = train_iware(train_ds, I=5, learner_kind="gp", rng=seed, max_points=400)
-    Xte = ds.design_matrix[T - 1, ids, :]
+    Xte = ds.rows(T - 1)
     c_star = float(np.median(train_ds.effort[train_ds.effort > 0]))
     g, _ = ens.predict_rows(Xte, c_star)
     Xtr, ytr, _ = _dataset_rows(train_ds)
@@ -280,10 +280,9 @@ def test_criterion_7_uncertainty_correlation_contrast():
         b = synth.generate_preset("sws-like", seed)
         ds, grid = b.dataset, b.grid
         T = ds.num_timesteps
-        ids = grid.masked_ids()
         train_ds = assemble_dataset(grid, ds.effort[: T - 1], ds.labels[: T - 1])
         Xtr, ytr, _ = _dataset_rows(train_ds)
-        Xte = ds.design_matrix[T - 1, ids, :]
+        Xte = ds.rows(T - 1)
         bag = train_bagged(TrainMatrix(Xtr, ytr), num_trees=50, rng=seed,
                            max_depth=12)
         p_bag, _ = bag.predict_proba(Xte)

@@ -13,7 +13,6 @@ from patrolkit.config import ConfigError, load_config
 from patrolkit.grid import assemble_dataset
 from patrolkit.iware import train_iware
 from patrolkit.learners import BaggedClassifier, GpClassifier
-from patrolkit.riskmap import query_rows
 
 
 def run(args):
@@ -260,6 +259,32 @@ class TestMalformedInputs:
             rows.append(rows[0])
         path.write_text("".join(",".join(r) + "\n" for r in [header, *rows]))
         assert run(["train", *SMALL, "--output_dir=r"]) == 2
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param("prev_effort_km", "t=1, cell_id=0: prev_effort_km is 123.0, expected ",
+                     id="prev_effort_km"),
+        pytest.param("f_1", "t=1, cell_id=0: f_1 is 9.0, expected ", id="f_1"),
+        pytest.param("cells_of_another_seed", "t=0, cell_id=0: f_1 is ", id="cells_of_another_seed"),
+    ])
+    def test_dataset_columns_that_contradict_the_park(self, workdir, capsys, edit, message):
+        """The previous effort and the features in dataset.csv must be those
+        that its effort_km and cells.csv give."""
+        assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
+        args = ["train", *SMALL, "--output_dir=r"]
+        if edit == "cells_of_another_seed":
+            # same grid shape and feature names, other features
+            assert run(["simulate", *SMALL, "--seed=5", "--output_dir=s"]) == 0
+            args.append("--train.cells=s/cells.csv")
+        else:
+            path = workdir / "r" / "dataset.csv"
+            header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+            row = next(r for r in rows if r[:2] == ["1", "0"])
+            row[header.index(edit)] = "123.0" if edit == "prev_effort_km" else "9.0"
+            path.write_text("".join(",".join(r) + "\n" for r in [header, *rows]))
+        capsys.readouterr()
+        assert run(args) == 2
+        assert message in capsys.readouterr().err
+        assert not (workdir / "r" / "model.json").exists()
 
     def test_cells_with_duplicate_id(self, workdir):
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
@@ -686,7 +711,7 @@ def test_cli_defaults_are_library_defaults(workdir, kind):
     T = ds.num_timesteps
     train_ds = assemble_dataset(grid, ds.effort[: T - 1], ds.labels[: T - 1])
     ens = train_iware(train_ds, I=2, rng=3, learner_kind=kind)
-    ens.keep_query_outputs(query_rows(grid, ds))
+    ens.keep_query_outputs(ds.rows(ds.num_timesteps))
     assert json.loads((workdir / "r" / "model.json").read_text()) == ens.to_dict()
 
 

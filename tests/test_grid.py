@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from patrolkit.grid import (
     GridError,
     ObservationLog,
+    ParkGrid,
     WaypointTrack,
     assemble_dataset,
     build_labels,
     reconstruct_effort,
 )
+from patrolkit.iware import _dataset_rows
 
 from conftest import flat_grid
 
@@ -144,9 +146,50 @@ class TestAssembleDataset:
         effort = np.array([[1.0, 2.0], [3.0, 4.0]])
         labels = np.zeros((2, 2), dtype=int)
         ds = assemble_dataset(g, effort, labels)
-        assert ds.design_matrix.shape == (2, 2, 4)  # k + 1 columns
-        assert ds.design_matrix[0, :, -1] == pytest.approx([0.0, 0.0])
-        assert ds.design_matrix[1, :, -1] == pytest.approx([1.0, 2.0])
+        assert ds.rows(0).shape == (2, 4)  # k + 1 columns
+        assert ds.rows(0)[:, -1] == pytest.approx([0.0, 0.0])
+        assert ds.rows(1)[:, -1] == pytest.approx([1.0, 2.0])
+
+    @staticmethod
+    def _masked_park_dataset():
+        """A 3 x 2 park without cells 1 and 4, distinct features and efforts."""
+        mask = np.ones(6, bool)
+        mask[[1, 4]] = False
+        grid = ParkGrid(width=3, height=2, features=np.arange(12.0).reshape(6, 2) / 7,
+                        feature_names=("f_1", "f_2"), patrol_posts=(0,), mask=mask)
+        effort = np.arange(1.0, 19.0).reshape(3, 6) / 3
+        labels = (np.arange(18).reshape(3, 6) % 4 == 1).astype(np.int8)
+        return assemble_dataset(grid, effort, labels)
+
+    def test_rows_are_park_cells_features_then_previous_effort(self):
+        ds = self._masked_park_dataset()
+        ids = np.array([0, 2, 3, 5])
+        np.testing.assert_array_equal(ds.grid.masked_ids(), ids)
+        for t in range(ds.num_timesteps + 1):
+            X = ds.rows(t)
+            assert X.shape == (ids.size, 3)
+            np.testing.assert_array_equal(X[:, :2], ds.grid.features[ids])
+            prev = ds.effort[t - 1, ids] if t else np.zeros(ids.size)
+            np.testing.assert_array_equal(X[:, 2], prev)
+
+    def test_rows_after_the_last_window_carry_its_effort(self):
+        ds = self._masked_park_dataset()
+        T = ds.num_timesteps
+        np.testing.assert_array_equal(ds.rows(T)[:, -1], ds.effort[T - 1, [0, 2, 3, 5]])
+        for t in (-1, T + 1):
+            with pytest.raises(GridError, match="outside"):
+                ds.rows(t)
+
+    def test_training_rows_stack_every_window(self):
+        ds = self._masked_park_dataset()
+        ids = ds.grid.masked_ids()
+        X, y, eff = _dataset_rows(ds)
+        windows = range(ds.num_timesteps)
+        np.testing.assert_array_equal(X, np.concatenate([ds.rows(t) for t in windows]))
+        np.testing.assert_array_equal(y, np.concatenate([ds.labels[t, ids] == 1 for t in windows]))
+        np.testing.assert_array_equal(eff, np.concatenate([ds.effort[t, ids] for t in windows]))
+        # each row's previous effort is its cell's effort one window earlier
+        np.testing.assert_array_equal(X[ids.size:, -1], eff[:-ids.size])
 
     def test_label_coercion_counted(self):
         g = flat_grid(2, 1)

@@ -26,6 +26,13 @@ def test_dataset_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(back.effort, ds.effort)
     np.testing.assert_array_equal(back.labels, ds.labels)
 
+    # the leading four columns alone read as the same dataset
+    lines = path.read_text().splitlines()
+    path.write_text("".join(",".join(line.split(",")[:4]) + "\n" for line in lines))
+    short = io.read_dataset_csv(path, bundle.grid)
+    np.testing.assert_array_equal(short.effort, ds.effort)
+    np.testing.assert_array_equal(short.labels, ds.labels)
+
 
 def test_waypoints_and_observations_round_trip(tmp_path):
     tracks = [WaypointTrack("a", ((0.5, 0.5, 0.0), (1.5, 0.5, 1800.0))),

@@ -388,7 +388,7 @@ class TestTrainIware:
         a = train_iware(ds, I=3, learner_kind="trees", rng=5, num_trees=5)
         b = train_iware(ds, I=3, learner_kind="trees", rng=5, num_trees=5)
         np.testing.assert_array_equal(a.weights, b.weights)
-        X = ds.design_matrix[0, :, :]
+        X = ds.rows(0)
         np.testing.assert_array_equal(a.predict_rows(X, 1.0)[0], b.predict_rows(X, 1.0)[0])
 
     def test_single_threshold_equals_plain_learner(self):
@@ -397,7 +397,7 @@ class TestTrainIware:
         assert ens.weights == pytest.approx([1.0])
         plain = train_bagged(one_sided_subset(ds, 0.0), num_trees=8,
                              rng=np.random.default_rng([11, 1, 0]))
-        X = ds.design_matrix.reshape(-1, 3)
+        X = np.concatenate([ds.rows(t) for t in range(ds.num_timesteps)])
         g, _ = ens.predict_rows(X, 2.0)
         p, _ = plain.predict_proba(X)
         np.testing.assert_allclose(g, p, atol=1e-12)
@@ -411,7 +411,7 @@ class TestTrainIware:
     def test_gp_learner_kind(self):
         ds = _toy_training_dataset(seed=5, T=4, n=24)
         ens = train_iware(ds, I=2, learner_kind="gp", rng=1, max_points=60)
-        g, v = ens.predict_rows(ds.design_matrix[0], 1.0)
+        g, v = ens.predict_rows(ds.rows(0), 1.0)
         assert np.all((g > 0) & (g < 1))
         assert np.all(v >= 0)
 
@@ -430,7 +430,7 @@ class TestTrainIware:
         ds = _toy_training_dataset(seed=6)
         ens = train_iware(ds, I=3, learner_kind="trees", rng=7, num_trees=4)
         back = IWareEnsemble.from_dict(ens.to_dict())
-        X = ds.design_matrix[1]
+        X = ds.rows(1)
         np.testing.assert_array_equal(ens.predict_rows(X, 1.5)[0],
                                       back.predict_rows(X, 1.5)[0])
         np.testing.assert_array_equal(ens.predict_rows(X, 1.5)[1],
@@ -512,7 +512,7 @@ class TestQueryOutputs:
     def test_kept_outputs_equal_computed_ones(self, monkeypatch, kind, options, tol):
         ds = _toy_training_dataset(seed=5, T=4, n=24)
         ens = train_iware(ds, I=3, learner_kind=kind, rng=1, **options)
-        X = ds.design_matrix[-1]
+        X = ds.rows(ds.num_timesteps - 1)
         efforts = [0.0, ens.thresholds.thresholds[1], np.inf, ds.effort[-1]]
         computed = [self._round_trip(ens).member_outputs(X, c) for c in efforts]
         ens.keep_query_outputs(X)
@@ -531,7 +531,7 @@ class TestQueryOutputs:
     def test_other_rows_are_computed(self):
         ds = _toy_training_dataset(seed=5, T=4, n=24)
         ens = train_iware(ds, I=3, learner_kind="trees", rng=1, num_trees=4)
-        X = ds.design_matrix[-1]
+        X = ds.rows(ds.num_timesteps - 1)
         other = X.copy()
         other[0, -1] += 1.0
         others = (other, X[:-1])
@@ -547,8 +547,9 @@ class TestQueryOutputs:
         ds = _toy_training_dataset(seed=5, T=4, n=24)
         ens = train_iware(ds, I=3, learner_kind="trees", rng=1, num_trees=4)
         assert "query_outputs" not in ens.to_dict()
-        ens.keep_query_outputs(ds.design_matrix[-1])
+        X = ds.rows(ds.num_timesteps - 1)
+        ens.keep_query_outputs(X)
         doc = ens.to_dict()
-        assert len(doc["query_outputs"]["prob"]) == ds.design_matrix.shape[1]
+        assert len(doc["query_outputs"]["prob"]) == len(X)
         del doc["query_outputs"]
         assert IWareEnsemble.from_dict(doc).query_outputs is None

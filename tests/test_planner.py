@@ -538,6 +538,13 @@ class TestImprovementRatio:
                 improvement_ratio(line_problem(), grid)
         assert lp_loads == []
 
+    def test_unknown_method_raises_before_any_solve(self, lp_loads):
+        # before, "enumerate" solved every beta by path enumeration
+        for method in ("enumerate", "BNB", ""):
+            with pytest.raises(PlannerError, match="sweep method"):
+                improvement_ratio(line_problem(), [0.0, 0.5], method=method)
+        assert lp_loads == []
+
     def test_sweep_loads_one_lp(self, lp_loads):
         table = improvement_ratio(random_nonconvex_problem(0), [0.0, 0.25, 0.5, 0.75, 1.0])
         assert len(table) == 5

@@ -13,7 +13,6 @@ from patrolkit.riskmap import (
     build_pwl,
     default_c_max,
     interp_rows,
-    query_rows,
     select_field_test_blocks,
     sweep_riskmap,
 )
@@ -71,7 +70,7 @@ class TestSweep:
         ens = train_iware(ds, I=4, learner_kind="trees", rng=3, num_trees=5)
         levels = [0.0, 0.5, 1.2]
         ids = ds.grid.masked_ids()
-        P, V = full_outputs(ens, query_rows(ds.grid, ds))
+        P, V = full_outputs(ens, ds.rows(ds.num_timesteps))
         calls = [0] * ens.thresholds.count
         for i, lrn in enumerate(ens.learners):
             monkeypatch.setattr(lrn, "predict_proba", lambda X, i=i, run=lrn.predict_proba:
