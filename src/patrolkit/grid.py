@@ -51,8 +51,8 @@ class ParkGrid:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise GridError("grid must contain at least one cell")
-        if self.cell_size_km <= 0:
-            raise GridError("cell_size_km must be positive")
+        if not (math.isfinite(self.cell_size_km) and self.cell_size_km > 0):
+            raise GridError(f"cell_size_km must be finite and > 0, got {self.cell_size_km}")
         n = self.width * self.height
         feats = np.asarray(self.features, dtype=float)
         if feats.ndim != 2 or feats.shape[0] != n:

@@ -93,14 +93,17 @@ def read_cells_csv(path, cell_size_km: float = 1.0) -> ParkGrid:
     seen = np.zeros(n, dtype=bool)
     posts = []
     for r in rows:
-        cid = int(r[0])
-        if cid != int(r[2]) * width + int(r[1]):
-            raise GridError(f"cell_id {cid} inconsistent with (x={r[1]}, y={r[2]})")
+        cid, ix, iy, in_park, post = (int(v) for v in r[:5])
+        if min(ix, iy) < 0 or {in_park, post} - {0, 1}:
+            raise GridError(f"cells.csv: cell_id {cid} has x={ix}, y={iy}, mask={in_park}, "
+                            f"is_post={post}; x and y must be >= 0, mask and is_post 0 or 1")
+        if cid != iy * width + ix:
+            raise GridError(f"cell_id {cid} inconsistent with (x={ix}, y={iy})")
         if seen[cid]:
             raise GridError(f"cells.csv lists cell_id {cid} twice")
         seen[cid] = True
-        mask[cid] = bool(int(r[3]))
-        if int(r[4]):
+        mask[cid] = in_park
+        if post:
             posts.append(cid)
         feats[cid] = [float(v) for v in r[5:]]
     return ParkGrid(width=width, height=height, features=feats,

@@ -44,7 +44,7 @@ LEARNER_OPTIONS = {
     "trees": ("num_trees", "undersample_ratio", "max_depth", "min_leaf", "feature_subsample"),
     "gp": ("lengthscale", "signal_var", "jitter", "max_points"),
 }
-# the class of every stored learner of an ensemble of each learner kind
+# the class that loads every stored learner of an ensemble of each learner kind
 LEARNER_CLASSES = {"trees": BaggedClassifier, "gp": GpClassifier}
 
 
@@ -166,6 +166,18 @@ def _lbfgsb(fun, x0: np.ndarray, ftol: float, gtol: float) -> np.ndarray:
     ``fun`` returning (value, gradient): scipy's reverse-communication loop
     of ``_minimize_lbfgsb`` (scipy 1.17.1) around its compiled ``setulb``,
     with its other settings (maxcor 10, maxls 20, maxiter and maxfun 15000).
+
+    Under two OpenBLAS threads ``setulb`` can stall inside its own BLAS
+    calls, on scipy's OpenBLAS. Measured with scipy 1.17.1 on a shared
+    2-core machine, in fresh processes: at ``OPENBLAS_NUM_THREADS=2``, the
+    calls that take a new value and gradient from the second iteration on
+    (52 of the 115 of the seed-7 trees ``train``) waited 4-16 ms each in
+    some runs; at 1 thread no call took over 0.2 ms. A 10-parameter
+    Rosenbrock objective that calls no BLAS stalls alike, so the wait is
+    not contention with numpy's thread pool. In seed-7 trees ``train`` at
+    2 threads, 8 of 15 runs lost 0.33-0.36 s to it (of 1.6-1.9 s), the
+    rest at most 3 ms; GP ``train`` did not stall in 9 runs. Nothing here
+    sets a thread count.
     """
     m, maxls, maxiter, maxfun = 10, 20, 15000, 15000
     n = x0.size
@@ -360,7 +372,7 @@ class IWareEnsemble:
 
     def to_dict(self) -> dict:
         d = {
-            "version": 3,
+            "version": 4,
             "thresholds": [float(t) for t in self.thresholds.thresholds],
             "weights": [float(w) for w in self.weights],
             "learner_kind": self.learner_kind,
@@ -376,7 +388,7 @@ class IWareEnsemble:
     def from_dict(cls, d: dict) -> "IWareEnsemble":
         if not isinstance(d, dict):
             raise IwareError("ensemble document must be a JSON object")
-        if d.get("version") != 3:
+        if d.get("version") != 4:
             raise IwareError(f"unsupported ensemble document version {d.get('version')!r}")
         try:
             blobs = d["learners"]
@@ -386,19 +398,11 @@ class IWareEnsemble:
             if not (isinstance(kind, str) and kind in LEARNER_OPTIONS):
                 raise IwareError(f"unknown learner kind {kind!r}; "
                                  f"choose from {tuple(LEARNER_OPTIONS)}")
-            learner_class = LEARNER_CLASSES[kind]
-            if any(b.get("kind") != learner_class.KIND for b in blobs):
-                raise IwareError(f"every learner of a {kind!r} ensemble must be of kind "
-                                 f"{learner_class.KIND!r}")
             thresholds = float_array_field(d["thresholds"], "thresholds").tolist()
-            learners = [learner_class.from_dict(b) for b in blobs]
             n_features = int_field(d["n_features"], "n_features")
-            if any(lrn.n_features != n_features for lrn in learners):
-                raise ValueError(f"every learner must take the ensemble's {n_features} "
-                                 "features (n_features of a bag, X columns of a GP)")
             return cls(
                 thresholds=ThresholdSet(tuple(thresholds)),
-                learners=learners,
+                learners=[LEARNER_CLASSES[kind].from_dict(b, n_features) for b in blobs],
                 weights=float_array_field(d["weights"], "weights"),
                 learner_kind=kind,
                 squash_scale=float_field(d["squash_scale"], "squash_scale"),

@@ -12,13 +12,14 @@ GP.
   training is deterministic under a fixed rng. Each tree grows
   depth-first; the trees of a bag grow in lock-step, one batched split
   search per pass over the node each tree reached, so they are the trees
-  that fitting each alone gives. They are one node table (``TreeTable``):
-  it predicts all of them together, is what ``model.json`` stores, and is
-  checked when it loads, so that every walk from a root ends at a leaf.
+  that fitting each alone gives. They are one node table (``TreeTable``)
+  of three arrays, one entry per node: it predicts all of them together,
+  is what ``model.json`` stores, and is checked when it loads, so that
+  every walk from a root ends at a leaf.
 * Balanced bagging: each tree sees a bootstrap of the positives plus an
   undersample of the negatives. A bag stores the Gram matrix of its centred
-  draw counts and their summed variance, all that the infinitesimal-jackknife
-  variance of the bagged prediction needs of them.
+  draw counts, all that the infinitesimal-jackknife variance of the bagged
+  prediction needs of them: their summed variance is B times its trace.
 * A Gaussian-process classifier (RBF kernel, logistic likelihood, Laplace
   approximation). Probabilities come from the probit approximation of the
   averaged predictive; the exposed latent variance is the noise-free
@@ -28,8 +29,9 @@ GP.
   ``train_gp`` for a fit, at the first prediction for a loaded model.
 
 The two learners an ensemble stores, ``BaggedClassifier`` and
-``GpClassifier``, each name the ``kind`` of their document in ``KIND``,
-which ``to_dict`` writes and ``iware`` checks before ``from_dict`` reads it.
+``GpClassifier``, write no kind and no feature count of their own: the
+ensemble's ``learner_kind`` picks the class that loads them, and its
+``n_features`` is passed to their ``from_dict``.
 
 Only the GP uses scipy, and only compiled extensions of it, each loaded
 alone from its file when first called (``scipyext.load_extension``). Its
@@ -150,16 +152,15 @@ class TreeTable:
     """The CART trees of one bag in one flat node table.
 
     Tree t's root is node t. An inner node i sends a row whose value of
-    ``feature[i]`` is at most ``threshold[i]`` to node ``left[i]`` and any
-    other row to node ``left[i] + 1``; both children come after i.
+    ``feature[i]`` is at most its threshold ``value[i]`` to node ``left[i]``
+    and any other row to node ``left[i] + 1``; both children come after i.
     ``feature == -1`` marks a leaf, whose ``value`` is the positive fraction
-    of the rows it received; an inner node's ``value`` is 0 and is not read.
+    of the rows it received; a leaf's ``left`` is -1 and is not read.
     """
 
     feature: np.ndarray    # (nodes,) int32
-    threshold: np.ndarray  # (nodes,) float
     left: np.ndarray       # (nodes,) int32
-    value: np.ndarray      # (nodes,) float
+    value: np.ndarray      # (nodes,) float: an inner node's threshold, a leaf's vote
     num_trees: int
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -177,37 +178,36 @@ class TreeTable:
             f = self.feature[at]
             inner = f >= 0
             pair, at, f = pair[inner], at[inner], f[inner]
-            goleft = x[row_at[pair] + f] <= self.threshold[at]
+            goleft = x[row_at[pair] + f] <= self.value[at]
             node[pair] = self.left[at] + ~goleft
         return self.value[node].reshape(self.num_trees, q)
 
     def to_dict(self) -> dict:
-        return {"feature": self.feature.tolist(), "threshold": self.threshold.tolist(),
-                "left": self.left.tolist(), "value": self.value.tolist()}
+        return {"feature": self.feature.tolist(), "left": self.left.tolist(),
+                "value": self.value.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict, num_trees: int, n_features: int) -> "TreeTable":
         """The table of ``num_trees`` trees over ``n_features`` features,
         checked so that every walk from a root ends, at a leaf whose value is
-        a probability: children lie after their parent and inside the table."""
+        a probability: children lie after their parent and inside the table,
+        and thresholds are finite."""
         table = cls(feature=int32_field(d["feature"], "tree table: feature"),
-                    threshold=float_array_field(d["threshold"], "tree table: threshold"),
                     left=int32_field(d["left"], "tree table: left"),
                     value=float_array_field(d["value"], "tree table: value"),
                     num_trees=num_trees)
         nodes = table.feature.size
-        if not (all(a.shape == (nodes,) for a in (table.threshold, table.left, table.value))
-                and 1 <= num_trees <= nodes):
-            raise LearnerError(f"a table of {num_trees} trees needs feature, threshold, left "
-                               f"and value arrays of one length, at least {num_trees}")
+        if not (table.left.shape == table.value.shape == (nodes,) and 1 <= num_trees <= nodes):
+            raise LearnerError(f"a table of {num_trees} trees needs feature, left and value "
+                               f"arrays of one length, at least {num_trees}")
         inner = table.feature >= 0
         at, leaf = np.flatnonzero(inner), table.value[~inner]
         for bad, what in (
             (np.any(table.feature < -1) or np.any(table.feature >= n_features),
-             f"features must lie in [-1, {n_features})"),
+             f"features must lie in [-1, {n_features}) for n_features={n_features}"),
             (np.any(table.left[at] <= at) or np.any(table.left[at] > nodes - 2),
              f"an inner node's children must come after it, within the {nodes} nodes"),
-            (not np.all(np.isfinite(table.threshold[at])), "inner thresholds must be finite"),
+            (not np.all(np.isfinite(table.value[at])), "inner thresholds must be finite"),
             (not np.all((leaf >= 0) & (leaf <= 1)), "leaf values must lie in [0, 1]"),
         ):
             if bad:
@@ -310,10 +310,10 @@ def _grow_trees(X, y, samples, rngs, max_depth, min_leaf, feature_subsample):
     draw = feature_subsample is not None and feature_subsample < d
     every = list(range(d))
 
-    # the bag's node table (feature, threshold, left, value), and per tree
-    # its stack of (node, rows, depth, row count, positive count)
+    # the bag's node table (feature, left, value), and per tree its stack
+    # of (node, rows, depth, row count, positive count)
     T = len(samples)
-    feature, threshold, left, value = [-1] * T, [0.0] * T, [-1] * T, [0.0] * T
+    feature, left, value = [-1] * T, [-1] * T, [0.0] * T
     stacks = [[(t, root, 0, root.size, int(y[root].sum()))] for t, root in
               enumerate(np.split(np.arange(rows.size), np.cumsum([len(s) for s in samples])[:-1]))]
     while True:
@@ -346,15 +346,13 @@ def _grow_trees(X, y, samples, rngs, max_depth, min_leaf, feature_subsample):
             if not np.isfinite(gini[c]):
                 continue
             li = len(feature)
-            feature[node], threshold[node], left[node], value[node] = \
-                int(feat[c]), float(thr[c]), li, 0.0
-            for column, blank in ((feature, -1), (threshold, 0.0), (left, -1), (value, 0.0)):
+            feature[node], left[node], value[node] = int(feat[c]), li, float(thr[c])
+            for column, blank in ((feature, -1), (left, -1), (value, 0.0)):
                 column.extend((blank, blank))
             stacks[t].append((li, left_rows, depth + 1, nl, pos_left[c]))
             stacks[t].append((li + 1, right_rows, depth + 1, n - nl, pos - pos_left[c]))
 
     return TreeTable(feature=np.asarray(feature, dtype=np.int32),
-                     threshold=np.asarray(threshold, dtype=float),
                      left=np.asarray(left, dtype=np.int32),
                      value=np.asarray(value, dtype=float), num_trees=T)
 
@@ -378,18 +376,16 @@ def train_tree(
 
 @dataclass
 class BaggedClassifier:
-    """Bag of trees, one node table, with the statistics of its (B, n_train)
+    """Bag of trees, one node table, with the statistic of its (B, n_train)
     draw counts N that ``jackknife_variance_batch`` reads: with n_c = N -
-    N.mean(axis=0), ``draw_gram`` is n_c n_c' / B^2 and ``draw_var_sum`` is
-    sum_j Var_b(N_bj). ``memberships``, N itself, is set by ``train_bagged``
-    only, for ``held_out_proba``; it is not serialized.
+    N.mean(axis=0), ``draw_gram`` is n_c n_c' / B^2. ``memberships``, N
+    itself, is set by ``train_bagged`` only, for ``held_out_proba``; it is
+    not serialized, and neither is ``n_features``, which the ensemble
+    stores.
     """
-
-    KIND = "bagged_trees"  # the ``kind`` of its document
 
     trees: TreeTable
     draw_gram: np.ndarray           # (B, B) float
-    draw_var_sum: float
     n_features: int
     memberships: np.ndarray = field(repr=False, default=None)  # (B, n_train) int32
 
@@ -398,9 +394,8 @@ class BaggedClassifier:
         """The bag of ``trees`` whose bootstrap draw counts are ``memberships``."""
         B = memberships.shape[0]
         n_c = (memberships - memberships.mean(axis=0, keepdims=True)).astype(float)
-        return cls(trees=trees, draw_gram=n_c @ n_c.T / B**2,
-                   draw_var_sum=float((n_c**2).mean(axis=0).sum()),
-                   n_features=n_features, memberships=memberships)
+        return cls(trees=trees, draw_gram=n_c @ n_c.T / B**2, n_features=n_features,
+                   memberships=memberships)
 
     @property
     def num_trees(self) -> int:
@@ -426,26 +421,19 @@ class BaggedClassifier:
         return np.arange(out.shape[1]), prob
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.KIND,
-            "trees": self.trees.to_dict(),
-            "n_features": int(self.n_features),
-            "draw_gram": self.draw_gram.tolist(),
-            "draw_var_sum": float(self.draw_var_sum),
-        }
+        return {"trees": self.trees.to_dict(), "draw_gram": self.draw_gram.tolist()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "BaggedClassifier":
-        """The bag of as many trees as its checked Gram has rows."""
-        n_features = int_field(d["n_features"], "n_features")
+    def from_dict(cls, d: dict, n_features: int) -> "BaggedClassifier":
+        """The bag over ``n_features`` features of as many trees as its
+        checked Gram has rows."""
         gram = float_array_field(d["draw_gram"], "draw_gram")
-        var_sum = float_field(d["draw_var_sum"], "draw_var_sum")
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1] or not np.all(np.isfinite(gram)):
             raise LearnerError("draw_gram must be a square matrix of finite numbers")
-        if not (math.isfinite(var_sum) and var_sum >= 0):
-            raise LearnerError(f"draw_var_sum must be finite and >= 0, got {var_sum}")
+        if np.any(np.diag(gram) < 0):
+            raise LearnerError("draw_gram's diagonal must be >= 0")
         return cls(trees=TreeTable.from_dict(d["trees"], gram.shape[0], n_features),
-                   draw_gram=gram, draw_var_sum=var_sum, n_features=n_features)
+                   draw_gram=gram, n_features=n_features)
 
 
 def train_bagged(
@@ -499,11 +487,11 @@ def jackknife_variance_batch(model: BaggedClassifier, X: np.ndarray) -> np.ndarr
     needed.
 
     The finite-B bias correction uses the empirical variance of the draw
-    counts, ``draw_var_sum`` * Var_b(t) / B. Under a plain size-n bootstrap
-    Var(N_j) is about 1 and this reduces to the usual n/B term; with
-    balanced undersampling only the rows a bag can actually draw
-    contribute, which keeps the correction on the scale of the bags rather
-    than the full dataset.
+    counts, sum_j Var_b(N_bj) * Var_b(t) / B, with sum_j Var_b(N_bj) =
+    B trace(G). Under a plain size-n bootstrap Var(N_j) is about 1 and this
+    reduces to the usual n/B term; with balanced undersampling only the
+    rows a bag can actually draw contribute, which keeps the correction on
+    the scale of the bags rather than the full dataset.
     """
     B = model.num_trees
     if B < 2:
@@ -511,7 +499,7 @@ def jackknife_variance_batch(model: BaggedClassifier, X: np.ndarray) -> np.ndarr
     votes = model.tree_votes(X)                                  # (B, q)
     t_c = votes - votes.mean(axis=0, keepdims=True)
     raw = ((model.draw_gram @ t_c) * t_c).sum(axis=0)
-    bias = model.draw_var_sum / B * (t_c**2).mean(axis=0)
+    bias = np.trace(model.draw_gram) * (t_c**2).mean(axis=0)
     return np.maximum(raw - bias, 0.0)
 
 
@@ -623,8 +611,6 @@ class GpClassifier:
     serialized.
     """
 
-    KIND = "gp"  # the ``kind`` of its document
-
     X: np.ndarray
     y_sign: np.ndarray           # (n,) in {-1, +1}
     lengthscale: float
@@ -632,10 +618,6 @@ class GpClassifier:
     jitter: float
     f_mode: np.ndarray = field(repr=False, default=None)
     kept_rows: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def n_features(self) -> int:
-        return self.X.shape[1]
 
     def kernel(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return _rbf(_sqdist(A, B), self.lengthscale, self.signal_var)
@@ -696,7 +678,6 @@ class GpClassifier:
 
     def to_dict(self) -> dict:
         return {
-            "kind": self.KIND,
             "X": [[float(v) for v in row] for row in self.X],
             "y_sign": [int(v) for v in self.y_sign],
             "lengthscale": float(self.lengthscale),
@@ -706,9 +687,10 @@ class GpClassifier:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "GpClassifier":
-        """The stored model, its fields checked; its factors are built from
-        the stored latent mode at the first prediction."""
+    def from_dict(cls, d: dict, n_features: int) -> "GpClassifier":
+        """The stored model over ``n_features`` features, its fields checked;
+        its factors are built from the stored latent mode at the first
+        prediction."""
         model = cls(
             X=float_array_field(d["X"], "X"),
             y_sign=float_array_field(d["y_sign"], "y_sign"),
@@ -720,9 +702,10 @@ class GpClassifier:
         n = model.y_sign.size
         if model.y_sign.ndim != 1 or not np.all(np.abs(model.y_sign) == 1.0):
             raise LearnerError("y_sign must be a list of -1 and +1")
-        if model.X.ndim != 2 or model.X.shape[0] != n or not np.all(np.isfinite(model.X)):
-            raise LearnerError(f"X must be a finite matrix of {n} rows, one per y_sign entry")
-        f_mode = float_array_field(d.get("f_mode"), "f_mode")
+        if model.X.shape != (n, n_features) or not np.all(np.isfinite(model.X)):
+            raise LearnerError(f"X must be a finite matrix of {n} rows, one per y_sign entry, "
+                               f"and the ensemble's n_features={n_features} columns")
+        f_mode = float_array_field(d["f_mode"], "f_mode")
         if f_mode.shape != model.y_sign.shape or not np.all(np.isfinite(f_mode)):
             raise LearnerError(f"f_mode must be a finite vector of length {model.y_sign.size}")
         model.f_mode = f_mode

@@ -204,7 +204,10 @@ class TestPipeline:
         assert abs(report["p_value"] - 1.05e-2) <= 0.02e-2
         assert report["dof"] == 2
 
-    def test_ingest_pipeline(self, workdir):
+    @staticmethod
+    def write_ingest_inputs(workdir):
+        """Two cells, one 1.5 km patrol across both, and one observation in
+        each; returns the window option of ingest."""
         cells = ("cell_id,x,y,mask,is_post,f_1\n"
                  "0,0,0,1,1,0.5\n1,1,0,1,0,0.25\n")
         (workdir / "cells.csv").write_text(cells)
@@ -216,8 +219,10 @@ class TestPipeline:
             "x_km,y_km,timestamp_iso8601,category\n"
             "0.5,0.5,2017-01-06T00:00:00,poaching\n"
             "1.5,0.5,2017-01-06T00:00:00,non_poaching\n")
-        code = run(["ingest", "--output_dir=ing",
-                    '--ingest.windows=["2017-01-01T00:00:00,2017-04-01T00:00:00"]'])
+        return '--ingest.windows=["2017-01-01T00:00:00,2017-04-01T00:00:00"]'
+
+    def test_ingest_pipeline(self, workdir):
+        code = run(["ingest", "--output_dir=ing", self.write_ingest_inputs(workdir)])
         assert code == 0
         lines = (workdir / "ing" / "dataset.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 2 cells x 1 window
@@ -225,6 +230,16 @@ class TestPipeline:
         row0 = lines[1].split(",")
         assert float(row0[2]) == pytest.approx(0.75)
         assert row0[3] == "1"
+
+    @pytest.mark.parametrize("size", ["Infinity", "NaN"])
+    def test_ingest_non_finite_cell_size(self, workdir, capsys, size):
+        # before, Infinity exited 0 with all 1.5 km in cell 0, and NaN exited
+        # 2 blaming an observation
+        windows = self.write_ingest_inputs(workdir)
+        capsys.readouterr()
+        assert run(["ingest", "--output_dir=ing", windows, f"--ingest.cell_size_km={size}"]) == 2
+        assert "cell_size_km must be finite and > 0" in capsys.readouterr().err
+        assert not (workdir / "ing" / "dataset.csv").exists()
 
 
 class TestMalformedInputs:
@@ -360,17 +375,19 @@ class TestMalformedInputs:
 
     def test_model_with_version_only(self, workdir):
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
-        (workdir / "r" / "model.json").write_text('{"version": 3}\n')
+        (workdir / "r" / "model.json").write_text('{"version": 4}\n')
         assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
 
     def test_model_of_version_one(self, workdir, capsys):
         # version 1 stored a list of per-tree tables, each with a right
-        # array; version 2 stored each bag's draw counts
+        # array; version 2 stored each bag's draw counts; version 3 stored
+        # each learner's kind, a bag's n_features and draw_var_sum, and a
+        # tree table's threshold apart from its value. Each must be retrained.
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
         assert run(["train", *SMALL, "--output_dir=r"]) == 0
         path = workdir / "r" / "model.json"
         doc = json.loads(path.read_text())
-        for version in (1, 2):
+        for version in (1, 2, 3):
             path.write_text(json.dumps({**doc, "version": version}) + "\n")
             capsys.readouterr()
             assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
@@ -383,7 +400,7 @@ class TestMalformedInputs:
 
     def test_model_with_null_learners(self, workdir):
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
-        doc = {"version": 3, "thresholds": [0.0], "learners": None, "weights": [1.0],
+        doc = {"version": 4, "thresholds": [0.0], "learners": None, "weights": [1.0],
                "learner_kind": "trees", "squash_scale": 1.0, "n_features": 3}
         (workdir / "r" / "model.json").write_text(json.dumps(doc) + "\n")
         assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
@@ -392,8 +409,10 @@ class TestMalformedInputs:
         ("trees", 5, "unknown learner kind 5"),
         ("trees", "svm", "unknown learner kind 'svm'"),
         ("trees", None, "unknown learner kind None"),
-        ("trees", "gp", "every learner of a 'gp' ensemble must be of kind 'gp'"),
-        ("gp", "trees", "every learner of a 'trees' ensemble must be of kind 'bagged_trees'"),
+        # a relabelled document is read by the other learner's loader, which
+        # finds its first key missing
+        ("trees", "gp", "lacks key 'X'"),
+        ("gp", "trees", "lacks key 'draw_gram'"),
     ])
     def test_model_with_unusable_learner_kind(self, workdir, capsys, learner, kind, message):
         # before, each loaded, and riskmap exited 0
@@ -441,10 +460,11 @@ class TestMalformedInputs:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", ["non_square_gram", "nan_gram_entry", "inf_gram_entry",
-                                      "negative_draw_var_sum", "nan_draw_var_sum"])
+                                      "negative_gram_diagonal", "nan_gram_diagonal"])
     def test_model_with_unusable_draw_statistics(self, workdir, capsys, edit):
-        # the IJ variance reads a bag's Gram as B x B and its summed variance
-        # as a number >= 0
+        # the IJ variance reads a bag's Gram as a finite B x B matrix whose
+        # diagonal, each tree's summed squared centred draw counts over B^2,
+        # is >= 0
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
         assert run(["train", *SMALL, "--output_dir=r"]) == 0
         path = workdir / "r" / "model.json"
@@ -456,17 +476,15 @@ class TestMalformedInputs:
             bag["draw_gram"][0][1] = float("nan")
         elif edit == "inf_gram_entry":
             bag["draw_gram"][1][0] = float("inf")
-        elif edit == "negative_draw_var_sum":
-            bag["draw_var_sum"] = -1.0
         else:
-            bag["draw_var_sum"] = float("nan")
+            bag["draw_gram"][2][2] = -1.0 if edit == "negative_gram_diagonal" else float("nan")
         path.write_text(json.dumps(doc) + "\n")
         capsys.readouterr()
         assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2
         assert "malformed field" in capsys.readouterr().err
         assert not (workdir / "r" / "riskmap.csv").exists()
 
-    @pytest.mark.parametrize("field", ["left", "feature", "bag_n_features", "n_features"])
+    @pytest.mark.parametrize("field", ["left", "feature", "n_features"])
     def test_model_with_fractional_integer(self, workdir, capsys, field):
         # before, each was truncated toward zero and riskmap exited 0
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
@@ -477,8 +495,6 @@ class TestMalformedInputs:
         assert bag["trees"]["feature"][0] >= 0
         if field in ("left", "feature"):
             bag["trees"][field][0] += 0.5
-        elif field == "bag_n_features":
-            bag["n_features"] += 0.9
         else:
             doc["n_features"] += 0.9
         path.write_text(json.dumps(doc) + "\n")
@@ -492,9 +508,7 @@ class TestMalformedInputs:
         ("trees", "squash_scale", bool),
         ("trees", "weights", str),
         ("trees", "thresholds", str),
-        ("trees", "draw_var_sum", str),
         ("trees", "draw_gram", str),
-        ("trees", "threshold", str),
         ("trees", "value", str),
         ("gp", "lengthscale", str),
         ("gp", "f_mode", str),
@@ -523,7 +537,7 @@ class TestMalformedInputs:
         assert not (workdir / "r" / "riskmap.csv").exists()
 
     @pytest.mark.parametrize("learner, field", [
-        ("trees", "threshold"),
+        ("trees", "value"),
         ("trees", "feature"),
         ("trees", "left"),
         ("trees", "draw_gram"),
@@ -594,12 +608,15 @@ class TestMalformedInputs:
         assert not (workdir / "r" / "riskmap.csv").exists()
 
     def test_bag_model_of_another_width(self, workdir, capsys):
-        # before, riskmap exited 0 from the stored outputs of the query rows
+        # a bag takes the ensemble's n_features, so an n_features that its
+        # trees split past fails to load. Before, a bag that stored a width
+        # of its own other than the ensemble's let riskmap exit 0 from the
+        # stored outputs of the query rows.
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
         assert run(["train", *SMALL, "--output_dir=r"]) == 0
         path = workdir / "r" / "model.json"
         doc = json.loads(path.read_text())
-        doc["learners"][1]["n_features"] += 1
+        doc["n_features"] = max(doc["learners"][1]["trees"]["feature"])
         path.write_text(json.dumps(doc) + "\n")
         capsys.readouterr()
         assert run(["riskmap", *SMALL, "--output_dir=r"]) == 2

@@ -224,7 +224,7 @@ class TestTraining:
         X = rng.normal(size=(20, 2))
         y = X[:, 1] > 0
         m = train_gp(matrix(X, y), rng=0)
-        back = GpClassifier.from_dict(m.to_dict())
+        back = GpClassifier.from_dict(m.to_dict(), 2)
         q = rng.normal(size=(5, 2))
         p0, v0 = m.predict_proba(q)
         p1, v1 = back.predict_proba(q)
@@ -242,7 +242,7 @@ class TestTraining:
         monkeypatch.setattr(learners, "_mode_state",
                             lambda *args: calls.append(1) or mode_state(*args))
         for first in ("predict_proba", "held_out_proba"):
-            back = GpClassifier.from_dict(m.to_dict())
+            back = GpClassifier.from_dict(m.to_dict(), 2)
             assert calls == [] and "_factors" not in vars(back)
             getattr(back, first)(X[:3])
             back.predict_proba(X[3:])
@@ -258,7 +258,7 @@ class TestTraining:
         doc = train_gp(matrix(X, X[:, 0] > 0), rng=0).to_dict()
         for bad in (doc["f_mode"][:-1], doc["f_mode"][:-1] + [float("nan")], None):
             with pytest.raises(LearnerError, match="f_mode"):
-                GpClassifier.from_dict({**doc, "f_mode": bad})
+                GpClassifier.from_dict({**doc, "f_mode": bad}, 2)
 
 
     @pytest.mark.parametrize("field, value", [
@@ -283,7 +283,7 @@ class TestTraining:
         else:
             bad = value
         with pytest.raises(LearnerError, match=field):
-            GpClassifier.from_dict({**doc, field: bad})
+            GpClassifier.from_dict({**doc, field: bad}, 2)
 
 
 def lower_factor(n, seed):

@@ -27,8 +27,11 @@ class TestParkGrid:
             flat_grid(2, 2, posts=(3,), mask=mask)
 
     def test_bad_cell_size(self):
-        with pytest.raises(GridError):
-            flat_grid(2, 2, cell_size=0.0)
+        # before, an infinite cell put every point in cell 0, and a NaN one
+        # failed later, blaming the first observation
+        for size in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(GridError, match="cell_size_km must be finite and > 0"):
+                flat_grid(2, 2, cell_size=size)
 
     def test_neighbors_respect_mask(self):
         mask = np.array([1, 1, 1, 0], bool)

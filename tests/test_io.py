@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 
 from patrolkit import io, synth
-from patrolkit.grid import ObservationLog, WaypointTrack
+from patrolkit.grid import GridError, ObservationLog, WaypointTrack
 
 from conftest import flat_grid
 
@@ -15,6 +16,22 @@ def test_cells_round_trip(tmp_path):
     assert back.patrol_posts == grid.patrol_posts
     np.testing.assert_array_equal(back.mask, grid.mask)
     np.testing.assert_array_equal(back.features, grid.features)  # bit-exact via repr
+
+
+@pytest.mark.parametrize("rows, message", [
+    # before, mask 2 and is_post 7 were read as true, a cell at x = -1
+    # loaded as cell 1 of a 2 x 2 grid (1 * 2 - 1 = 1), and one at y = -1 as
+    # cell 5 of a 3 x 2 grid (cell_id -1 = -1 * 3 + 2)
+    (["0,0,0,2,0", "1,1,0,1,0"], "mask=2"),
+    (["0,0,0,1,7", "1,1,0,1,0"], "is_post=7"),
+    (["0,0,0,1,0", "1,-1,1,1,0", "2,0,1,1,0", "3,1,1,1,0"], "x=-1"),
+    (["0,0,0,1,0", "1,1,0,1,0", "2,2,0,1,0", "3,0,1,1,0", "4,1,1,1,0", "-1,2,-1,1,0"], "y=-1"),
+])
+def test_cells_with_unusable_flag_or_coordinate(tmp_path, rows, message):
+    path = tmp_path / "cells.csv"
+    path.write_text("cell_id,x,y,mask,is_post\n" + "".join(r + "\n" for r in rows))
+    with pytest.raises(GridError, match=message):
+        io.read_cells_csv(path)
 
 
 def test_dataset_round_trip_bit_exact(tmp_path):

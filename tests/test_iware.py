@@ -553,3 +553,42 @@ class TestQueryOutputs:
         assert len(doc["query_outputs"]["prob"]) == len(X)
         del doc["query_outputs"]
         assert IWareEnsemble.from_dict(doc).query_outputs is None
+
+
+def _key_paths(node, path=()):
+    """The path to every key of a document's objects, looking into the
+    first entry of each list of objects (all of a list's objects are read
+    alike)."""
+    if isinstance(node, list) and node and isinstance(node[0], dict):
+        yield from _key_paths(node[0], path + (0,))
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield path + (key,)
+            yield from _key_paths(value, path + (key,))
+
+
+class TestDocument:
+    """Every key a trained ensemble stores is read on load: without any one
+    of them, but the optional ``query_outputs``, the document fails to
+    load."""
+
+    @pytest.mark.parametrize("kind, options", [("trees", {"num_trees": 4}),
+                                               ("gp", {"max_points": 30})])
+    def test_document_lacking_any_key_fails_to_load(self, kind, options):
+        import copy
+        import json
+
+        ds = _toy_training_dataset(seed=5, T=4, n=24)
+        ens = train_iware(ds, I=3, learner_kind=kind, rng=1, **options)
+        ens.keep_query_outputs(ds.rows(ds.num_timesteps - 1))
+        doc = json.loads(json.dumps(ens.to_dict()))
+        assert IWareEnsemble.from_dict(doc).to_dict() == doc
+        paths = [p for p in _key_paths(doc) if p != ("query_outputs",)]
+        for path in paths:
+            lacking = copy.deepcopy(doc)
+            parent = lacking
+            for step in path[:-1]:
+                parent = parent[step]
+            del parent[path[-1]]
+            with pytest.raises(IwareError):
+                IWareEnsemble.from_dict(lacking)
