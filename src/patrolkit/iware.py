@@ -110,8 +110,7 @@ def select_thresholds(ds: PatrolDataset, I: int) -> ThresholdSet:
     """Effort-percentile thresholds: quantile (i-1)/I of the strictly
     positive efforts for i = 1..I, with the first forced to 0. Duplicate
     quantiles are collapsed (reducing I) with a warning."""
-    if I < 1:
-        raise IwareError("I must be >= 1")
+    I = int_field(I, "I", 1)
     pos_eff = ds.positive_efforts()
     if pos_eff.size == 0:
         raise IwareError("dataset has no positive-effort rows")

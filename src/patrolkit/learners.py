@@ -26,7 +26,9 @@ GP.
   posterior variance of the latent function given the training inputs,
   which vanishes at training points and reverts to the signal variance far
   from data. Its factors are built once (``GpClassifier._factors``): in
-  ``train_gp`` for a fit, at the first prediction for a loaded model.
+  ``train_gp`` for a fit, at the first prediction for a loaded model. One
+  function, ``_laplace``, finds the latent mode and the Laplace state
+  there, for a fit, a load and the marginal likelihood alike.
 
 The two learners an ensemble stores, ``BaggedClassifier`` and
 ``GpClassifier``, write no kind and no feature count of their own: the
@@ -298,15 +300,21 @@ def _grow_trees(X, y, samples, rngs, max_depth, min_leaf, feature_subsample):
     leaves from their carried positive counts, and one ``_best_splits``
     call then splits the nodes all trees reached. Returns one ``TreeTable``:
     the roots first, then each split's two children as it is made.
+    ``feature_subsample`` is a count of candidate features per node, "sqrt"
+    for ceil(sqrt(d)), or None for all d, as is a count above d.
     """
     max_depth = int_field(max_depth, "max_depth", 1)
     min_leaf = int_field(min_leaf, "min_leaf", 1)
+    d = X.shape[1]
+    if feature_subsample == "sqrt":
+        feature_subsample = max(1, math.ceil(math.sqrt(d)))
+    elif feature_subsample is not None:
+        feature_subsample = int_field(feature_subsample, "feature_subsample", 1)
     if min(len(s) for s in samples) < min_leaf:
         raise LearnerError(f"need at least min_leaf={min_leaf} rows")
     rows = np.concatenate(samples)
     X, y = X[rows], y[rows]
     columns = _sorted_columns(X, y)
-    d = X.shape[1]
     draw = feature_subsample is not None and feature_subsample < d
     every = list(range(d))
 
@@ -452,14 +460,13 @@ def train_bagged(
     """
     rng = np.random.default_rng(rng)
     num_trees = int_field(num_trees, "num_trees", 1)
+    undersample_ratio = float_field(undersample_ratio, "undersample_ratio")
     if not (math.isfinite(undersample_ratio) and undersample_ratio > 0):
         raise LearnerError(f"undersample_ratio must be finite and > 0, got {undersample_ratio}")
     pos = np.flatnonzero(data.labels)
     neg = np.flatnonzero(~data.labels)
     if pos.size == 0:
         raise LearnerError("balanced bagging needs at least one positive row")
-    if feature_subsample == "sqrt":
-        feature_subsample = max(1, math.ceil(math.sqrt(data.d)))
 
     children = rng.spawn(num_trees)
     samples = []
@@ -603,10 +610,10 @@ class GpClassifier:
     Its document stores the (possibly subsampled) inputs and the latent
     posterior mode ``f_mode``. The rest of its state, ``_factors``, is built
     once, by ``train_gp`` for a fit and at the first prediction for a loaded
-    model: sqrt(W) at the mode, the Cholesky factor of
-    B = I + sqrt(W) K sqrt(W) used for predictions, the likelihood gradient
-    at the mode, and the Cholesky factor of K + jitter*I used for the
-    exposed latent variance. ``kept_rows``, set by ``train_gp`` only,
+    model: from ``_laplace``, sqrt(W) at the mode, the Cholesky factor of
+    B = I + sqrt(W) K sqrt(W) used for predictions and the likelihood
+    gradient at the mode; and the Cholesky factor of K + jitter*I used for
+    the exposed latent variance. ``kept_rows``, set by ``train_gp`` only,
     records which of its input rows the ``max_points`` cap kept; it is not
     serialized.
     """
@@ -625,13 +632,11 @@ class GpClassifier:
     @cached_property
     def _factors(self):
         """(sqrt_w, L_b, alpha, L_k) at the latent mode: the stored one of a
-        loaded model, or, where ``f_mode`` is None, the one Newton's method
+        loaded model, or, where ``f_mode`` is None, the one ``_laplace``
         finds, which is then stored. Raises LinAlgError where a Cholesky
         factorization fails; ``train_gp`` then escalates the jitter."""
         K = _add_to_diagonal(self.kernel(self.X, self.X), self.jitter)
-        if self.f_mode is None:
-            self.f_mode = _newton_mode(K, self.y_sign)
-        _, sw, L, alpha, _ = _mode_state(K, self.y_sign, self.f_mode)
+        self.f_mode, _, sw, L, alpha, _ = _laplace(K, self.y_sign, self.f_mode)
         return sw, L, alpha, _cholesky(K)
 
     def predict_proba(self, Xq: np.ndarray):
@@ -669,36 +674,28 @@ class GpClassifier:
         out."""
         sqrt_w, L_b, alpha, _ = self._factors
         K = _add_to_diagonal(self.kernel(self.X, self.X), self.jitter)
-        C = _solve_lower(L_b, sqrt_w[:, None] * K)
-        s = np.diag(K) - (C**2).sum(axis=0)
+        s = _posterior_diag(K, sqrt_w, L_b)
         w = sqrt_w**2
         tau = 1.0 / s - w
         mean = (self.f_mode / s - w * self.f_mode - alpha) / tau
         return self.kept_rows, _sigmoid_stable(mean / np.sqrt(1.0 + np.pi / (8.0 * tau)))
 
     def to_dict(self) -> dict:
-        return {
-            "X": [[float(v) for v in row] for row in self.X],
-            "y_sign": [int(v) for v in self.y_sign],
-            "lengthscale": float(self.lengthscale),
-            "signal_var": float(self.signal_var),
-            "jitter": float(self.jitter),
-            "f_mode": [float(v) for v in self.f_mode],
-        }
+        return {"X": self.X.tolist(), "y_sign": self.y_sign.astype(int).tolist(),
+                "lengthscale": float(self.lengthscale), "signal_var": float(self.signal_var),
+                "jitter": float(self.jitter), "f_mode": self.f_mode.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict, n_features: int) -> "GpClassifier":
         """The stored model over ``n_features`` features, its fields checked;
         its factors are built from the stored latent mode at the first
         prediction."""
-        model = cls(
-            X=float_array_field(d["X"], "X"),
-            y_sign=float_array_field(d["y_sign"], "y_sign"),
-            lengthscale=float_field(d["lengthscale"], "lengthscale"),
-            signal_var=float_field(d["signal_var"], "signal_var"),
-            jitter=float_field(d["jitter"], "jitter"),
-        )
-        _check_hyperparameters(model.lengthscale, model.signal_var, model.jitter)
+        X, y_sign = float_array_field(d["X"], "X"), float_array_field(d["y_sign"], "y_sign")
+        # a stored lengthscale is a number: None, the median heuristic, is a setting only
+        lengthscale, signal_var, jitter = _hyperparameters(
+            float_field(d["lengthscale"], "lengthscale"), d["signal_var"], d["jitter"])
+        model = cls(X=X, y_sign=y_sign, lengthscale=lengthscale, signal_var=signal_var,
+                    jitter=jitter)
         n = model.y_sign.size
         if model.y_sign.ndim != 1 or not np.all(np.abs(model.y_sign) == 1.0):
             raise LearnerError("y_sign must be a list of -1 and +1")
@@ -726,43 +723,42 @@ def _log_sigmoid(x):
     return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))), x - np.log1p(np.exp(-np.abs(x))))
 
 
-def _newton_mode(K: np.ndarray, y: np.ndarray):
-    """Find the latent posterior mode (logistic likelihood): Newton steps
-    until no latent value moves by 1e-6, at most 100 of them.
+def _laplace(K: np.ndarray, y: np.ndarray, f: np.ndarray | None = None):
+    """Laplace state of the logistic likelihood under prior covariance K at
+    the latent mode: (f, pi, sqrt_w, L_b, alpha, lml), with L_b the Cholesky
+    factor of B = I + sqrt(W) K sqrt(W), alpha = t - pi the likelihood
+    gradient and lml the approximate log marginal likelihood (Rasmussen and
+    Williams 2006, Algorithms 3.1 and 5.1). Where f is None the mode is
+    found first: Newton steps from 0 until no latent value moves by 1e-6,
+    at most 100 of them; else f is taken as the mode.
 
-    Raises on Cholesky failure; the caller escalates jitter.
+    Raises on Cholesky failure; ``train_gp`` escalates the jitter.
     """
     t = (y + 1.0) / 2.0
-    f = np.zeros(K.shape[0])
-    for _ in range(100):
+    f, steps = (np.zeros(K.shape[0]), 100) if f is None else (f, 0)
+    while True:
         pi = _sigmoid_stable(f)
         w = pi * (1.0 - pi)
         sw = np.sqrt(w)
-        L = _cholesky(_laplace_b(K, sw))
-        b = w * f + (t - pi)
-        rhs = sw * _gemv(K, b)
-        a = b - sw * _solve_lower(L, _solve_lower(L, rhs), transposed=True)
-        f_new = _gemv(K, a)
-        delta = float(np.max(np.abs(f_new - f)))
-        f = f_new
-        if delta < 1e-6:
+        L = _cholesky(_add_to_diagonal(sw[:, None] * K * sw[None, :], 1.0))
+        alpha = t - pi
+        if not steps:
             break
-    return f
-
-
-def _laplace_b(K: np.ndarray, sw: np.ndarray) -> np.ndarray:
-    """B = I + sqrt(W) K sqrt(W), in K's memory order."""
-    return _add_to_diagonal(sw[:, None] * K * sw[None, :], 1.0)
-
-
-def _mode_state(K: np.ndarray, y: np.ndarray, f: np.ndarray):
-    """Laplace state at the latent mode f: (pi, sqrt_w, L_b, alpha, lml)."""
-    pi = _sigmoid_stable(f)
-    sw = np.sqrt(pi * (1.0 - pi))
-    L = _cholesky(_laplace_b(K, sw))
-    alpha = (y + 1.0) / 2.0 - pi
+        b = w * f + alpha
+        rhs = sw * _gemv(K, b)
+        f_new = _gemv(K, b - sw * _solve_lower(L, _solve_lower(L, rhs), transposed=True))
+        steps = 0 if np.max(np.abs(f_new - f)) < 1e-6 else steps - 1
+        f = f_new
     lml = float(-0.5 * alpha @ f + _log_sigmoid(y * f).sum() - np.log(np.diag(L)).sum())
-    return pi, sw, L, alpha, lml
+    return f, pi, sw, L, alpha, lml
+
+
+def _posterior_diag(K: np.ndarray, sqrt_w: np.ndarray, L_b: np.ndarray) -> np.ndarray:
+    """Diagonal of the Laplace posterior covariance (K^-1 + W)^-1, as
+    diag(K) - sum over rows of (L_b^-1 sqrt(W) K)^2. Its solve checks that
+    L_b and sqrt_w are finite."""
+    C = _solve_lower(L_b, sqrt_w[:, None] * K)
+    return np.diag(K) - (C**2).sum(axis=0)
 
 
 def median_heuristic_lengthscale(X: np.ndarray) -> float:
@@ -788,14 +784,18 @@ def _stratified_cap(labels: np.ndarray, max_points: int, rng: np.random.Generato
     return np.sort(np.concatenate([pos, take_neg]))
 
 
-def _check_hyperparameters(lengthscale: float | None, signal_var: float, jitter: float) -> None:
-    """Raise unless lengthscale (None: the median heuristic) and signal_var
-    are finite and > 0 and jitter is finite and >= 0."""
+def _hyperparameters(lengthscale, signal_var, jitter) -> tuple[float | None, float, float]:
+    """(lengthscale, signal_var, jitter), each read by ``float_field``:
+    lengthscale (None: the median heuristic) and signal_var finite and > 0,
+    jitter finite and >= 0."""
+    lengthscale = None if lengthscale is None else float_field(lengthscale, "lengthscale")
+    signal_var, jitter = float_field(signal_var, "signal_var"), float_field(jitter, "jitter")
     for name, value in (("lengthscale", lengthscale), ("signal_var", signal_var)):
         if value is not None and not (math.isfinite(value) and value > 0):
             raise LearnerError(f"{name} must be finite and > 0, got {value}")
     if not (math.isfinite(jitter) and jitter >= 0):
         raise LearnerError(f"jitter must be finite and >= 0, got {jitter}")
+    return lengthscale, signal_var, jitter
 
 
 def train_gp(
@@ -811,11 +811,10 @@ def train_gp(
     must hold both classes, so max_points must exceed the positive count.
 
     ``lengthscale`` None takes the median pairwise distance of the kept
-    rows. Newton iterations run until the mode moves by less than 1e-6 or
-    100 iterations. On Cholesky failure the jitter is escalated tenfold up
-    to 1e-2 before giving up.
+    rows; ``_laplace`` finds the latent mode. On Cholesky failure the
+    jitter is escalated tenfold up to 1e-2 before giving up.
     """
-    _check_hyperparameters(lengthscale, signal_var, jitter)
+    lengthscale, signal_var, jitter = _hyperparameters(lengthscale, signal_var, jitter)
     max_points = int_field(max_points, "max_points", 2)
     rng = np.random.default_rng(rng)
     keep = _stratified_cap(data.labels, max_points, rng)
@@ -857,14 +856,12 @@ def gp_lml_and_gradient(model: GpClassifier, lengthscale=None, signal_var=None):
     d2 = _sqdist(X, X)
     K_rbf = _rbf(d2, ell, sv)
     K = _add_to_diagonal(K_rbf.copy(order="F"), model.jitter)
-    f = _newton_mode(K, y)
-    pi, sw, L, alpha, lml = _mode_state(K, y, f)
+    _, pi, sw, L, alpha, lml = _laplace(K, y)
 
-    # R = sqrt(W) B^-1 sqrt(W); posterior covariance diag via C = L \ (sW K).
-    # C's solve checks that L and sw are finite, as cho_solve did.
-    C = _solve_lower(L, sw[:, None] * K)
+    # R = sqrt(W) B^-1 sqrt(W); the posterior diagonal's solve checks that L
+    # and sw are finite before dpotrs reads them
+    post_diag = _posterior_diag(K, sw, L)
     R = sw[:, None] * _lapack().dpotrs(L, np.diag(sw), lower=1)[0]
-    post_diag = np.diag(K) - (C**2).sum(axis=0)
     dw_df = pi * (1.0 - pi) * (1.0 - 2.0 * pi)   # dW/df
     s2 = -0.5 * post_diag * dw_df                # dZ/df at the mode
 

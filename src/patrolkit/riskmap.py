@@ -98,10 +98,6 @@ class PwlRiskModel:
             object.__setattr__(self, name, arr)
 
     @property
-    def segments(self) -> int:
-        return self.breakpoints.size - 1
-
-    @property
     def c_max(self) -> float:
         return float(self.breakpoints[-1])
 

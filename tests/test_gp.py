@@ -160,6 +160,16 @@ class TestTraining:
         with pytest.raises(LearnerError, match=name):
             train_gp(matrix([[0.0], [1.0]], [0, 1]), rng=0, **{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("lengthscale", True), ("lengthscale", "3"), ("signal_var", True),
+        ("signal_var", None), ("signal_var", "3"), ("jitter", True), ("jitter", None),
+        ("jitter", "3"),
+    ])
+    def test_rejects_a_setting_that_is_not_a_number(self, name, value):
+        # before, True fit as 1.0, and a string or None raised TypeError
+        with pytest.raises(LearnerError, match=f"{name} must be a number"):
+            train_gp(matrix([[0.0], [1.0]], [0, 1]), rng=0, **{name: value})
+
     def test_subsample_preserves_positives(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(500, 2))
@@ -238,9 +248,9 @@ class TestTraining:
         X = rng.normal(size=(20, 2))
         m = train_gp(matrix(X, X[:, 1] > 0), rng=0)
         calls = []
-        mode_state = learners._mode_state
-        monkeypatch.setattr(learners, "_mode_state",
-                            lambda *args: calls.append(1) or mode_state(*args))
+        laplace = learners._laplace
+        monkeypatch.setattr(learners, "_laplace",
+                            lambda *args: calls.append(1) or laplace(*args))
         for first in ("predict_proba", "held_out_proba"):
             back = GpClassifier.from_dict(m.to_dict(), 2)
             assert calls == [] and "_factors" not in vars(back)

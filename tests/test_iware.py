@@ -415,6 +415,24 @@ class TestTrainIware:
         assert np.all((g > 0) & (g < 1))
         assert np.all(v >= 0)
 
+    @pytest.mark.parametrize("name, value, rule", [
+        ("I", 0, ">= 1"), ("I", -1, ">= 1"), ("I", True, "an integer"), ("I", 2.5, "an integer"),
+        ("I", "3", "an integer"), ("feature_subsample", 0, ">= 1"), ("signal_var", True, "a number"),
+    ])
+    def test_rejects_a_setting_of_the_wrong_kind(self, name, value, rule):
+        # before, I=True trained one threshold, I=2.5 raised TypeError, and a
+        # feature_subsample of 0 raised IndexError
+        ds = _toy_training_dataset(seed=2)
+        kind = "gp" if name == "signal_var" else "trees"
+        with pytest.raises(LearnerError, match=f"{name} must be {rule}"):
+            train_iware(ds, **{"I": 2, "learner_kind": kind, "rng": 0, name: value})
+
+    def test_integral_threshold_count_of_any_number_type_trains_alike(self):
+        ds = _toy_training_dataset(seed=2)
+        want = train_iware(ds, I=2, rng=0, num_trees=3).to_dict()
+        for I in (2.0, np.int64(2)):
+            assert train_iware(ds, I=I, rng=0, num_trees=3).to_dict() == want, I
+
     def test_unknown_option_rejected(self):
         ds = _toy_training_dataset(seed=2)
         with pytest.raises(IwareError, match="num_tree"):

@@ -319,6 +319,33 @@ class TestBagging:
                                rng=1)
             assert got.num_trees == 5 and got.to_dict() == want, kind
 
+    @pytest.mark.parametrize("fit, name, value", [
+        ("bag", "feature_subsample", 0), ("bag", "feature_subsample", -1),
+        ("bag", "feature_subsample", 2.5), ("bag", "feature_subsample", True),
+        ("bag", "feature_subsample", "3"), ("tree", "feature_subsample", 0),
+        ("tree", "feature_subsample", False), ("bag", "undersample_ratio", True),
+        ("bag", "undersample_ratio", "3"), ("bag", "undersample_ratio", None),
+    ])
+    def test_rejects_a_setting_of_the_wrong_kind(self, fit, name, value):
+        # before, feature_subsample was never checked: 0 raised IndexError, -1
+        # ValueError, True and "3" TypeError, and 2.5 fit every feature;
+        # undersample_ratio took True as 1 and raised TypeError on "3" or None
+        data = matrix([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0]], [0, 1, 0, 1])
+        train = train_bagged if fit == "bag" else train_tree
+        with pytest.raises(LearnerError, match=name):
+            train(data, rng=0, **{name: value})
+
+    def test_feature_subsample_of_any_number_type_fits_alike(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(80, 4))
+        data = matrix(X, X[:, 0] + 0.5 * rng.normal(size=80) > 0.3)
+        want = train_bagged(data, num_trees=4, feature_subsample=2, rng=1).to_dict()
+        for value in (2.0, np.int64(2), "sqrt"):
+            got = train_bagged(data, num_trees=4, feature_subsample=value, rng=1)
+            assert got.to_dict() == want, value
+        every = train_bagged(data, num_trees=4, feature_subsample=None, rng=1).to_dict()
+        assert train_bagged(data, num_trees=4, feature_subsample=9, rng=1).to_dict() == every
+
     def test_balanced_bags_are_one_to_one(self):
         rng = np.random.default_rng(0)
         X = rng.random((200, 2))

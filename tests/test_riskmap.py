@@ -163,7 +163,7 @@ class TestPwl:
                             [ConstLearner(0.3, 0.01), ConstLearner(0.8, 0.02)])
         ens.n_features = 2
         pwl = build_pwl(ens, grid, m=4, c_max=2.0, ds=ds)
-        assert pwl.segments == 4
+        assert pwl.breakpoints.size == 5
         ids = grid.masked_ids()
         # at c=0 only the first learner qualifies
         assert pwl.prob_values[ids, 0] == pytest.approx([0.3] * 4)
