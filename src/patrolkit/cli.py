@@ -5,7 +5,8 @@ fieldtest. Every command reads one configuration file (--config) plus
 --section.key=value overrides, and is a pure function of the config, the
 input files, and the seed: re-running writes byte-identical artifacts.
 
-Exit codes: 0 success, 2 configuration or input error, 3 infeasible plan.
+Exit codes: 0 success, 2 configuration or input error. (Every valid
+planning problem has a plan: staying at the post is one.)
 
 Only ``plan`` imports ``patrolkit.planner``, which loads scipy's HiGHS
 extension (and nothing else of scipy), so the other commands start
@@ -216,16 +217,6 @@ def cmd_riskmap(cfg) -> int:
 
 
 def cmd_plan(cfg, beta_sweep: bool = False) -> int:
-    from .planner import PlanInfeasibleError
-
-    try:
-        return _plan(cfg, beta_sweep)
-    except PlanInfeasibleError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-
-
-def _plan(cfg, beta_sweep: bool) -> int:
     from .planner import PlanProblem, build_graph, improvement_ratio, solve
 
     out = _outdir(cfg)

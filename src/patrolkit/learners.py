@@ -41,10 +41,8 @@ Cholesky factors and triangular solves run on LAPACK's routines from
 ``scipy.linalg._flapack``, its matrix products on BLAS's from
 ``scipy.linalg._fblas``: none on numpy's own build of OpenBLAS, whose
 second thread pool would contend with scipy's. Its median-heuristic
-lengthscale runs on the Euclidean routine of
-``scipy.spatial._distance_pybind``. So a GP process loads no
-``scipy.linalg`` or ``scipy.spatial``, and a process that loads trees
-alone loads no scipy.
+lengthscale is plain numpy. So a GP process loads no ``scipy.linalg``,
+and a process that loads trees alone loads no scipy.
 
 Each learner's settings and their defaults are the keyword arguments of
 its training function (``train_bagged``, ``train_gp``) and are written
@@ -763,11 +761,17 @@ def _posterior_diag(K: np.ndarray, sqrt_w: np.ndarray, L_b: np.ndarray) -> np.nd
 
 def median_heuristic_lengthscale(X: np.ndarray) -> float:
     """Median nonzero pairwise Euclidean distance; 1.0 for degenerate data.
-    The distances come from the compiled routine that
-    ``scipy.spatial.distance.pdist(X)`` calls, loaded alone."""
-    if X.shape[0] < 2:
+    Each pair's squared differences are added in feature order, one pass
+    per feature, as ``scipy.spatial.distance.pdist(X)`` adds them, so the
+    distances are pdist's to the bit in O(pairs) memory."""
+    n = X.shape[0]
+    if n < 2:
         return 1.0
-    d = load_extension("spatial._distance_pybind").pdist_euclidean(X)
+    i, j = np.triu_indices(n, 1)
+    d = np.zeros(i.size)
+    for col in X.T:
+        d += (col[i] - col[j]) ** 2
+    d = np.sqrt(d)
     d = d[d > 0]
     return float(np.median(d)) if d.size else 1.0
 

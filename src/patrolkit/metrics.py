@@ -50,7 +50,13 @@ class FieldTestRow:
 
 @dataclass(frozen=True)
 class FieldTestTable:
-    rows: tuple[FieldTestRow, ...]
+    rows: tuple[FieldTestRow, ...]   # one per risk group, each group once
+
+    def __post_init__(self):
+        groups = [r.group for r in self.rows]
+        for i, group in enumerate(groups):
+            if group in groups[:i]:
+                raise MetricsError(f"group {group!r} appears more than once")
 
     @classmethod
     def from_counts(cls, counts) -> "FieldTestTable":

@@ -1,6 +1,6 @@
 """Game-theoretic patrol planning on the time-unrolled park graph."""
 
-from .graph import PlanInfeasibleError, PlannerError, TimeUnrolledGraph, build_graph
+from .graph import PlannerError, TimeUnrolledGraph, build_graph
 from .milp import (
     MilpModel,
     PlanProblem,

@@ -35,10 +35,6 @@ class PlannerError(ValueError):
     """Invalid planning input."""
 
 
-class PlanInfeasibleError(PlannerError):
-    """No feasible patrol exists for the requested configuration."""
-
-
 @dataclass(frozen=True, eq=False)
 class TimeUnrolledGraph:
     grid: ParkGrid

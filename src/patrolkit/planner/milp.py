@@ -52,7 +52,7 @@ import numpy as np
 
 from ..riskmap import PwlRiskModel, interp_rows
 from ..scipyext import load_extension
-from .graph import PlanInfeasibleError, PlannerError, TimeUnrolledGraph
+from .graph import PlannerError, TimeUnrolledGraph
 
 # loaded here, not at the first solve, so that no timed solve pays for it
 highs_core = load_extension("optimize._highspy._core")
@@ -412,5 +412,6 @@ def branch_and_bound(model: MilpModel, sweep: LpSweep | None = None):
         stack.append(right)
 
     if best_x is None:
-        raise PlanInfeasibleError("no feasible patrol plan")
+        # the root is feasible (the stay-at-post walk), so HiGHS misjudged it
+        raise PlannerError("LP relaxation failed: the root was found infeasible")
     return best_x, best_obj

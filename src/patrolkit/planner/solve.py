@@ -1,12 +1,16 @@
 """Plan solving, route decomposition, and the robustness sweep.
 
 ``solve`` runs the window branch and bound of ``milp`` (``bnb``). Path
-enumeration (``enumerate``) is kept as the exact oracle the tests compare
-against: it walks every feasible patrol path, which is exact only when
-every cell's utility is convex in coverage (then some optimal mixed
-strategy sits at a vertex of the flow polytope, i.e. a single path), and
-it refuses nonconvex instances, where mixtures can strictly beat every
+enumeration (``solve_by_enumeration``) is kept as the exact oracle the
+tests compare against: it walks every feasible patrol path, which is exact
+only when every cell's utility is convex in coverage (then some optimal
+mixed strategy sits at a vertex of the flow polytope, i.e. a single path),
+and it refuses nonconvex instances, where mixtures can strictly beat every
 pure path.
+
+Every problem has a plan: staying at the post, which lies in the park, is
+a source-sink path, and ``PlanProblem`` extends the curves, finite on the
+park, to the T*K coverage that bounds every cell.
 
 ``improvement_ratio`` solves one problem at every beta of a grid. Its
 branch and bounds share one HiGHS instance (``milp.LpSweep``): the beta
@@ -27,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graph import PlanInfeasibleError, PlannerError, TimeUnrolledGraph
+from .graph import PlannerError, TimeUnrolledGraph
 from .milp import LpSweep, PlanProblem, assemble_milp, branch_and_bound, objective_of_coverage
 
 PATH_LIMIT = 100000
@@ -98,7 +102,7 @@ def solve_by_enumeration(problem: PlanProblem) -> PatrolPlan:
             "path enumeration is exact only for convex utilities; "
             "a mixed strategy could beat every single path here")
     g = problem.graph
-    best_obj, best_flow = -np.inf, None
+    best_obj, best_flow = -np.inf, None  # the stay-at-post path always replaces these
     for path in g.enumerate_paths(PATH_LIMIT):
         flow = np.zeros(g.num_edges)
         flow[path] = 1.0
@@ -106,18 +110,13 @@ def solve_by_enumeration(problem: PlanProblem) -> PatrolPlan:
         obj = objective_of_coverage(problem.pwl, g.grid, cov, problem.beta)
         if obj > best_obj:  # paths arrive in lexicographic order; first max kept
             best_obj, best_flow = obj, flow
-    if best_flow is None:
-        raise PlanInfeasibleError("no feasible path")
     return _plan(problem, best_flow, "enumerate")
 
 
 def solve(problem: PlanProblem, method: str = "bnb") -> PatrolPlan:
-    """Solve one plan problem by branch and bound (``bnb``), or by path
-    enumeration (``enumerate``, the convex-only oracle)."""
-    if method == "enumerate":
-        return solve_by_enumeration(problem)
+    """Solve one plan problem by branch and bound (``bnb``, the only method)."""
     if method != "bnb":
-        raise PlannerError(f"unknown solve method {method!r}")
+        raise PlannerError(f"unknown solve method {method!r}; plans are solved by 'bnb' only")
     return _solve_bnb(problem)
 
 

@@ -83,8 +83,8 @@ class PwlRiskModel:
 
     grid: ParkGrid
     breakpoints: np.ndarray   # (m+1,), starting at 0, strictly increasing
-    prob_values: np.ndarray   # (n_cells, m+1); NaN outside mask
-    var_values: np.ndarray    # (n_cells, m+1)
+    prob_values: np.ndarray   # (n_cells, m+1); finite in the mask, NaN allowed outside
+    var_values: np.ndarray    # (n_cells, m+1); likewise
 
     def __post_init__(self):
         br = np.asarray(self.breakpoints, dtype=float)
@@ -95,6 +95,8 @@ class PwlRiskModel:
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             if arr.shape != (self.grid.n_cells, br.size):
                 raise IwareError(f"{name} must be (n_cells, m+1)")
+            if not np.isfinite(arr[self.grid.mask]).all():
+                raise IwareError(f"{name} must be finite at every park cell")
             object.__setattr__(self, name, arr)
 
     @property

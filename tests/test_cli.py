@@ -143,15 +143,11 @@ class TestPipeline:
         assert sweep[0] == "beta,ratio"
         assert sweep[1].startswith("0.0,1.0")
 
-        # plan imports the planner when it runs, and maps its errors there
-        def fail(error):
-            def solve(problem):
-                raise error("no feasible patrol plan")
-            return solve
+        # plan imports the planner when it runs; a planner error exits 2
+        def solve(problem):
+            raise planner.PlannerError("LP relaxation failed: Unknown")
 
-        monkeypatch.setattr(planner, "solve", fail(planner.PlanInfeasibleError))
-        assert run(["plan", *SMALL, *out]) == 3
-        monkeypatch.setattr(planner, "solve", fail(planner.PlannerError))
+        monkeypatch.setattr(planner, "solve", solve)
         assert run(["plan", *SMALL, *out]) == 2
 
     def test_model_written_compact_and_indented_model_loads(self, workdir):
@@ -248,6 +244,13 @@ class TestMalformedInputs:
     def test_fieldtest_without_group(self, workdir):
         (workdir / "ft.csv").write_text("obs_cells,patrolled_cells,effort_km\n23,54,269.0\n")
         assert run(["fieldtest", "--fieldtest.table=ft.csv", "--output_dir=o"]) == 2
+
+    def test_fieldtest_with_a_repeated_group(self, workdir, capsys):
+        (workdir / "ft.csv").write_text("group,obs_cells,patrolled_cells,effort_km\n"
+                                        "High,15,50,1.0\nLow,3,50,1.0\nHigh,1,40,1.0\n")
+        assert run(["fieldtest", "--fieldtest.table=ft.csv", "--output_dir=o"]) == 2
+        assert "group 'High' appears more than once" in capsys.readouterr().err
+        assert not (workdir / "o" / "fieldtest_report.json").exists()
 
     def test_dataset_without_label(self, workdir):
         assert run(["simulate", *SMALL, "--output_dir=r"]) == 0
@@ -919,25 +922,25 @@ assert learners._blas() is sys.modules["scipy.linalg._fblas"] is scipy.linalg._f
 
 
 LBFGSB = "scipy.optimize._lbfgsb"
-DISTANCE = "scipy.spatial._distance_pybind"
 
 
 @pytest.mark.parametrize("kind, extensions", [
     ("trees", {LBFGSB}),
-    ("gp", {LBFGSB, DISTANCE, LAPACK, FBLAS}),
+    ("gp", {LBFGSB, LAPACK, FBLAS}),
 ], ids=["trees", "gp"])
 def test_train_loads_extensions_alone(workdir, kind, extensions):
-    # the weight fit runs on L-BFGS-B's extension, the GP's lengthscale on
-    # pdist's and its linear algebra on LAPACK's and BLAS's, each loaded from
-    # its file: before, train imported all of scipy.optimize, and on a GP
-    # scipy.spatial too
+    # the weight fit runs on L-BFGS-B's extension and the GP's linear algebra
+    # on LAPACK's and BLAS's, each loaded from its file: before, train
+    # imported all of scipy.optimize, and on a GP scipy.spatial too. The GP's
+    # lengthscale needs no scipy
     args = [*SMALL, f"--ensemble.learner={kind}", "--output_dir=r"]
     assert run(["simulate", *args]) == 0
     assert scipy_loaded(command_code("train", *args)) == extensions
 
 
 def test_scipy_optimize_and_spatial_reuse_the_training_extensions():
-    # the later imports find the extensions under their own names
+    # the later imports find the extensions under their own names; the
+    # lengthscale loads nothing of scipy.spatial and equals pdist's median
     code = """
 import sys
 import numpy as np
@@ -948,11 +951,10 @@ w = iware.optimize_weights_from_probs(P, y, np.ones((40, 3), bool))
 X = rng.normal(size=(30, 4))
 ell = learners.median_heuristic_lengthscale(X)
 lbfgsb = sys.modules["scipy.optimize._lbfgsb"]
-distance = sys.modules["scipy.spatial._distance_pybind"]
-assert "scipy.optimize" not in sys.modules and "scipy.spatial" not in sys.modules
+assert "scipy.optimize" not in sys.modules
+assert not any(m.startswith("scipy.spatial") for m in sys.modules)
 import scipy.optimize, scipy.spatial.distance
 assert sys.modules["scipy.optimize._lbfgsb"] is scipy.optimize._lbfgsb_py._lbfgsb is lbfgsb
-assert sys.modules["scipy.spatial._distance_pybind"] is scipy.spatial.distance._distance_pybind is distance
 d = scipy.spatial.distance.pdist(X)
 assert ell == float(np.median(d[d > 0]))
 assert np.array_equal(iware.optimize_weights_from_probs(P, y, np.ones((40, 3), bool)), w)
@@ -962,8 +964,9 @@ assert np.array_equal(iware.optimize_weights_from_probs(P, y, np.ones((40, 3), b
 
 
 def test_training_falls_back_to_importing_the_extensions(tmp_path):
-    # where the files are not found, L-BFGS-B's and pdist's bindings come
-    # from plain imports, with the rest of scipy.optimize and scipy.spatial
+    # where the files are not found, L-BFGS-B's binding comes from a plain
+    # import, with the rest of scipy.optimize (which imports scipy.spatial);
+    # the GP's lengthscale is the same without scipy
     code = f"""
 import importlib.machinery, importlib.util
 import numpy as np
@@ -990,7 +993,7 @@ assert model.lengthscale == 2.0, model.lengthscale
 
 
 def test_scipy_works_after_patrolkit_loads_its_extensions():
-    # patrolkit loads its five extensions alone; the packages imported after
+    # patrolkit loads its four extensions alone; the packages imported after
     # them in the same process find them by name, and their public functions
     # work on them
     code = """
@@ -1022,7 +1025,7 @@ assert res.status == 0 and res.fun == -2.0, res
 """
     loaded = scipy_loaded(code)
     assert {"scipy.linalg", "scipy.optimize", "scipy.spatial", LAPACK, FBLAS, LBFGSB,
-            DISTANCE, HIGHS} <= loaded
+            HIGHS} <= loaded
 
 
 def test_extension_is_an_attribute_of_its_imported_package():

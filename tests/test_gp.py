@@ -210,7 +210,7 @@ class TestTraining:
         assert m.lengthscale > 0
 
     def test_median_heuristic_is_the_median_of_pdist(self):
-        # the distances come from pdist's own compiled routine, loaded alone
+        # the distances are summed as pdist sums them, so the median is pdist's exactly
         from scipy.spatial.distance import pdist
 
         rng = np.random.default_rng(7)
@@ -228,6 +228,16 @@ class TestTraining:
         m = train_gp(matrix(X, y), lengthscale=1.0, jitter=1e-9, rng=0)
         p, _ = predict_one(m, np.array([1.0, 1.0]))
         assert p > 0.5
+
+    def test_jitter_escalates_until_the_kernel_factors(self):
+        # each input appears twice: without jitter the kernel is singular,
+        # and the first escalation, to 1e-8, factors it
+        X = np.repeat([[0.0], [1.0], [2.0], [3.0]], 2, axis=0)
+        m = train_gp(matrix(X, [0, 0, 0, 0, 1, 1, 1, 1]), lengthscale=1.0, jitter=0.0, rng=0)
+        assert m.jitter == 1e-8
+        prob, var = m.predict_proba(np.array([[0.0], [1.5], [3.0]]))
+        assert np.all(np.isfinite(prob)) and np.all((prob > 0) & (prob < 1))
+        assert np.all(np.isfinite(var))
 
     def test_serialization_round_trip(self):
         rng = np.random.default_rng(7)

@@ -200,6 +200,12 @@ class TestChiSquared:
         with pytest.raises(MetricsError):
             FieldTestTable.from_counts([("A", 5, 2, 1.0)])
 
+    def test_repeated_group_rejected(self):
+        # before, the test counted both High rows, and obs_per_cell kept the last
+        with pytest.raises(MetricsError, match="'High' appears more than once"):
+            FieldTestTable.from_counts([("High", 15, 50, 1.0), ("Low", 3, 50, 1.0),
+                                        ("High", 1, 40, 1.0)])
+
 
 class TestObsPerCell:
     def test_table_values(self):

@@ -20,6 +20,7 @@ from patrolkit.planner import (
     write_lp_file,
 )
 from patrolkit.planner.milp import CscMatrix
+from patrolkit.iware import IwareError
 from patrolkit.planner.solve import decompose_flow
 from patrolkit.riskmap import PwlRiskModel, interp_rows
 
@@ -368,8 +369,40 @@ class TestSolve:
             build_graph(grid, 1, 2)
 
     def test_unknown_method(self):
-        with pytest.raises(PlannerError):
-            solve(line_problem(), method="sorcery")
+        # the enumeration oracle is solve_by_enumeration, not a method of solve
+        for method in ("enumerate", "sorcery"):
+            with pytest.raises(PlannerError, match="solve method"):
+                solve(line_problem(), method=method)
+
+    @pytest.mark.parametrize("T", [1, 3, 6])
+    def test_walled_in_post_stays_put(self, T):
+        # every neighbour of the post is outside the park: the only plan is
+        # the stay-at-post walk, and every beta finds it
+        mask = np.ones(9, bool)
+        mask[[1, 3, 5, 7]] = False
+        grid = flat_grid(3, 3, posts=(4,), mask=mask)
+        br = np.linspace(0.0, 2.0 * T, 5)   # reaches T*K
+        prob = np.tile(0.5 * br / br[-1], (9, 1))
+        prob[~mask] = np.nan                # allowed outside the park
+        pwl = pwl_from_values(grid, br, prob, np.where(np.isnan(prob), np.nan, 0.3))
+        p = PlanProblem(graph=build_graph(grid, 4, T), pwl=pwl, K=2, beta=0.5)
+        plan = solve(p)
+        plan.validate()
+        assert plan.to_dict()["coverage"] == {"4": 2.0 * T}
+        assert plan.routes == (((4,) * T, 1.0),)
+        assert improvement_ratio(p, [0.0, 1.0]) == [(0.0, 1.0), (1.0, 1.0)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["prob_values", "var_values"])
+    def test_non_finite_curve_at_a_park_cell_is_refused(self, name, bad):
+        # before, HiGHS took a NaN cost and planned on it, and an infinite
+        # one failed the root LP
+        p = line_problem()
+        values = {"prob_values": p.pwl.prob_values.copy(),
+                  "var_values": p.pwl.var_values.copy()}
+        values[name][1, 2] = bad
+        with pytest.raises(IwareError, match=f"{name} must be finite"):
+            PwlRiskModel(grid=p.graph.grid, breakpoints=p.pwl.breakpoints, **values)
 
 
 class TestAssembleMilp:
@@ -459,7 +492,7 @@ class TestValidate:
 
 class TestDecompose:
     def test_integral_flow_single_path(self):
-        plan = solve(line_problem(), method="enumerate")
+        plan = solve_by_enumeration(line_problem())
         routes = decompose_flow(plan.graph, plan.flow)
         assert routes == (((0, 1, 0), 1.0),)
 

@@ -13,6 +13,7 @@ import pytest
 from patrolkit import synth
 from patrolkit.grid import assemble_dataset
 from patrolkit.iware import train_iware
+from patrolkit.metrics import FieldTestTable, chi_squared_field_test
 from patrolkit.riskmap import select_field_test_blocks, sweep_riskmap
 
 
@@ -48,23 +49,23 @@ def band_truth_means(seed: int, block_size: int = 3) -> dict[str, float]:
             for band in ("high", "medium", "low")}
 
 
-def band_detection_rates(seed: int, draws: int = 20, block_size: int = 3) -> dict[str, float]:
+def band_detections(seed: int, draws: int = 20, block_size: int = 3) -> dict[str, tuple]:
     """The paper's field test, simulated: each band's distinct block cells
     are patrolled at the nominal effort ``draws`` times, detections drawn
-    from the truth's label probability, and each band scores its
-    detections per cell and draw."""
+    from the truth's label probability. Each band's (detections, cells
+    patrolled), pooled over the draws."""
     bundle, nominal, blocks = field_test(seed, block_size)
     grid = bundle.grid
     p = bundle.truth.label_prob(np.full(grid.n_cells, nominal))
     found = np.random.default_rng([seed, 13]).random((draws, grid.n_cells)) < p
     offsets = np.arange(block_size) - block_size // 2
-    rates = {}
+    counts = {}
     for band in ("high", "medium", "low"):
         centres = np.array([c for c, _ in getattr(blocks, band)])
         cells = np.unique((centres[:, None, None] + offsets[:, None] * grid.width
                            + offsets[None, :]).ravel())
-        rates[band] = float(found[:, cells].mean())
-    return rates
+        counts[band] = (int(found[:, cells].sum()), draws * cells.size)
+    return counts
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -82,5 +83,19 @@ def test_field_test_finds_more_in_high_than_low_risk_blocks(seed):
     # high-risk blocks than in low-risk ones; drawn from the truth, so must
     # the simulated one. High against medium is not asserted: their rates
     # can lie close (0.141 and 0.111 on seed 3)
-    rates = band_detection_rates(seed)
+    rates = {band: found / patrolled for band, (found, patrolled) in band_detections(seed).items()}
     assert rates["high"] > rates["low"], rates
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_field_test_chi_squared_rejects_independence(seed):
+    # the paper's field test rejected independence of risk band and snare
+    # finds by Pearson's chi-squared; pooled over the draws, the simulated
+    # one must too. One draw alone is not asserted: on seed 3, only 4 of
+    # the 20 draws give p < 0.05
+    nominal = field_test(seed)[1]
+    table = FieldTestTable.from_counts(
+        (band, found, patrolled, nominal * patrolled)
+        for band, (found, patrolled) in band_detections(seed).items())
+    _, dof, p = chi_squared_field_test(table)
+    assert dof == 2 and p < 0.05, (p, table)
